@@ -154,8 +154,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.jobs < 1:
-        raise InvalidParameterError("--jobs must be >= 1")
     g = _load_graph(args.graph)
     budget = _budget_from(args)
     if args.decide is not None:
@@ -289,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", help="wall-clock limit, e.g. 30, 1.5m, 2h")
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--order", choices=["degree", "index"], default="degree")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap; the current search is sequential, so any value acts as 1")
     p.add_argument("-o", "--output", help="witness coloring file")
     p.set_defaults(func=_cmd_solve)
 

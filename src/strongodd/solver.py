@@ -9,22 +9,43 @@ search is a genuine refutation.
 
 The strong odd condition at a vertex v only closes once N(v) is fully
 colored, so eager per-assignment checks would be unsound.  Instead the
-search maintains, per vertex, the color counts of its colored neighbors,
-the number of positive even color classes among them, and the number of
-uncolored neighbors, and prunes on three sound rules:
+search keeps, per vertex v, over its colored neighbors:
+
+* ``cnt[v]``: how often each color appears;
+* ``odd[v]`` and ``present[v]``: bit masks of the colors that appear an odd
+  number of times and at all (bit c stands for color c), so the positive
+  even classes are ``present & ~odd`` and the lowest of them is one bit
+  operation away;
+* ``evp[v]``: the number of positive even classes;
+* ``unc[v]`` and ``last[v]``: the number of uncolored neighbors and the xor
+  of their ids, which is the last uncolored neighbor when one is left.
+
+It prunes on four sound rules:
 
 * counting: each uncolored neighbor can repair at most one even class, so a
   vertex with more positive even classes than uncolored neighbors is dead
   (with zero uncolored neighbors this is exactly the full condition);
 * forcing: a vertex with one uncolored neighbor left and exactly one even
-  class pins that neighbor to the even class's color, which restricts the
-  candidate set when that neighbor is next and fails fast when the pinned
-  color already appears beside it;
+  class pins that neighbor to the even class's color, so that neighbor may
+  take no other color and is dead when the pinned color already appears
+  beside it;
 * exclusion: a vertex with one uncolored neighbor left and no even class
-  forbids that neighbor every color currently present around the vertex.
+  forbids that neighbor every color currently present around the vertex;
+* no fresh color: once all k colors are in use, a vertex with one uncolored
+  neighbor left and no even class is dead unless some color is absent both
+  around the vertex and beside that neighbor.
 
-Properness is enforced eagerly at assignment time.  Every yes answer is
-re-checked through the public verifier before it is returned.
+Properness is enforced by the candidate set.  All four rules are applied in
+one place, before assignment: for the vertex u to be colored, ``options``
+returns the colors tried (properness, the canonical cap, and forcing and
+exclusion from neighbors that u completes) and the viable subset whose
+assignment keeps every rule true at every neighbor of u, read off the masks
+without changing any state.  Every tried color is one search node, counted
+in ascending order, whether the search descends into it or the rules had
+already killed it; dead colors are counted in bulk by popcount.  The search
+runs on an explicit stack, one frame per colored vertex, so its depth is
+not limited by Python's recursion limit.  Every yes answer is re-checked
+through the public verifier before it is returned.
 
 ``brute_force_so`` is the independent oracle: it enumerates canonical color
 assignments outright and re-checks each complete one with ``is_strong_odd``,
@@ -87,11 +108,6 @@ class ValueWitness(NamedTuple):
     witness: Coloring
 
 
-class _BudgetExhausted(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
 def _vertex_order(g: Graph, order) -> list[int]:
     if order == "degree":
         return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
@@ -119,122 +135,161 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
     adj = g.adj
     color = [0] * n
     cnt = [[0] * (k + 1) for _ in range(n)]
+    odd = [0] * n  # colors on an odd number of colored neighbors
+    present = [0] * n  # colors on at least one colored neighbor
     evp = [0] * n  # positive even color classes among colored neighbors
-    unc = [len(adj[v]) for v in range(n)]
-    nodes = 0
+    unc = [len(a) for a in adj]
+    last = [0] * n  # xor of the uncolored neighbors' ids
+    for v in range(n):
+        x = 0
+        for w in adj[v]:
+            x ^= w
+        last[v] = x
+    full = (2 << k) - 2  # colors 1..k
     max_nodes = budget.max_nodes if budget else None
     deadline = monotonic() + budget.max_seconds if budget and budget.max_seconds else None
 
-    def candidates(u: int, cap: int):
-        """Colors for u allowed by properness and by neighbors whose
-        neighborhood u completes."""
-        cu = cnt[u]
-        forced = 0
-        banned = 0
-        for v in adj[u]:
-            if unc[v] == 1:
-                e = evp[v]
-                if e > 1:
-                    return ()
-                cv = cnt[v]
-                if e == 1:
-                    cstar = 0
-                    for c in range(1, cap + 1):
-                        x = cv[c]
-                        if x and not (x & 1):
-                            cstar = c
-                            break
-                    if cstar == 0 or (forced and forced != cstar):
-                        return ()
-                    forced = cstar
-                else:
-                    for c in range(1, cap + 1):
-                        if cv[c]:
-                            banned |= 1 << c
-        if forced:
-            if cu[forced] or (banned >> forced) & 1:
-                return ()
-            return (forced,)
-        return tuple(c for c in range(1, cap + 1) if not cu[c] and not (banned >> c) & 1)
-
-    def last_uncolored(v: int) -> int:
-        for w in adj[v]:
-            if not color[w]:
-                return w
-        raise AssertionError("no uncolored neighbor")
-
-    def extend(i: int, maxused: int) -> bool:
-        nonlocal nodes
-        if i == n:
-            return True
-        u = seq[i]
+    def options(u: int, maxused: int) -> tuple[int, int]:
+        """Masks (tried, viable) of colors for u, read off the state without
+        changing it.  tried holds the colors allowed by properness, the
+        canonical cap, and the rules of neighbors whose last uncolored
+        neighbor is u; viable holds those that also keep all four rules true
+        at every neighbor once u has them."""
         cap = maxused + 1 if maxused < k else k
-        for c in candidates(u, cap):
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise _BudgetExhausted("max-nodes")
-            if deadline is not None and not (nodes & 255) and monotonic() > deadline:
-                raise _BudgetExhausted("max-seconds")
+        # colors after which no fresh color is left for later vertices
+        nofresh = full if maxused >= k else 1 << k
+        tried = ((2 << cap) - 2) & ~present[u]
+        allowed = -1
+        for v in adj[u]:
+            r = unc[v]
+            e = evp[v]
+            if r == 1:
+                # forcing: u must repair v's one even class; exclusion: with
+                # none, u must avoid every color around v (e <= r always)
+                tried &= present[v] & ~odd[v] if e else ~present[v]
+            elif r == 2:
+                # after u, w is the last uncolored neighbor of v
+                p = present[v]
+                pw = present[last[v] ^ u]
+                if e == 2:
+                    # counting: u repairs one even class; forcing: w then
+                    # needs the other one, so it must not appear beside w
+                    ev = p & ~odd[v]
+                    lo = ev & -ev
+                    hi = ev ^ lo
+                    allowed &= (0 if hi & pw else lo) | (0 if lo & pw else hi)
+                elif e == 1:
+                    # forcing: a color new to v leaves the even class for w;
+                    # no fresh color: repairing it leaves w needing a color
+                    # absent around v and beside w; counting kills odd colors
+                    ev = p & ~odd[v]
+                    a = ev if full & ~p & ~pw else ev & ~nofresh
+                    if not ev & pw:
+                        a |= ~p
+                    allowed &= a
+                else:
+                    # no fresh color: a color new to v leaves w needing a
+                    # different color absent around v and beside w; forcing:
+                    # a color already at v turns even and is forced on w,
+                    # which must not see it, from u included
+                    free = full & ~p & ~pw
+                    if not free:
+                        a = ~p & ~nofresh
+                    elif free & (free - 1):
+                        a = ~p
+                    else:
+                        a = ~p & ~(nofresh & free)
+                    if u not in adj[last[v] ^ u]:
+                        a |= p & ~pw
+                    allowed &= a
+            elif e == r:
+                # counting: only repairing an even class keeps v alive
+                allowed &= present[v] & ~odd[v]
+            elif e == r - 1:
+                # counting: an odd color would add an even class
+                allowed &= ~odd[v]
+        return tried, tried & allowed
+
+    t0 = perf_counter()
+    nodes = 0
+    # node count at which the budget is next looked at: just past max_nodes,
+    # or the next multiple of 256 when there is a deadline
+    limit = max_nodes + 1 if max_nodes is not None else 1 << 62
+    check = min(limit, 256) if deadline is not None else limit
+    reason = None
+    found = False
+    stack = []  # (vertex, tried left, viable left, maxused) per colored vertex
+    maxused = 0
+    u = seq[0]
+    tried, viable = options(u, 0)
+    while True:
+        # every tried color is one node, counted in ascending order; the
+        # dead ones below the next viable color are counted together
+        if viable:
+            cb = viable & -viable
+            upto = (cb << 1) - 1
+            nodes += (tried & upto).bit_count()
+            tried &= ~upto
+            viable ^= cb
+        else:
+            nodes += tried.bit_count()
+            cb = 0
+        if nodes >= check:
+            if nodes >= limit:
+                nodes = limit
+                reason = "max-nodes"
+                break
+            if monotonic() > deadline:
+                reason = "max-seconds"
+                break
+            check = min(limit, (nodes | 255) + 1)
+        if cb:
+            c = cb.bit_length() - 1
             color[u] = c
             for v in adj[u]:
                 cv = cnt[v]
                 x = cv[c]
                 cv[c] = x + 1
-                if x:
-                    if x & 1:
-                        evp[v] += 1
-                    else:
-                        evp[v] -= 1
+                if not x:
+                    present[v] |= cb
+                elif x & 1:
+                    evp[v] += 1
+                else:
+                    evp[v] -= 1
+                odd[v] ^= cb
                 unc[v] -= 1
-            ok = True
-            for v in adj[u]:
-                if evp[v] > unc[v]:
-                    ok = False
-                    break
-            if ok:
-                used = c if c > maxused else maxused
-                for v in adj[u]:
-                    if unc[v] == 1:
-                        e = evp[v]
-                        cv = cnt[v]
-                        if e == 1:
-                            cstar = 0
-                            for c2 in range(1, k + 1):
-                                x = cv[c2]
-                                if x and not (x & 1):
-                                    cstar = c2
-                                    break
-                            if cnt[last_uncolored(v)][cstar]:
-                                ok = False
-                                break
-                        elif used >= k:
-                            # no fresh color left; the last neighbor needs a
-                            # color absent both at v and beside itself
-                            cw = cnt[last_uncolored(v)]
-                            if not any(not cv[c2] and not cw[c2] for c2 in range(1, k + 1)):
-                                ok = False
-                                break
-            if ok and extend(i + 1, c if c > maxused else maxused):
-                return True
+                last[v] ^= u
+            stack.append((u, tried, viable, maxused))
+            if len(stack) == n:
+                found = True
+                break
+            if c > maxused:
+                maxused = c
+            u = seq[len(stack)]
+            tried, viable = options(u, maxused)
+        elif stack:
+            u, tried, viable, maxused = stack.pop()
+            c = color[u]
+            cb = 1 << c
             for v in adj[u]:
                 cv = cnt[v]
                 x = cv[c] - 1
                 cv[c] = x
-                if x:
-                    if x & 1:
-                        evp[v] -= 1
-                    else:
-                        evp[v] += 1
+                if not x:
+                    present[v] ^= cb
+                elif x & 1:
+                    evp[v] -= 1
+                else:
+                    evp[v] += 1
+                odd[v] ^= cb
                 unc[v] += 1
+                last[v] ^= u
             color[u] = 0
-        return False
-
-    t0 = perf_counter()
-    try:
-        found = extend(0, 0)
-    except _BudgetExhausted as ex:
-        return DecideResult("timeout", None, nodes, perf_counter() - t0, ex.reason)
+        else:
+            break
     elapsed = perf_counter() - t0
+    if reason is not None:
+        return DecideResult("timeout", None, nodes, elapsed, reason)
     if not found:
         return DecideResult("no", None, nodes, elapsed)
     witness = Coloring(color)

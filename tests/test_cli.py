@@ -146,6 +146,14 @@ class TestSolve:
         code, stdout, _ = run(capsys, "solve", str(g), "--decide", "5", "--max-nodes", "2")
         assert code == 3 and "answer: timeout" in stdout
 
+    def test_exact_long_cycle(self, tmp_path, capsys):
+        g = tmp_path / "c5000.col"
+        run(capsys, "gen", "--family", "cycle", "--n", "5000", "-o", str(g))
+        code, stdout, stderr = run(capsys, "solve", str(g), "--exact")
+        assert code == 0
+        assert "status: exact" in stdout and "value: 4" in stdout
+        assert "Traceback" not in stderr
+
     def test_bad_timeout_string(self, tmp_path, capsys):
         g = tmp_path / "c3.col"
         run(capsys, "gen", "--family", "cycle", "--n", "3", "-o", str(g))

@@ -7,6 +7,7 @@ from strongodd import (
     Budget,
     BipyramidUnion,
     Coloring,
+    Cycle,
     Graph,
     InvalidParameterError,
     JoinCycleEmpty,
@@ -81,6 +82,39 @@ class TestDecideK:
     def test_bad_order(self):
         with pytest.raises(InvalidParameterError):
             decide_k(cycle(3), 2, order=[0, 0, 1])
+
+
+class TestNodeCounts:
+    """Node counts on default degree order are part of the search's contract:
+    every tried color is one node, whether or not the rules had already
+    killed it, so a faster search must reproduce these exactly."""
+
+    @pytest.mark.parametrize(
+        "spec,k,nodes",
+        [
+            (Wheel(14), 6, 20_318),
+            (Wheel(17), 5, 10_088),
+            (Wheel(19), 5, 42_546),
+            (JoinCycleEmpty(14, 4), 7, 81_313),
+        ],
+    )
+    def test_refutation_nodes(self, spec, k, nodes):
+        r = decide_k(build(spec), k)
+        assert (r.answer, r.nodes) == ("no", nodes)
+
+    def test_budget_of_exactly_the_node_count_suffices(self):
+        r = decide_k(build(Wheel(17)), 5, Budget(max_nodes=10_088))
+        assert (r.answer, r.nodes, r.reason) == ("no", 10_088, None)
+
+    def test_budget_one_short_times_out_just_past_it(self):
+        r = decide_k(build(Wheel(17)), 5, Budget(max_nodes=10_087))
+        assert (r.answer, r.nodes, r.reason) == ("timeout", 10_088, "max-nodes")
+
+    def test_long_cycle_needs_no_deep_recursion(self):
+        g = build(Cycle(5000))
+        r = chromatic_strong_odd(g)
+        assert (r.status, r.value, r.nodes) == ("exact", 4, 10_005)
+        assert is_strong_odd(g, r.witness)
 
 
 class TestChromatic:
