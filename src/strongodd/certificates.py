@@ -6,6 +6,16 @@ and a log of every check that was run.  Everything needed to re-verify the
 claim travels inside the document, so ``reverify_certificate`` can audit a
 bundle read back from disk with no other state.
 
+``Certificate.from_json`` raises ParseError on text that is not JSON (or
+nests too deeply to parse), on a document that is not an object or lacks a
+field, and on a field of the wrong JSON type: each field must have exactly
+the type its annotation names (so ``true`` is not an integer), and
+``rotation`` must be a list of lists of integers.  A document that passes
+is well typed, so ``reverify_certificate`` only has to judge its content:
+an unparsable graph or coloring text raises the parser's error, and a
+rotation that does not match the graph (InvalidRotationError) fails the
+"euler" check instead of raising.
+
 Claims default to kind "upper-bound": the coloring proves the value is
 attainable.  A claim is upgraded to "exact" only when a refutation search
 at value - 1 completes within an explicitly supplied budget (``--try-exact``
@@ -22,11 +32,12 @@ The node count of a refutation is recorded in the notes, but
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_origin, get_type_hints
 
 from .coloring import is_proper, is_strong_odd, format_coloring, parse_coloring
-from .embedding import RotationSystem, embed_family, verify_embedding
-from .errors import CertificationError, InvalidParameterError, ParseError
+from .embedding import embed_family, verify_embedding
+from .errors import CertificationError, InvalidParameterError, InvalidRotationError, ParseError
 from .families import union_coloring, union_formula, wheel_formula
 from .graphs import BipyramidUnion, build, from_dimacs, to_dimacs
 from .solver import Budget, decide_k
@@ -61,15 +72,22 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"certificate is not valid JSON: {exc}") from None
-        required = {
-            "family", "graph_dimacs", "labels", "coloring", "claimed_value",
-            "claim_kind", "rotation", "faces", "euler_ok", "checks", "notes",
-        }
+        required = {f.name for f in fields(cls)}
         if not isinstance(data, dict) or not required.issubset(data):
             missing = required - set(data) if isinstance(data, dict) else required
             raise ParseError(f"certificate document missing fields: {sorted(missing)}")
+        # the annotations are the schema; exact types keep bools out of int fields
+        for name, hint in sorted(get_type_hints(cls).items()):
+            expected = get_origin(hint) or hint
+            if type(data[name]) is not expected:
+                raise ParseError(
+                    f"certificate field {name!r} must be {expected.__name__}, "
+                    f"got {type(data[name]).__name__}"
+                )
+        if not all(type(row) is list and all(type(v) is int for v in row) for row in data["rotation"]):
+            raise ParseError("certificate field 'rotation' must be a list of lists of integers")
         return cls(**{k: data[k] for k in required})
 
 
@@ -139,7 +157,7 @@ def make_union_certificate(
         coloring=format_coloring(col),
         claimed_value=claimed,
         claim_kind=claim_kind,
-        rotation=[list(row) for row in rot.rotation],
+        rotation=[list(row) for row in rot],
         faces=emb.faces,
         euler_ok=emb.euler_ok,
         checks=checks,
@@ -188,8 +206,8 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
         ("palette_count", len(col.palette) == cert.claimed_value),
     ]
     try:
-        emb = verify_embedding(g, RotationSystem.from_lists(cert.rotation))
+        emb = verify_embedding(g, cert.rotation)
         results.append(("euler", emb.euler_ok and emb.faces == cert.faces))
-    except Exception:
+    except InvalidRotationError:
         results.append(("euler", False))
     return all(ok for _, ok in results), results

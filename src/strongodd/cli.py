@@ -8,6 +8,7 @@ byte-deterministic; timestamps never appear in file content.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -112,12 +113,8 @@ def _cmd_gen(args) -> int:
         rot = embed_family(spec)
         faces, ok = verify_embedding(g, rot)
         if args.output:
-            import json
-
             rot_path = args.output + ".rot.json"
-            Path(rot_path).write_text(
-                json.dumps([list(r) for r in rot.rotation]) + "\n", encoding="utf-8"
-            )
+            Path(rot_path).write_text(json.dumps(rot) + "\n", encoding="utf-8")
             print(f"wrote {rot_path}")
         print(f"euler: {'ok' if ok else 'FAILED'} (V={g.n} E={g.edge_count} F={faces})")
         if not ok:
@@ -323,18 +320,13 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidParameterError, InvalidColoringError, InvalidRotationError) as exc:
+    except (ParseError, InvalidParameterError, InvalidColoringError, InvalidRotationError,
+            UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -29,12 +29,6 @@ class Coloring:
                 raise InvalidColoringError(f"colors must be positive integers, got {c!r}")
         self.colors = tup
 
-    @classmethod
-    def from_mapping(cls, mapping: dict[int, int], n: int) -> "Coloring":
-        if sorted(mapping) != list(range(n)):
-            raise InvalidColoringError("mapping must cover exactly the vertices 0..n-1")
-        return cls(mapping[v] for v in range(n))
-
     @property
     def palette(self) -> frozenset[int]:
         return frozenset(self.colors)

@@ -1,36 +1,22 @@
 """Rotation systems, face tracing, and planar embeddings for the built families.
 
-A rotation system fixes a cyclic order of neighbors around each vertex.  Face
-tracing follows the standard next-dart rule: after traversing the dart
-(u, v), continue with (v, w) where w is the successor of u in the rotation at
-v.  The traced embedding has genus 0 exactly when V - E + F = 2, which is the
-verdict ``verify_embedding`` reports.
+A rotation system is a sequence of rows, one per vertex: row v lists the
+neighbors of v in cyclic order.  Rows are plain lists or tuples of vertex ids
+(``embed_family`` returns a tuple of tuples; a certificate read back from
+JSON holds lists).  Face tracing follows the standard next-dart rule: after
+traversing the dart (u, v), continue with (v, w) where w is the successor of
+u in the row of v.  ``verify_embedding`` builds that rule once as a map from
+each dart to the next and traces every face by popping darts from the map,
+so it runs in time linear in the number of edges.  The traced embedding has
+genus 0 exactly when V - E + F = 2, which is the verdict it reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidRotationError, UnsupportedFamilyError
 from .graphs import Bipyramid, BipyramidUnion, Cycle, FamilySpec, Graph, Wheel
-
-
-@dataclass(frozen=True)
-class RotationSystem:
-    """Per-vertex cyclic neighbor order; a combinatorial embedding witness."""
-
-    rotation: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_lists(cls, rows: Sequence[Sequence[int]]) -> "RotationSystem":
-        return cls(tuple(tuple(r) for r in rows))
-
-    def __len__(self) -> int:
-        return len(self.rotation)
-
-    def __getitem__(self, v: int) -> tuple[int, ...]:
-        return self.rotation[v]
 
 
 class EmbeddingCheck(NamedTuple):
@@ -38,39 +24,30 @@ class EmbeddingCheck(NamedTuple):
     euler_ok: bool
 
 
-def verify_embedding(g: Graph, rot: RotationSystem) -> EmbeddingCheck:
+def verify_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> EmbeddingCheck:
     """Trace every face of the embedding and test V - E + F = 2.
 
-    Raises InvalidRotationError unless rot lists, for every vertex, exactly
-    its neighbor set in some cyclic order.
+    Raises InvalidRotationError unless rotation lists, for every vertex,
+    each of its neighbors exactly once, in some cyclic order.  That check
+    makes the next-dart map a bijection on the darts, so every face closes.
     """
-    if len(rot) != g.n:
-        raise InvalidRotationError(f"rotation covers {len(rot)} vertices, graph has {g.n}")
-    for v in range(g.n):
-        if tuple(sorted(rot[v])) != g.adj[v]:
+    if len(rotation) != g.n:
+        raise InvalidRotationError(f"rotation covers {len(rotation)} vertices, graph has {g.n}")
+    nxt: dict[tuple[int, int], tuple[int, int]] = {}
+    for v, row in enumerate(rotation):
+        if tuple(sorted(row)) != g.adj[v]:
             raise InvalidRotationError(f"rotation at vertex {v} is not a permutation of its neighbors")
-    succ: dict[tuple[int, int], int] = {}
-    for v in range(g.n):
-        row = rot[v]
-        d = len(row)
-        for i, u in enumerate(row):
-            succ[(v, u)] = row[(i + 1) % d]
-    unvisited = {(u, v) for u in range(g.n) for v in g.adj[u]}
+        nxt.update(((u, v), (v, w)) for u, w in zip(row, row[1:] + row[:1]))
     faces = 0
-    while unvisited:
-        start = next(iter(unvisited))
-        dart = start
-        while True:
-            unvisited.discard(dart)
-            u, v = dart
-            dart = (v, succ[(v, u)])
-            if dart == start:
-                break
+    while nxt:
+        start, dart = nxt.popitem()
+        while dart != start:
+            dart = nxt.pop(dart)
         faces += 1
     return EmbeddingCheck(faces, g.n - g.edge_count + faces == 2)
 
 
-def embed_family(spec: FamilySpec) -> RotationSystem:
+def embed_family(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
     """A concrete genus-0 rotation system for a supported family spec.
 
     Supported: Cycle, Wheel, Bipyramid, BipyramidUnion.  The layout puts the
@@ -80,26 +57,24 @@ def embed_family(spec: FamilySpec) -> RotationSystem:
     """
     if isinstance(spec, Cycle):
         n = spec.n
-        return RotationSystem.from_lists([[(i - 1) % n, (i + 1) % n] for i in range(n)])
-    if isinstance(spec, Wheel):
+        rows = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    elif isinstance(spec, Wheel):
         n = spec.n
         hub = n
         rows = [[(i + 1) % n, hub, (i - 1) % n] for i in range(n)]
         rows.append(list(range(n)))
-        return RotationSystem.from_lists(rows)
-    if isinstance(spec, Bipyramid):
+    elif isinstance(spec, Bipyramid):
         n = spec.n
         x, y = n, n + 1
         rows = [[(i + 1) % n, x, (i - 1) % n, y] for i in range(n)]
         rows.append(list(range(n)))
         rows.append(list(range(n - 1, -1, -1)))
-        return RotationSystem.from_lists(rows)
-    if isinstance(spec, BipyramidUnion):
+    elif isinstance(spec, BipyramidUnion):
         m, n = spec.m, spec.n
         x1, y = m, m + 1
         c2 = [m + 2 + t for t in range(n)]
         x2 = m + n + 2
-        rows: list[list[int]] = []
+        rows = []
         for i in range(m):
             rows.append([(i + 1) % m, x1, (i - 1) % m, y])
         rows.append(list(range(m)))
@@ -108,5 +83,6 @@ def embed_family(spec: FamilySpec) -> RotationSystem:
         for t in range(n):
             rows.append([c2[(t - 1) % n], x2, c2[(t + 1) % n], y])
         rows.append(list(reversed(c2)))
-        return RotationSystem.from_lists(rows)
-    raise UnsupportedFamilyError(f"no embedding constructor for family {spec!r}")
+    else:
+        raise UnsupportedFamilyError(f"no embedding constructor for family {spec!r}")
+    return tuple(tuple(r) for r in rows)

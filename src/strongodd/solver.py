@@ -373,7 +373,7 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle and greedy upper bound
+# Independent oracle
 # ---------------------------------------------------------------------------
 
 def _canonical_colorings(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -417,30 +417,3 @@ def brute_force_so(g: Graph) -> ValueWitness:
             if is_strong_odd(g, c):
                 return ValueWitness(k, c)
     raise AssertionError("unreachable: the all-distinct coloring is always strong odd")
-
-
-def greedy_upper(g: Graph) -> ValueWitness:
-    """A verified strong odd coloring found by merging color classes greedily.
-
-    Starts from the always-valid all-distinct coloring and keeps any class
-    merge the verifier accepts; the result is only ever a verified coloring,
-    at worst all-distinct.
-    """
-    if g.n == 0:
-        return ValueWitness(0, Coloring(()))
-    colors = list(range(1, g.n + 1))
-    for hi in range(g.n, 1, -1):
-        if hi not in colors:
-            continue
-        for lo in sorted(set(colors)):
-            if lo >= hi:
-                break
-            trial = [lo if x == hi else x for x in colors]
-            if is_strong_odd(g, trial):
-                colors = trial
-                break
-    remap = {c: i for i, c in enumerate(sorted(set(colors)), start=1)}
-    witness = Coloring(remap[c] for c in colors)
-    if not is_strong_odd(g, witness):
-        raise RuntimeError("internal error: greedy merge produced an invalid coloring")
-    return ValueWitness(len(witness.palette), witness)

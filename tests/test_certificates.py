@@ -15,6 +15,26 @@ from strongodd import (
     reverify_certificate,
 )
 
+# one wrong JSON type per certificate field; bools are not integers
+WRONG_TYPES = [
+    ("family", ["bipyramid-union", 8, 11]),
+    ("graph_dimacs", 5),
+    ("labels", {}),
+    ("coloring", ["x"]),
+    ("claimed_value", "14"),
+    ("claimed_value", True),
+    ("claim_kind", None),
+    ("rotation", {"0": [1, 2]}),
+    ("rotation", [5]),
+    ("rotation", [[1, "2"]]),
+    ("rotation", [[False, True]]),
+    ("faces", 31.0),
+    ("faces", False),
+    ("euler_ok", 1),
+    ("checks", {}),
+    ("notes", "none"),
+]
+
 
 class TestGeneration:
     def test_family_member_11(self):
@@ -68,6 +88,17 @@ class TestSerialization:
     def test_not_json(self):
         with pytest.raises(ParseError):
             Certificate.from_json("p edge 3 3")
+
+    def test_nesting_too_deep(self):
+        with pytest.raises(ParseError):
+            Certificate.from_json("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("name,value", WRONG_TYPES)
+    def test_wrong_field_type(self, name, value):
+        data = json.loads(counterexample(11).to_json())
+        data[name] = value
+        with pytest.raises(ParseError, match=name):
+            Certificate.from_json(json.dumps(data))
 
     def test_deterministic_bytes(self):
         assert counterexample(17).to_json() == counterexample(17).to_json()

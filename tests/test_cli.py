@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from strongodd import from_dimacs, is_strong_odd, parse_coloring, union_formula
 from strongodd.cli import main
 
@@ -231,6 +233,26 @@ class TestCertify:
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(data))
         assert run(capsys, "certify", "--recheck", str(bad))[0] == 4
+
+    @pytest.mark.parametrize("name,value", [("graph_dimacs", 5), ("coloring", ["x"]),
+                                            ("rotation", [[0.5]]), ("euler_ok", "yes")])
+    def test_recheck_wrong_field_type_is_parse_error(self, tmp_path, capsys, name, value):
+        outdir = tmp_path / "bundle"
+        run(capsys, "certify", "--family", "counterexample", "--n", "11", "-o", str(outdir))
+        data = json.loads((outdir / "bipyramid_union_8_11.cert.json").read_text())
+        data[name] = value
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "certify", "--recheck", str(bad))
+        assert code == 1 and err.startswith("error:") and name in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "deep-nesting"])
+    def test_recheck_undecodable_is_parse_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, _, err = run(capsys, "certify", "--recheck", str(bad))
+        assert code == 1 and err.startswith("error:")
 
     def test_try_exact_on_small_instance(self, tmp_path, capsys):
         # (3, 3) is small enough to refute value-1 within a desk budget;

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -7,8 +8,8 @@ from strongodd import (
     BipyramidUnion,
     Complete,
     Cycle,
+    Graph,
     InvalidRotationError,
-    RotationSystem,
     UnsupportedFamilyError,
     Wheel,
     build,
@@ -26,7 +27,7 @@ class TestVerifyEmbedding:
         assert (faces, ok) == (4, True)
 
     def test_c4_two_faces(self):
-        rot = RotationSystem.from_lists([[1, 3], [2, 0], [3, 1], [0, 2]])
+        rot = [[1, 3], [2, 0], [3, 1], [0, 2]]
         faces, ok = verify_embedding(cycle(4), rot)
         assert (faces, ok) == (2, True)
 
@@ -37,17 +38,25 @@ class TestVerifyEmbedding:
         for v in range(5):
             nbrs = list(g.adj[v])
             per_vertex.append([tuple([nbrs[0]] + list(p)) for p in permutations(nbrs[1:])])
+        faces = Counter()
         for rows in product(*per_vertex):
-            faces, ok = verify_embedding(g, RotationSystem(rows))
+            f, ok = verify_embedding(g, rows)
             assert not ok  # V - E + F = 5 - 10 + F can only be 2 if F = 7
+            faces[f] += 1
+        # genus (2 - V + E - F) / 2 is 3, 2 and 1 for F = 1, 3, 5
+        assert faces == {1: 2340, 3: 4974, 5: 462}
+
+    def test_isolated_vertex_empty_row(self):
+        # one vertex, no edges, no darts: V - E + F = 1, so not a sphere
+        assert verify_embedding(Graph(1), ((),)) == (0, False)
 
     def test_rotation_mismatch_rejected(self):
         with pytest.raises(InvalidRotationError):
-            verify_embedding(cycle(3), RotationSystem.from_lists([[1, 2], [0, 2], [0, 0]]))
+            verify_embedding(cycle(3), [[1, 2], [0, 2], [0, 0]])
 
     def test_rotation_wrong_length(self):
         with pytest.raises(InvalidRotationError):
-            verify_embedding(cycle(3), RotationSystem.from_lists([[1, 2], [0, 2]]))
+            verify_embedding(cycle(3), [[1, 2], [0, 2]])
 
 
 class TestEmbedFamily:

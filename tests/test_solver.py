@@ -20,7 +20,6 @@ from strongodd import (
     cycle,
     decide_k,
     empty,
-    greedy_upper,
     is_strong_odd,
     is_two_distance_on,
 )
@@ -243,27 +242,6 @@ class TestOracleAgreement:
         for _ in range(40):
             g = random_graph(rng.randint(6, 7), rng.choice([0.25, 0.5, 0.75]), rng)
             assert chromatic_strong_odd(g).value == brute_force_so(g).value
-
-
-class TestGreedyUpper:
-    def test_edgeless_collapses_to_one(self):
-        value, witness = greedy_upper(empty(5))
-        assert value == 1 and witness.palette == {1}
-
-    def test_k4(self):
-        assert greedy_upper(complete(4)).value == 4
-
-    def test_w9_verified(self):
-        g = build(Wheel(9))
-        value, witness = greedy_upper(g)
-        assert 4 <= value <= 10
-        assert is_strong_odd(g, witness)
-
-    def test_never_below_exact(self):
-        for g in small_corpus(seed=8, count=20):
-            if g.n == 0:
-                continue
-            assert greedy_upper(g).value >= chromatic_strong_odd(g).value
 
 
 class TestJoinWitnessStructure:
