@@ -6,15 +6,22 @@ and a log of every check that was run.  Everything needed to re-verify the
 claim travels inside the document, so ``reverify_certificate`` can audit a
 bundle read back from disk with no other state.
 
-``Certificate.from_json`` raises ParseError on text that is not JSON (or
-nests too deeply to parse), on a document that is not an object or lacks a
-field, and on a field of the wrong JSON type: each field must have exactly
-the type its annotation names (so ``true`` is not an integer), and
-``rotation`` must be a list of lists of integers.  A document that passes
-is well typed, so ``reverify_certificate`` only has to judge its content:
-an unparsable graph or coloring text raises the parser's error, and a
-rotation that does not match the graph (InvalidRotationError) fails the
-"euler" check instead of raising.
+``Certificate.to_json`` serialises the fields as they are, one key per
+field (``indent=2``, sorted keys, trailing newline), without copying them
+first.  ``Certificate.from_json`` raises ParseError on text that is not
+JSON, nests too deeply to parse or holds an integer longer than Python's
+int-string limit, on a document that is not an object or lacks a field,
+and on a field of the wrong JSON type: each field must have exactly the
+type its annotation names (so ``true`` is not an integer), and ``rotation``
+must be a list of lists of integers.  A document that passes is well
+typed, so ``reverify_certificate`` only has to judge its content: an
+unparsable graph or coloring text raises the parser's error, a rotation
+that does not match the graph (InvalidRotationError) fails the "euler"
+check instead of raising, and the "family" check rebuilds the named
+BipyramidUnion(m, n) and compares it with the bundled graph and
+``labels``.  A family of another kind, with non-integer sizes, or of a
+size other than the bundled graph's fails that check before anything is
+built.
 
 Claims default to kind "upper-bound": the coloring proves the value is
 attainable.  A claim is upgraded to "exact" only when a refutation search
@@ -32,14 +39,14 @@ The node count of a refutation is recorded in the notes, but
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import get_origin, get_type_hints
 
-from .coloring import is_proper, is_strong_odd, format_coloring, parse_coloring
+from .coloring import Coloring, is_proper, is_strong_odd, format_coloring, parse_coloring
 from .embedding import embed_family, verify_embedding
 from .errors import CertificationError, InvalidParameterError, InvalidRotationError, ParseError
-from .families import union_coloring, union_formula, wheel_formula
-from .graphs import BipyramidUnion, build, from_dimacs, to_dimacs
+from .families import _union_colors, union_formula, wheel_formula
+from .graphs import BipyramidUnion, Graph, build, from_dimacs, to_dimacs
 from .solver import Budget, decide_k
 
 # the glued-bipyramid pairs whose values 15, 16, and 17 are certified
@@ -66,13 +73,16 @@ class Certificate:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        # shallow: json.dumps walks the field values itself, so no copy is made
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the int-string limit
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"certificate is not valid JSON: {exc}") from None
         required = {f.name for f in fields(cls)}
         if not isinstance(data, dict) or not required.issubset(data):
@@ -99,12 +109,13 @@ def make_union_certificate(
 ) -> Certificate:
     """Build, check, and bundle the glued-bipyramid certificate for (m, n).
 
-    Raises CertificationError if any check fails; a certificate is only ever
-    emitted with an all-true check log.
+    The graph is built once, and the constructed coloring is judged on it
+    by the check log.  Raises CertificationError if any check fails; a
+    certificate is only ever emitted with an all-true check log.
     """
     spec = BipyramidUnion(m, n)
     g = build(spec)
-    col = union_coloring(m, n)
+    col = Coloring(_union_colors(m, n))
     claimed = union_formula(m, n)
     rot = embed_family(spec)
     emb = verify_embedding(g, rot)
@@ -153,7 +164,7 @@ def make_union_certificate(
     return Certificate(
         family={"kind": "bipyramid-union", "m": m, "n": n},
         graph_dimacs=to_dimacs(g, include_labels=False),
-        labels=[[v, g.labels[v]] for v in sorted(g.labels)],
+        labels=_label_rows(g),
         coloring=format_coloring(col),
         claimed_value=claimed,
         claim_kind=claim_kind,
@@ -193,7 +204,8 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
     """Re-run every certificate check from the serialized document alone.
 
     Parses the graph, coloring, and rotation out of the document and judges
-    the claim with the ordinary verifiers; nothing from generation time is
+    the claim with the ordinary verifiers, then checks that ``family`` and
+    ``labels`` describe that graph; nothing from generation time is
     trusted.  A recorded refutation is a search transcript summary and is
     not re-executed here.
     """
@@ -210,4 +222,27 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
         results.append(("euler", emb.euler_ok and emb.faces == cert.faces))
     except InvalidRotationError:
         results.append(("euler", False))
+    results.append(("family", _family_matches(cert, g)))
     return all(ok for _, ok in results), results
+
+
+def _family_matches(cert: Certificate, g: Graph) -> bool:
+    """True when ``cert.family`` names a BipyramidUnion(m, n) whose build has
+    the adjacency of ``g`` and the labels of ``cert.labels``."""
+    fam = cert.family
+    m, n = fam.get("m"), fam.get("n")
+    if fam.get("kind") != "bipyramid-union" or type(m) is not int or type(n) is not int:
+        return False
+    # sizes first, so a forged family never builds a graph larger than g
+    if m < 3 or n < 3 or m + n + 3 != g.n:
+        return False
+    built = build(BipyramidUnion(m, n))
+    return (
+        built.adj == g.adj
+        and cert.labels == _label_rows(built)
+        and all(type(v) is int for v, _ in cert.labels)  # 1.0 == 1, but is no vertex id
+    )
+
+
+def _label_rows(g: Graph) -> list[list]:
+    return [[v, role] for v, role in sorted(g.labels.items())]

@@ -142,6 +142,16 @@ def union_coloring(m: int, n: int) -> Coloring:
     each inner apex borrows a color from the opposite cycle, and the shared
     apex gets the single fresh color.
     """
+    colors = _union_colors(m, n)
+    return _verified(build(BipyramidUnion(m, n)), colors, union_formula(m, n))
+
+
+def _union_colors(m: int, n: int) -> list[int]:
+    """The colors ``union_coloring`` assigns, in vertex order, unverified.
+
+    Callers that already hold the built graph judge these colors on it
+    themselves instead of building a second copy.
+    """
     if m < 3 or n < 3:
         raise InvalidParameterError(f"union coloring needs m, n >= 3, got ({m}, {n})")
     first = wheel_cycle_pattern(m)
@@ -153,4 +163,4 @@ def union_coloring(m: int, n: int) -> Coloring:
     colors.append(a + b + 1)      # shared y apex
     colors.extend(p + a for p in second)
     colors.append(1)              # x apex of the second part
-    return _verified(build(BipyramidUnion(m, n)), colors, union_formula(m, n))
+    return colors

@@ -109,8 +109,30 @@ def cycle(n: int) -> Graph:
     """The cycle on n >= 3 vertices, edges {i, i+1 mod n}, roles "cycle:i"."""
     if n < 3:
         raise InvalidParameterError(f"a cycle needs at least 3 vertices, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, edges, {i: f"cycle:{i}" for i in range(n)})
+    return Graph(n, _cycle_edges(n), _cycle_labels(n))
+
+
+def _cycle_edges(n: int, off: int = 0) -> list[tuple[int, int]]:
+    """Edges of the n-cycle on the vertices ``off..off+n-1``, in cycle order."""
+    return [(off + i, off + (i + 1) % n) for i in range(n)]
+
+
+def _cycle_labels(n: int, off: int = 0) -> dict[int, str]:
+    """Roles "cycle:i" for the n-cycle on the vertices ``off..off+n-1``."""
+    return {off + i: f"cycle:{i}" for i in range(n)}
+
+
+def _spokes(n: int, hubs: Iterable[int], off: int = 0) -> list[tuple[int, int]]:
+    """Edges joining every vertex ``off..off+n-1`` to every hub."""
+    return [(off + i, h) for h in hubs for i in range(n)]
+
+
+def _cycle_with_hubs(n: int, roles: Sequence[str]) -> Graph:
+    """The n-cycle joined with pairwise nonadjacent hubs ``n, n+1, ...``,
+    one per role, each labeled with its role."""
+    hubs = range(n, n + len(roles))
+    labels = _cycle_labels(n) | dict(zip(hubs, roles))
+    return Graph(n + len(roles), _cycle_edges(n) + _spokes(n, hubs), labels)
 
 
 def empty(m: int) -> Graph:
@@ -268,6 +290,11 @@ FamilySpec = Union[
 def build(spec: FamilySpec) -> Graph:
     """Construct the graph described by a family spec.
 
+    Every spec is built as one ``Graph`` from its own edge list and label
+    map, with no intermediate graphs; the result equals the composition of
+    the public constructors the docstrings of the specs describe (a wheel is
+    ``join(cycle(n), complete(1))`` with the hub labeled "hub", and so on).
+
     Index layout is deterministic: cycle vertices come first in cycle order,
     then hub/apex vertices.  For BipyramidUnion(m, n) the first bipyramid
     occupies 0..m+1 (x at m, glued y at m+1), the second cycle occupies
@@ -280,29 +307,17 @@ def build(spec: FamilySpec) -> Graph:
     if isinstance(spec, Complete):
         return complete(spec.k)
     if isinstance(spec, Wheel):
-        g = join(cycle(spec.n), complete(1))
-        labels = dict(g.labels)
-        labels[spec.n] = "hub"
-        return g.with_labels(labels)
+        return _cycle_with_hubs(spec.n, ["hub"])
     if isinstance(spec, JoinCycleEmpty):
-        g = join(cycle(spec.n), empty(spec.m))
-        labels = dict(g.labels)
-        for j in range(spec.m):
-            labels[spec.n + j] = f"hub:{j}"
-        return g.with_labels(labels)
+        return _cycle_with_hubs(spec.n, [f"hub:{j}" for j in range(spec.m)])
     if isinstance(spec, Bipyramid):
-        g = join(cycle(spec.n), empty(2))
-        labels = dict(g.labels)
-        labels[spec.n] = "x"
-        labels[spec.n + 1] = "y"
-        return g.with_labels(labels)
+        return _cycle_with_hubs(spec.n, ["x", "y"])
     if isinstance(spec, BipyramidUnion):
-        g1 = build(Bipyramid(spec.m))
-        g2 = build(Bipyramid(spec.n))
-        u = one_point_union([(g1, g1.vertex_with_role("y")), (g2, g2.vertex_with_role("y"))])
-        labels = dict(u.labels)
-        labels[spec.m + 1] = "y"
-        return u.with_labels(labels)
+        m, n = spec.m, spec.n
+        x1, y, x2 = m, m + 1, m + n + 2
+        edges = _cycle_edges(m) + _spokes(m, (x1, y)) + _cycle_edges(n, m + 2) + _spokes(n, (y, x2), m + 2)
+        labels = _cycle_labels(m) | _cycle_labels(n, m + 2) | {x1: "x", y: "y", x2: "x"}
+        return Graph(m + n + 3, edges, labels)
     if isinstance(spec, FromFile):
         return from_dimacs(Path(spec.path).read_text(encoding="utf-8"))
     raise InvalidParameterError(f"unknown family spec {spec!r}")

@@ -1,6 +1,9 @@
+import hashlib
 import json
 
 import pytest
+
+import strongodd.certificates
 
 from strongodd import (
     Budget,
@@ -103,12 +106,26 @@ class TestSerialization:
     def test_deterministic_bytes(self):
         assert counterexample(17).to_json() == counterexample(17).to_json()
 
+    # the bytes are part of the certificate format: pin them for two sizes
+    @pytest.mark.parametrize("n,digest", [
+        (11, "9e62724eb1fdbaa8add948a1a1910d235b241c312a86ea5f0b0e88118fa167b6"),
+        (101, "f0f983b6fd1942afc632c3a221310af28ba8d83177681d2f70a196a1dfb3727f"),
+    ])
+    def test_pinned_bytes(self, n, digest):
+        assert hashlib.sha256(counterexample(n).to_json().encode()).hexdigest() == digest
+
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError, not JSONDecodeError, for it
+        text = counterexample(11).to_json().replace('"claimed_value": 14', '"claimed_value": ' + "9" * 5000)
+        with pytest.raises(ParseError):
+            Certificate.from_json(text)
+
 
 class TestReverify:
     def test_accepts_fresh_certificate(self):
         ok, results = reverify_certificate(counterexample(11).to_json())
         assert ok
-        assert {name for name, _ in results} == {"proper", "strong_odd", "palette_count", "euler"}
+        assert {name for name, _ in results} == {"proper", "strong_odd", "palette_count", "euler", "family"}
 
     def test_coloring_is_self_contained(self):
         cert = counterexample_pair(8, 8)
@@ -156,3 +173,44 @@ class TestReverify:
         data["graph_dimacs"] = "\n".join([" ".join(head)] + lines[1:-1]) + "\n"
         ok, _ = reverify_certificate(json.dumps(data))
         assert not ok  # rotation no longer matches adjacency, and parity checks shift
+
+    @pytest.mark.parametrize("family", [
+        {"kind": "bipyramid-union", "m": 8, "n": 13},
+        {"kind": "bipyramid-union", "m": 11, "n": 8},
+        {"kind": "wheel"},
+        {"kind": "wheel", "m": 8, "n": 11},
+        {"kind": "bipyramid-union", "m": "8", "n": 11},
+        {"kind": "bipyramid-union", "m": 8.0, "n": 11},
+        {"kind": "bipyramid-union", "m": True, "n": 18},
+        {"kind": "bipyramid-union", "m": 2, "n": 17},
+        {"kind": "bipyramid-union", "m": 8, "n": 10 ** 9},
+        {},
+    ], ids=["other-member", "swapped", "wheel", "wheel-sizes", "str-size", "float-size",
+            "bool-size", "no-such-spec", "huge", "empty"])
+    def test_detects_forged_family(self, family, monkeypatch):
+        real_build = strongodd.certificates.build
+
+        def build_only_the_bundled_size(spec):
+            # a family of the wrong size must be rejected before anything is built
+            assert spec.m + spec.n + 3 == 22, f"built {spec} for a 22-vertex graph"
+            return real_build(spec)
+
+        monkeypatch.setattr(strongodd.certificates, "build", build_only_the_bundled_size)
+        data = json.loads(counterexample(11).to_json())
+        data["family"] = family
+        ok, results = reverify_certificate(json.dumps(data))
+        assert not ok and dict(results)["family"] is False
+
+    @pytest.mark.parametrize("tamper", [
+        lambda rows: [],
+        lambda rows: [[0, "junk"]],
+        lambda rows: [[v, role] for (v, _), (_, role) in zip(rows, rows[::-1])],
+        lambda rows: [[float(v), role] for v, role in rows],
+    ], ids=["empty", "junk", "reversed-roles", "float-ids"])
+    def test_detects_tampered_labels(self, tamper):
+        data = json.loads(counterexample(11).to_json())
+        data["labels"] = tamper(data["labels"])
+        ok, results = reverify_certificate(json.dumps(data))
+        assert not ok and dict(results) == {
+            "proper": True, "strong_odd": True, "palette_count": True, "euler": True, "family": False,
+        }

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from strongodd import from_dimacs, is_strong_odd, parse_coloring, union_formula
+from strongodd import (
+    BipyramidUnion,
+    build,
+    from_dimacs,
+    is_strong_odd,
+    parse_coloring,
+    to_dimacs,
+    union_formula,
+)
 from strongodd.cli import main
 
 
@@ -215,6 +223,13 @@ class TestCertify:
         # the standalone files verify through the ordinary pipeline
         assert run(capsys, "verify", str(graph), str(coloring), "--mode", "strong-odd")[0] == 0
 
+    def test_labelled_graph_file_bytes(self, tmp_path, capsys):
+        # written from the certificate's text, without parsing the graph back
+        outdir = tmp_path / "bundle"
+        assert run(capsys, "certify", "--family", "counterexample", "--n", "11", "-o", str(outdir))[0] == 0
+        col = (outdir / "bipyramid_union_8_11.col").read_text(encoding="utf-8")
+        assert col == to_dimacs(build(BipyramidUnion(8, 11)))
+
     def test_pair_17(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "certify", "--pair", "8", "8", "-o", str(tmp_path / "p"))
         assert code == 0 and "claimed value: 17" in stdout
@@ -253,6 +268,25 @@ class TestCertify:
         bad.write_bytes(content)
         code, _, err = run(capsys, "certify", "--recheck", str(bad))
         assert code == 1 and err.startswith("error:")
+
+    def test_recheck_huge_integer_is_parse_error(self, tmp_path, capsys):
+        outdir = tmp_path / "bundle"
+        run(capsys, "certify", "--family", "counterexample", "--n", "11", "-o", str(outdir))
+        text = (outdir / "bipyramid_union_8_11.cert.json").read_text()
+        bad = tmp_path / "huge.json"
+        bad.write_text(text.replace('"claimed_value": 14', '"claimed_value": ' + "7" * 5000))
+        code, _, err = run(capsys, "certify", "--recheck", str(bad))
+        assert code == 1 and err.startswith("error:")
+
+    def test_recheck_forged_family_fails(self, tmp_path, capsys):
+        outdir = tmp_path / "bundle"
+        run(capsys, "certify", "--family", "counterexample", "--n", "11", "-o", str(outdir))
+        data = json.loads((outdir / "bipyramid_union_8_11.cert.json").read_text())
+        data["family"]["n"] = 13
+        bad = tmp_path / "forged.json"
+        bad.write_text(json.dumps(data))
+        code, stdout, _ = run(capsys, "certify", "--recheck", str(bad))
+        assert code == 4 and "family: FAILED" in stdout and "euler: ok" in stdout
 
     def test_try_exact_on_small_instance(self, tmp_path, capsys):
         # (3, 3) is small enough to refute value-1 within a desk budget;

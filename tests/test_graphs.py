@@ -156,7 +156,37 @@ class TestOnePointUnion:
                 assert g1.has_edge(a, b) == u.has_edge(a, b)
 
 
+def composed(spec):
+    """build(spec) as a composition of the public constructors, the way the
+    specs' docstrings describe it; build itself makes one Graph per spec."""
+    if isinstance(spec, Wheel):
+        g = join(cycle(spec.n), complete(1))
+        return g.with_labels({**g.labels, spec.n: "hub"})
+    if isinstance(spec, JoinCycleEmpty):
+        g = join(cycle(spec.n), empty(spec.m))
+        return g.with_labels({**g.labels, **{spec.n + j: f"hub:{j}" for j in range(spec.m)}})
+    if isinstance(spec, Bipyramid):
+        g = join(cycle(spec.n), empty(2))
+        return g.with_labels({**g.labels, spec.n: "x", spec.n + 1: "y"})
+    g1, g2 = composed(Bipyramid(spec.m)), composed(Bipyramid(spec.n))
+    u = one_point_union([(g1, g1.vertex_with_role("y")), (g2, g2.vertex_with_role("y"))])
+    return u.with_labels({**u.labels, spec.m + 1: "y"})
+
+
+COMPOSED_GRID = {
+    "wheel": [Wheel(n) for n in range(3, 31)],
+    "join-cycle-empty": [JoinCycleEmpty(n, m) for n in range(3, 16) for m in range(1, 7)],
+    "bipyramid": [Bipyramid(n) for n in range(3, 31)],
+    "bipyramid-union": [BipyramidUnion(m, n) for m in range(3, 16) for n in range(3, 16)],
+}
+
+
 class TestBuild:
+    @pytest.mark.parametrize("family", sorted(COMPOSED_GRID))
+    def test_equals_composition(self, family):
+        for spec in COMPOSED_GRID[family]:
+            assert build(spec) == composed(spec), spec
+
     def test_wheel_14(self):
         g = build(Wheel(14))
         assert (g.n, g.edge_count) == (15, 28)
