@@ -45,7 +45,7 @@ from typing import get_origin, get_type_hints
 from .coloring import Coloring, is_proper, is_strong_odd, format_coloring, parse_coloring
 from .embedding import embed_family, verify_embedding
 from .errors import CertificationError, InvalidParameterError, InvalidRotationError, ParseError
-from .families import _union_colors, union_formula, wheel_formula
+from .families import _union_colors, union_formula_case
 from .graphs import BipyramidUnion, Graph, build, from_dimacs, to_dimacs
 from .solver import Budget, decide_k
 
@@ -116,7 +116,7 @@ def make_union_certificate(
     spec = BipyramidUnion(m, n)
     g = build(spec)
     col = Coloring(_union_colors(m, n))
-    claimed = union_formula(m, n)
+    claimed, case = union_formula_case(m, n)
     rot = embed_family(spec)
     emb = verify_embedding(g, rot)
 
@@ -128,8 +128,7 @@ def make_union_certificate(
     ]
     notes = [
         f"glued bipyramids ({m}, {n}): {g.n} vertices, {g.edge_count} edges, planar",
-        f"closed-form value: wheel({m}) + wheel({n}) - 1 "
-        f"= {wheel_formula(m)} + {wheel_formula(n)} - 1 = {claimed}",
+        f"closed-form value: {case} = {claimed}",
     ]
     claim_kind = "upper-bound"
     if try_exact_budget is None:

@@ -1,15 +1,18 @@
 """Command-line surface: gen, verify, solve, formula, certify, oracle.
 
-Exit codes: 0 success, 1 parse or usage error, 2 violation or refuted
-decision, 3 budget exhausted, 4 certification failure.  Output files are
-byte-deterministic; timestamps never appear in file content.
+Exit codes: 0 success, 1 parse or usage error (every package error but a
+certification failure, and any unreadable or non-UTF-8 file), 2 violation
+or refuted decision, 3 budget exhausted, 4 certification failure.  Output
+files are byte-deterministic; timestamps never appear in file content.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .certificates import (
@@ -26,14 +29,8 @@ from .coloring import (
     proper_violations,
 )
 from .embedding import embed_family, verify_embedding
-from .errors import (
-    CertificationError,
-    InvalidColoringError,
-    InvalidParameterError,
-    InvalidRotationError,
-    ParseError,
-)
-from .families import join_formula_case, union_formula, wheel_formula, wheel_formula_case
+from .errors import CertificationError, InvalidParameterError, StrongOddError
+from .families import join_formula_case, union_formula_case, wheel_formula_case
 from .graphs import (
     Bipyramid,
     BipyramidUnion,
@@ -54,17 +51,21 @@ EXIT_VIOLATION = 2
 EXIT_BUDGET = 3
 EXIT_CERT = 4
 
+# family name -> spec class; the spec's fields name the size options
 _FAMILIES = {
-    "cycle": (Cycle, ("n",)),
-    "empty": (Empty, ("m",)),
-    "complete": (Complete, ("k",)),
-    "wheel": (Wheel, ("n",)),
-    "join-cycle-empty": (JoinCycleEmpty, ("n", "m")),
-    "bipyramid": (Bipyramid, ("n",)),
-    "g-graph": (Bipyramid, ("n",)),  # alternate spelling
-    "bipyramid-union": (BipyramidUnion, ("m", "n")),
-    "union-g": (BipyramidUnion, ("m", "n")),  # alternate spelling
+    "cycle": Cycle,
+    "empty": Empty,
+    "complete": Complete,
+    "wheel": Wheel,
+    "join-cycle-empty": JoinCycleEmpty,
+    "bipyramid": Bipyramid,
+    "g-graph": Bipyramid,  # alternate spelling
+    "bipyramid-union": BipyramidUnion,
+    "union-g": BipyramidUnion,  # alternate spelling
 }
+
+# formula kind -> (value, case) function; its signature names the parameters
+_FORMULAS = {"wheel": wheel_formula_case, "join": join_formula_case, "union": union_formula_case}
 
 
 def _parse_duration(text: str) -> float:
@@ -73,38 +74,37 @@ def _parse_duration(text: str) -> float:
         scale = {"s": 1.0, "m": 60.0, "h": 3600.0}[text[-1]]
         text = text[:-1]
     try:
-        value = float(text)
+        return float(text) * scale
     except ValueError:
         raise InvalidParameterError(f"cannot parse duration {text!r}") from None
-    if value <= 0:
-        raise InvalidParameterError("duration must be positive")
-    return value * scale
 
 
 def _budget_from(args) -> Budget | None:
-    max_nodes = getattr(args, "max_nodes", None)
-    timeout = getattr(args, "timeout", None)
-    if max_nodes is None and timeout is None:
+    # Budget judges the limits: positive, and a finite number of seconds
+    if args.max_nodes is None and args.timeout is None:
         return None
-    return Budget(max_nodes, _parse_duration(timeout) if timeout else None)
+    return Budget(args.max_nodes, _parse_duration(args.timeout) if args.timeout else None)
 
 
 def _family_spec(args):
     kind = args.family
     if kind not in _FAMILIES:
         raise InvalidParameterError(f"unknown family {kind!r}; choose from {sorted(_FAMILIES)}")
-    cls, params = _FAMILIES[kind]
-    values = []
-    for p in params:
-        v = getattr(args, p, None)
-        if v is None:
-            raise InvalidParameterError(f"family {kind!r} needs --{p}")
-        values.append(v)
-    return cls(*values)
+    cls = _FAMILIES[kind]
+    for f in fields(cls):
+        if getattr(args, f.name) is None:
+            raise InvalidParameterError(f"family {kind!r} needs --{f.name}")
+    return cls(*(getattr(args, f.name) for f in fields(cls)))
 
 
 def _load_graph(path: str):
     return from_dimacs(Path(path).read_text(encoding="utf-8"))
+
+
+def _write_witness(path: str | None, witness) -> None:
+    if path and witness is not None:
+        Path(path).write_text(format_coloring(witness), encoding="utf-8")
+        print(f"wrote {path}")
 
 
 def _cmd_gen(args) -> int:
@@ -168,9 +168,7 @@ def _cmd_solve(args) -> int:
         print(f"elapsed: {r.seconds:.3f}s")
         if r.answer == "yes":
             print(f"colors: {len(r.witness.palette)}")
-            if args.output:
-                Path(args.output).write_text(format_coloring(r.witness), encoding="utf-8")
-                print(f"wrote {args.output}")
+            _write_witness(args.output, r.witness)
             return EXIT_OK
         return EXIT_VIOLATION if r.answer == "no" else EXIT_BUDGET
     res = chromatic_strong_odd(g, budget, order=args.order)
@@ -182,27 +180,17 @@ def _cmd_solve(args) -> int:
         print(f"upper: {res.upper}")
     print(f"nodes: {res.nodes}")
     print(f"elapsed: {res.seconds:.3f}s")
-    if res.witness is not None and args.output:
-        Path(args.output).write_text(format_coloring(res.witness), encoding="utf-8")
-        print(f"wrote {args.output}")
+    _write_witness(args.output, res.witness)
     return EXIT_OK if res.status == "exact" else EXIT_BUDGET
 
 
 def _cmd_formula(args) -> int:
-    if args.kind == "wheel":
-        if len(args.params) != 1:
-            raise InvalidParameterError("formula wheel takes one parameter: n")
-        value, case = wheel_formula_case(args.params[0])
-    elif args.kind == "join":
-        if len(args.params) != 2:
-            raise InvalidParameterError("formula join takes two parameters: n m")
-        value, case = join_formula_case(args.params[0], args.params[1])
-    else:
-        if len(args.params) != 2:
-            raise InvalidParameterError("formula union takes two parameters: m n")
-        m, n = args.params
-        value = union_formula(m, n)
-        case = f"wheel({m}) + wheel({n}) - 1 = {wheel_formula(m)} + {wheel_formula(n)} - 1"
+    case_of = _FORMULAS[args.kind]
+    names = list(inspect.signature(case_of).parameters)
+    if len(args.params) != len(names):
+        count = "one parameter" if len(names) == 1 else "two parameters"
+        raise InvalidParameterError(f"formula {args.kind} takes {count}: {' '.join(names)}")
+    value, case = case_of(*args.params)
     print(value)
     print(f"case: {case}")
     return EXIT_OK
@@ -233,9 +221,11 @@ def _cmd_certify(args) -> int:
             return EXIT_OK
         print("certificate: FAILED")
         return EXIT_CERT
-    budget = _budget_from(args) if args.try_exact else None
+    budget = _budget_from(args)
     if args.try_exact and budget is None:
         raise InvalidParameterError("--try-exact needs --timeout and/or --max-nodes")
+    if budget is not None and not args.try_exact:
+        raise InvalidParameterError("--timeout and --max-nodes only apply with --try-exact")
     if args.pair:
         cert = counterexample_pair(args.pair[0], args.pair[1], budget)
     elif args.family == "counterexample":
@@ -256,9 +246,7 @@ def _cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
     value, witness = brute_force_so(g)
     print(f"value: {value}")
-    if args.output:
-        Path(args.output).write_text(format_coloring(witness), encoding="utf-8")
-        print(f"wrote {args.output}")
+    _write_witness(args.output, witness)
     return EXIT_OK
 
 
@@ -297,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("formula", help="closed-form value for wheel, join, or union families")
-    p.add_argument("kind", choices=["wheel", "join", "union"])
+    p.add_argument("kind", choices=_FORMULAS)
     p.add_argument("params", type=int, nargs="+")
     p.set_defaults(func=_cmd_formula)
 
@@ -321,21 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged, so every call shares this one
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
         return args.func(args)
-    except (ParseError, InvalidParameterError, InvalidColoringError, InvalidRotationError,
-            UnicodeDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERT
+    except (StrongOddError, UnicodeDecodeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -4,7 +4,11 @@ Three families are covered: wheels (cycle plus one universal hub), cycles
 joined with an edgeless hub set, and two bipyramids glued at one apex.  Each
 ``*_formula`` returns the closed-form value; each ``*_coloring`` builds an
 explicit coloring that attains it and re-checks itself through the verifier
-before returning, so a construction bug can never escape silently.
+before returning, so a construction bug can never escape silently.  Each
+``*_formula_case`` (``wheel_formula_case``, ``join_formula_case``,
+``union_formula_case``) returns the value together with the text of the
+case that produced it, as ``strongodd formula`` prints it and the
+certificate notes record it.
 
 The wheel value is piecewise in n:
 
@@ -65,10 +69,16 @@ def join_formula(n: int, m: int) -> int:
     return join_formula_case(n, m)[0]
 
 
-def union_formula(m: int, n: int) -> int:
+def union_formula_case(m: int, n: int) -> tuple[int, str]:
+    """Glued-bipyramid value together with the wheel values it sums."""
     if m < 3 or n < 3:
         raise InvalidParameterError(f"union formula needs m, n >= 3, got ({m}, {n})")
-    return wheel_formula(m) + wheel_formula(n) - 1
+    a, b = wheel_formula(m), wheel_formula(n)
+    return a + b - 1, f"wheel({m}) + wheel({n}) - 1 = {a} + {b} - 1"
+
+
+def union_formula(m: int, n: int) -> int:
+    return union_formula_case(m, n)[0]
 
 
 def wheel_cycle_pattern(n: int) -> tuple[int, ...]:

@@ -7,7 +7,6 @@ objects are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -277,14 +276,7 @@ class BipyramidUnion:
         _require(self.n >= 3, f"BipyramidUnion needs n >= 3, got {self.n}")
 
 
-@dataclass(frozen=True)
-class FromFile:
-    path: str
-
-
-FamilySpec = Union[
-    Cycle, Empty, Complete, Wheel, JoinCycleEmpty, Bipyramid, BipyramidUnion, FromFile
-]
+FamilySpec = Union[Cycle, Empty, Complete, Wheel, JoinCycleEmpty, Bipyramid, BipyramidUnion]
 
 
 def build(spec: FamilySpec) -> Graph:
@@ -318,8 +310,6 @@ def build(spec: FamilySpec) -> Graph:
         edges = _cycle_edges(m) + _spokes(m, (x1, y)) + _cycle_edges(n, m + 2) + _spokes(n, (y, x2), m + 2)
         labels = _cycle_labels(m) | _cycle_labels(n, m + 2) | {x1: "x", y: "y", x2: "x"}
         return Graph(m + n + 3, edges, labels)
-    if isinstance(spec, FromFile):
-        return from_dimacs(Path(spec.path).read_text(encoding="utf-8"))
     raise InvalidParameterError(f"unknown family spec {spec!r}")
 
 

@@ -54,6 +54,7 @@ sharing none of the pruning above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import monotonic, perf_counter
 from typing import Iterator, NamedTuple
@@ -79,8 +80,9 @@ class Budget:
             raise InvalidParameterError("Budget needs max_nodes or max_seconds; use budget=None for unbounded")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise InvalidParameterError("max_nodes must be >= 1")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise InvalidParameterError("max_seconds must be positive")
+        # written so that nan fails too: a nan or inf deadline never trips
+        if self.max_seconds is not None and not 0 < self.max_seconds < math.inf:
+            raise InvalidParameterError("max_seconds must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,9 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if g.n == 0:
         raise InvalidParameterError("decide_k requires a nonempty graph")
+    # the canonical cap never reaches a color above n, so a larger k would
+    # only make the per-vertex counters longer
+    k = min(k, g.n)
     seq = _vertex_order(g, order)
     n = g.n
     adj = g.adj

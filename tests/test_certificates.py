@@ -16,6 +16,7 @@ from strongodd import (
     make_union_certificate,
     parse_coloring,
     reverify_certificate,
+    union_formula_case,
 )
 
 # one wrong JSON type per certificate field; bools are not integers
@@ -39,6 +40,11 @@ WRONG_TYPES = [
 ]
 
 
+def cert_note(cert, prefix):
+    (note,) = [note for note in cert.notes if note.startswith(prefix)]
+    return note
+
+
 class TestGeneration:
     def test_family_member_11(self):
         cert = counterexample(11)
@@ -59,6 +65,10 @@ class TestGeneration:
     def test_special_pairs(self, m, n, value):
         cert = counterexample_pair(m, n)
         assert cert.claimed_value == value
+
+    def test_closed_form_note_is_the_formula_case(self):
+        value, case = union_formula_case(8, 11)
+        assert cert_note(counterexample(11), "closed-form value:") == f"closed-form value: {case} = {value}"
 
     def test_pair_order_insensitive(self):
         assert counterexample_pair(8, 6).claimed_value == 15

@@ -2,8 +2,18 @@ import json
 
 import pytest
 
+import strongodd.cli
 from strongodd import (
+    Bipyramid,
     BipyramidUnion,
+    CertificationError,
+    Complete,
+    Cycle,
+    Empty,
+    InvalidParameterError,
+    JoinCycleEmpty,
+    StrongOddError,
+    Wheel,
     build,
     from_dimacs,
     is_strong_odd,
@@ -68,6 +78,31 @@ class TestGen:
 
     def test_unknown_family(self, capsys):
         assert run(capsys, "gen", "--family", "petersen", "--n", "5")[0] == 1
+
+    @pytest.mark.parametrize("argv,spec", [
+        (["cycle", "--n", "7"], Cycle(7)),
+        (["empty", "--m", "4"], Empty(4)),
+        (["complete", "--k", "5"], Complete(5)),
+        (["wheel", "--n", "14"], Wheel(14)),
+        (["join-cycle-empty", "--n", "9", "--m", "2"], JoinCycleEmpty(9, 2)),
+        (["bipyramid", "--n", "6"], Bipyramid(6)),
+        (["g-graph", "--n", "6"], Bipyramid(6)),
+        (["bipyramid-union", "--m", "8", "--n", "11"], BipyramidUnion(8, 11)),
+        (["union-g", "--m", "7", "--n", "8"], BipyramidUnion(7, 8)),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_every_family_name_writes_its_build(self, capsys, argv, spec):
+        # the size options of each name are the fields of its spec, in order
+        assert run(capsys, "gen", "--family", *argv) == (0, to_dimacs(build(spec)), "")
+
+    @pytest.mark.parametrize("argv,err", [
+        (["wheel"], "error: family 'wheel' needs --n\n"),
+        (["join-cycle-empty"], "error: family 'join-cycle-empty' needs --n\n"),
+        (["join-cycle-empty", "--n", "9"], "error: family 'join-cycle-empty' needs --m\n"),
+        (["union-g", "--n", "5"], "error: family 'union-g' needs --m\n"),
+        (["complete", "--n", "5"], "error: family 'complete' needs --k\n"),
+    ])
+    def test_missing_parameter_message(self, capsys, argv, err):
+        assert run(capsys, "gen", "--family", *argv) == (1, "", err)
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         a = tmp_path / "a.col"
@@ -184,6 +219,14 @@ class TestSolve:
     def test_missing_file(self, tmp_path, capsys):
         assert run(capsys, "solve", str(tmp_path / "nope.col"), "--exact")[0] == 1
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "1e400", "-inf", "0", "-2m"])
+    def test_timeout_must_be_finite_and_positive(self, tmp_path, capsys, timeout):
+        # a nan or infinite limit used to be accepted and never tripped
+        g = tmp_path / "c3.col"
+        run(capsys, "gen", "--family", "cycle", "--n", "3", "-o", str(g))
+        code, stdout, err = run(capsys, "solve", str(g), "--decide", "3", f"--timeout={timeout}")
+        assert code == 1 and stdout == "" and err.startswith("error:")
+
 
 class TestFormula:
     def test_wheel_14(self, capsys):
@@ -207,6 +250,23 @@ class TestFormula:
 
     def test_out_of_range(self, capsys):
         assert run(capsys, "formula", "wheel", "2")[0] == 1
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["wheel", "14"], (0, "7\ncase: n = 14\n", "")),
+        (["wheel", "9"], (0, "4\ncase: n = 3 (mod 6)\n", "")),
+        (["join", "9", "2"], (0, "5\ncase: m even\n", "")),
+        (["join", "9", "3"], (0, "4\ncase: m odd\n", "")),
+        (["union", "8", "11"], (0, "14\ncase: wheel(8) + wheel(11) - 1 = 9 + 6 - 1\n", "")),
+        (["wheel", "3", "4"], (1, "", "error: formula wheel takes one parameter: n\n")),
+        (["join", "9"], (1, "", "error: formula join takes two parameters: n m\n")),
+        (["join", "9", "2", "1"], (1, "", "error: formula join takes two parameters: n m\n")),
+        (["union", "8"], (1, "", "error: formula union takes two parameters: m n\n")),
+        (["wheel", "2"], (1, "", "error: wheel needs n >= 3, got 2\n")),
+        (["join", "9", "0"], (1, "", "error: join formula needs hub count m >= 1, got 0\n")),
+        (["union", "2", "8"], (1, "", "error: union formula needs m, n >= 3, got (2, 8)\n")),
+    ])
+    def test_pinned_output(self, capsys, argv, expected):
+        assert run(capsys, "formula", *argv) == expected
 
 
 class TestCertify:
@@ -314,6 +374,14 @@ class TestCertify:
         assert run(capsys, "certify", "--pair", "8", "8", "-o", str(tmp_path / "x"),
                    "--try-exact")[0] == 1
 
+    @pytest.mark.parametrize("budget", [["--max-nodes", "5"], ["--timeout", "1s"]])
+    def test_budget_requires_try_exact(self, tmp_path, capsys, budget):
+        # a budget without --try-exact would be ignored, so it is refused
+        outdir = tmp_path / "d"
+        code, stdout, err = run(capsys, "certify", "--pair", "7", "7", *budget, "-o", str(outdir))
+        assert code == 1 and stdout == "" and err.startswith("error:")
+        assert not outdir.exists()
+
     def test_try_exact_exhausted_stays_upper_bound(self, tmp_path, capsys):
         outdir = tmp_path / "b"
         code, stdout, _ = run(capsys, "certify", "--pair", "8", "8", "-o", str(outdir),
@@ -364,8 +432,39 @@ class TestParser:
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
 
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        def fail():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(strongodd.cli, "build_parser", fail)
+        assert run(capsys, "formula", "wheel", "14")[:2] == (0, "7\ncase: n = 14\n")
+        assert main(["--help"]) == 0
+
     def test_union_value_consistency(self, capsys):
         # the printed formula agrees with the library
         code = main(["formula", "union", "8", "11"])
         out = capsys.readouterr().out
         assert code == 0 and out.splitlines()[0] == str(union_formula(8, 11))
+
+
+class TestErrorMap:
+    """Every package error exits 1 except a certification failure, which exits 4.
+
+    The parser is built once, so the commands are reached through the names
+    they look up when they run (``from_dimacs``), not through ``_cmd_*``."""
+
+    @pytest.mark.parametrize("exc,code", [
+        (StrongOddError("bare package error"), 1),
+        (InvalidParameterError("bad parameter"), 1),
+        (CertificationError("check failed"), 4),
+        (OSError("disk gone"), 1),
+    ])
+    def test_exit_code(self, tmp_path, monkeypatch, capsys, exc, code):
+        g = tmp_path / "c3.col"
+        run(capsys, "gen", "--family", "cycle", "--n", "3", "-o", str(g))
+
+        def raise_it(text):
+            raise exc
+
+        monkeypatch.setattr(strongodd.cli, "from_dimacs", raise_it)
+        assert run(capsys, "solve", str(g), "--exact") == (code, "", f"error: {exc}\n")

@@ -12,6 +12,7 @@ from strongodd import (
     join_formula_case,
     union_coloring,
     union_formula,
+    union_formula_case,
     wheel_coloring,
     wheel_cycle_pattern,
     wheel_formula,
@@ -76,6 +77,12 @@ class TestUnionFormula:
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             union_formula(2, 5)
+        with pytest.raises(InvalidParameterError):
+            union_formula_case(8, 2)
+
+    def test_case(self):
+        assert union_formula_case(8, 11) == (14, "wheel(8) + wheel(11) - 1 = 9 + 6 - 1")
+        assert union_formula_case(8, 8) == (17, "wheel(8) + wheel(8) - 1 = 9 + 9 - 1")
 
 
 class TestWheelColoring:

@@ -217,14 +217,6 @@ class TestBuild:
         with pytest.raises(InvalidParameterError):
             BipyramidUnion(2, 5)
 
-    def test_from_file(self, tmp_path):
-        from strongodd import FromFile
-
-        g = build(Wheel(6))
-        path = tmp_path / "w6.col"
-        path.write_text(to_dimacs(g), encoding="utf-8")
-        assert build(FromFile(str(path))) == g
-
 
 class TestPendantAugment:
     def test_c4_two_color_repair(self):

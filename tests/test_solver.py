@@ -209,6 +209,36 @@ class TestBudget:
         with pytest.raises(InvalidParameterError):
             Budget(max_seconds=0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), float("-inf")])
+    def test_budget_rejects_non_finite_seconds(self, seconds):
+        # a nan or inf deadline never trips; unbounded is spelled budget=None
+        with pytest.raises(InvalidParameterError):
+            Budget(max_seconds=seconds)
+
+
+class TestColorsAboveN:
+    """A graph never needs more than n colors, so decide_k treats k > n as n."""
+
+    def test_same_search_as_k_equal_n(self):
+        graphs = small_corpus(seed=77, count=30) + [build(Wheel(9)), cycle(7), build(BipyramidUnion(3, 3))]
+        for g in graphs:
+            at_n = decide_k(g, g.n)
+            for k in (g.n + 1, g.n + 5, g.n + 40):
+                r = decide_k(g, k)
+                assert (r.answer, r.nodes, r.witness) == (at_n.answer, at_n.nodes, at_n.witness)
+
+    def test_memory_does_not_grow_with_k(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            r = decide_k(cycle(5), 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.answer == "yes" and len(r.witness.palette) == 5
+        assert peak < 1_000_000
+
 
 class TestBruteForce:
     def test_c4(self):
