@@ -213,6 +213,13 @@ def _write_bundle(cert, outdir: Path) -> None:
 
 def _cmd_certify(args) -> int:
     if args.recheck:
+        # the recheck reads only the bundle, so any other option would be ignored
+        given = [flag for flag, value in (("--pair", args.pair), ("--family", args.family), ("--n", args.n),
+                                          ("--try-exact", args.try_exact), ("--timeout", args.timeout),
+                                          ("--max-nodes", args.max_nodes), ("-o", args.output))
+                 if value is not None and value is not False]
+        if given:
+            raise InvalidParameterError(f"--recheck takes no other option, got {' '.join(given)}")
         ok, results = reverify_certificate(Path(args.recheck).read_text(encoding="utf-8"))
         for name, good in results:
             print(f"{name}: {'ok' if good else 'FAILED'}")

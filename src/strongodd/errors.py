@@ -36,3 +36,7 @@ class ParseError(StrongOddError, ValueError):
 
 class CertificationError(StrongOddError):
     """A certificate check failed; nothing was emitted."""
+
+
+class InternalError(StrongOddError):
+    """A self-check of the package's own output failed: a bug, not bad input."""

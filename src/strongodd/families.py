@@ -30,7 +30,7 @@ color.
 from __future__ import annotations
 
 from .coloring import Coloring, is_strong_odd
-from .errors import InvalidParameterError
+from .errors import InternalError, InvalidParameterError
 from .graphs import BipyramidUnion, JoinCycleEmpty, Wheel, build
 
 
@@ -112,7 +112,7 @@ def wheel_cycle_pattern(n: int) -> tuple[int, ...]:
 def _verified(g, colors, expected: int) -> Coloring:
     c = Coloring(colors)
     if len(c.palette) != expected or not is_strong_odd(g, c):
-        raise RuntimeError(
+        raise InternalError(
             f"internal error: constructed coloring failed verification on {g!r} "
             f"(palette {len(c.palette)}, expected {expected})"
         )

@@ -20,7 +20,7 @@ search keeps, per vertex v, over its colored neighbors:
 * ``unc[v]`` and ``last[v]``: the number of uncolored neighbors and the xor
   of their ids, which is the last uncolored neighbor when one is left.
 
-It prunes on four sound rules:
+It prunes on five sound rules:
 
 * counting: each uncolored neighbor can repair at most one even class, so a
   vertex with more positive even classes than uncolored neighbors is dead
@@ -33,15 +33,32 @@ It prunes on four sound rules:
   forbids that neighbor every color currently present around the vertex;
 * no fresh color: once all k colors are in use, a vertex with one uncolored
   neighbor left and no even class is dead unless some color is absent both
-  around the vertex and beside that neighbor.
+  around the vertex and beside that neighbor;
+* parity: a vertex v with r uncolored neighbors and e positive even classes
+  is dead when r - e is odd and at most one of the colors 1..k is absent
+  around it.  Every final class is empty or odd, so the remaining
+  neighbors add an odd count to each even class, an even count to each odd
+  class and an empty or odd count to each absent color; summed, r - e has
+  the parity of the number of absent colors they use.  An odd r - e thus
+  needs one absent color for the neighbors, and v's own color, which
+  properness keeps absent around v whether v is colored yet or not, is a
+  second one.
 
-Properness is enforced by the candidate set.  All four rules are applied in
+Properness is enforced by the candidate set.  All five rules are applied in
 one place, before assignment: for the vertex u to be colored, ``options``
 returns the colors tried (properness, the canonical cap, and forcing and
 exclusion from neighbors that u completes) and the viable subset whose
 assignment keeps every rule true at every neighbor of u, read off the masks
-without changing any state.  Every tried color is one search node, counted
-in ascending order, whether the search descends into it or the rules had
+without changing any state.  Only coloring a neighbor of v changes v's
+state, and ``options`` checks every such step, so no rule needs checking
+anywhere else.  For parity that check is one condition: a color already
+present around v leaves both the parity of r - e and the absent colors as
+they were, so only a color absent around v, taken while r - e is even, can
+break the rule, and it does when at most two colors are absent around v
+before it.  ``options`` evaluates it only where it can bite: elsewhere
+r - e is odd, or forcing or counting already confines u to the colors
+present around v.  Every tried color is one search node, counted in
+ascending order, whether the search descends into it or the rules had
 already killed it; dead colors are counted in bulk by popcount.  The search
 runs on an explicit stack, one frame per colored vertex, so its depth is
 not limited by Python's recursion limit.  Every yes answer is re-checked
@@ -60,7 +77,7 @@ from time import monotonic, perf_counter
 from typing import Iterator, NamedTuple
 
 from .coloring import Coloring, is_strong_odd
-from .errors import InvalidParameterError
+from .errors import InternalError, InvalidParameterError
 from .graphs import Graph
 
 
@@ -158,7 +175,7 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
         """Masks (tried, viable) of colors for u, read off the state without
         changing it.  tried holds the colors allowed by properness, the
         canonical cap, and the rules of neighbors whose last uncolored
-        neighbor is u; viable holds those that also keep all four rules true
+        neighbor is u; viable holds those that also keep all five rules true
         at every neighbor once u has them."""
         cap = maxused + 1 if maxused < k else k
         # colors after which no fresh color is left for later vertices
@@ -193,12 +210,19 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
                         a |= ~p
                     allowed &= a
                 else:
-                    # no fresh color: a color new to v leaves w needing a
+                    # parity: a color new to v makes r - e odd, so it must
+                    # leave two colors absent around v, which at most two
+                    # absent now cannot; no fresh color: a color new to v
+                    # leaves w needing a
                     # different color absent around v and beside w; forcing:
                     # a color already at v turns even and is forced on w,
                     # which must not see it, from u included
-                    free = full & ~p & ~pw
-                    if not free:
+                    absent = full & ~p
+                    free = absent & ~pw
+                    absent &= absent - 1
+                    if not absent & (absent - 1):
+                        a = 0
+                    elif not free:
                         a = ~p & ~nofresh
                     elif free & (free - 1):
                         a = ~p
@@ -213,6 +237,14 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
             elif e == r - 1:
                 # counting: an odd color would add an even class
                 allowed &= ~odd[v]
+            elif not (r - e) & 1:
+                # parity: a color new to v would make r - e odd, which needs
+                # two colors absent around v after it, so with at most two
+                # absent now only the present colors stay
+                absent = full & ~present[v]
+                absent &= absent - 1
+                if not absent & (absent - 1):
+                    allowed &= present[v]
         return tried, tried & allowed
 
     t0 = perf_counter()
@@ -299,7 +331,7 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
         return DecideResult("no", None, nodes, elapsed)
     witness = Coloring(color)
     if not is_strong_odd(g, witness) or len(witness.palette) > k:
-        raise RuntimeError("internal error: search produced an invalid witness")
+        raise InternalError("internal error: search produced an invalid witness")
     return DecideResult("yes", witness, nodes, elapsed)
 
 
@@ -367,7 +399,7 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
             if len(r.witness.palette) != k:
                 # cannot happen with a sound lower bound: a smaller witness
                 # would contradict the refutation of k - 1
-                raise RuntimeError("internal error: exact witness palette differs from value")
+                raise InternalError("internal error: exact witness palette differs from value")
             return SolveResult("exact", k, k, k, r.witness, nodes, perf_counter() - t0)
         if r.answer == "no":
             lower = k + 1

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import strongodd.cli
+import strongodd.solver
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
@@ -382,6 +383,26 @@ class TestCertify:
         assert code == 1 and stdout == "" and err.startswith("error:")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--pair", "8", "8"],
+        ["--family", "counterexample"],
+        ["--n", "11"],
+        ["--n", "0"],
+        ["--try-exact"],
+        ["--timeout", "1s"],
+        ["--max-nodes", "5"],
+        ["-o", "elsewhere"],
+    ], ids=lambda extra: " ".join(extra))
+    def test_recheck_refuses_other_options(self, tmp_path, capsys, monkeypatch, extra):
+        # the recheck reads only the bundle, so each of these would be ignored
+        outdir = tmp_path / "bundle"
+        run(capsys, "certify", "--family", "counterexample", "--n", "11", "-o", str(outdir))
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "certify", "--recheck", str(outdir / "bipyramid_union_8_11.cert.json"),
+                                *extra)
+        assert code == 1 and stdout == "" and err.startswith("error:") and extra[0] in err
+        assert not (tmp_path / "elsewhere").exists()
+
     def test_try_exact_exhausted_stays_upper_bound(self, tmp_path, capsys):
         outdir = tmp_path / "b"
         code, stdout, _ = run(capsys, "certify", "--pair", "8", "8", "-o", str(outdir),
@@ -468,3 +489,11 @@ class TestErrorMap:
 
         monkeypatch.setattr(strongodd.cli, "from_dimacs", raise_it)
         assert run(capsys, "solve", str(g), "--exact") == (code, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("mode", [["--decide", "3"], ["--exact"]], ids=["decide", "exact"])
+    def test_failed_self_check_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys, mode):
+        g = tmp_path / "c3.col"
+        run(capsys, "gen", "--family", "cycle", "--n", "3", "-o", str(g))
+        monkeypatch.setattr(strongodd.solver, "is_strong_odd", lambda graph, coloring: False)
+        code, stdout, err = run(capsys, "solve", str(g), *mode)
+        assert (code, stdout) == (1, "") and err.startswith("error: internal error:")

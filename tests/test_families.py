@@ -1,7 +1,9 @@
 import pytest
 
+import strongodd.families
 from strongodd import (
     BipyramidUnion,
+    InternalError,
     InvalidParameterError,
     JoinCycleEmpty,
     Wheel,
@@ -103,6 +105,13 @@ class TestWheelColoring:
         c = wheel_coloring(n)
         assert len(c.palette) == wheel_formula(n)
         assert is_strong_odd(build(Wheel(n)), c)
+
+    @pytest.mark.parametrize("construct", [lambda: wheel_coloring(9), lambda: join_coloring(9, 2),
+                                           lambda: union_coloring(8, 11)], ids=["wheel", "join", "union"])
+    def test_failed_self_check_raises_internal_error(self, monkeypatch, construct):
+        monkeypatch.setattr(strongodd.families, "is_strong_odd", lambda g, c: False)
+        with pytest.raises(InternalError, match="internal error"):
+            construct()
 
     def test_pattern_color_classes_are_odd(self):
         for n in range(3, 61):

@@ -2,13 +2,19 @@ import random
 
 import pytest
 
+import strongodd.solver
 from helpers import random_graph
 from strongodd import (
-    Budget,
+    Bipyramid,
     BipyramidUnion,
+    Budget,
     Coloring,
+    Complete,
     Cycle,
+    DecideResult,
+    Empty,
     Graph,
+    InternalError,
     InvalidParameterError,
     JoinCycleEmpty,
     Wheel,
@@ -78,6 +84,11 @@ class TestDecideK:
         r = decide_k(g, 7, order=list(range(g.n)))
         assert r.answer == "yes"
 
+    def test_failed_witness_check_raises_internal_error(self, monkeypatch):
+        monkeypatch.setattr(strongodd.solver, "is_strong_odd", lambda g, c: False)
+        with pytest.raises(InternalError, match="invalid witness"):
+            decide_k(cycle(3), 3)
+
     def test_bad_order(self):
         with pytest.raises(InvalidParameterError):
             decide_k(cycle(3), 2, order=[0, 0, 1])
@@ -91,10 +102,14 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "spec,k,nodes",
         [
-            (Wheel(14), 6, 20_318),
-            (Wheel(17), 5, 10_088),
-            (Wheel(19), 5, 42_546),
+            (Wheel(14), 6, 2_713),
+            (Wheel(17), 5, 29),
+            (Wheel(19), 5, 34),
             (JoinCycleEmpty(14, 4), 7, 81_313),
+            (Wheel(23), 5, 41),
+            (Wheel(25), 5, 46),
+            (Wheel(29), 5, 53),
+            (Wheel(1001), 5, 1_997),
         ],
     )
     def test_refutation_nodes(self, spec, k, nodes):
@@ -102,18 +117,51 @@ class TestNodeCounts:
         assert (r.answer, r.nodes) == ("no", nodes)
 
     def test_budget_of_exactly_the_node_count_suffices(self):
-        r = decide_k(build(Wheel(17)), 5, Budget(max_nodes=10_088))
-        assert (r.answer, r.nodes, r.reason) == ("no", 10_088, None)
+        r = decide_k(build(Wheel(17)), 5, Budget(max_nodes=29))
+        assert (r.answer, r.nodes, r.reason) == ("no", 29, None)
 
     def test_budget_one_short_times_out_just_past_it(self):
-        r = decide_k(build(Wheel(17)), 5, Budget(max_nodes=10_087))
-        assert (r.answer, r.nodes, r.reason) == ("timeout", 10_088, "max-nodes")
+        r = decide_k(build(Wheel(17)), 5, Budget(max_nodes=28))
+        assert (r.answer, r.nodes, r.reason) == ("timeout", 29, "max-nodes")
 
     def test_long_cycle_needs_no_deep_recursion(self):
         g = build(Cycle(5000))
         r = chromatic_strong_odd(g)
-        assert (r.status, r.value, r.nodes) == ("exact", 4, 10_005)
+        assert (r.status, r.value, r.nodes) == ("exact", 4, 10_004)
         assert is_strong_odd(g, r.witness)
+
+
+# every family member with at most 10 vertices
+SMALL_FAMILY_MEMBERS = (
+    [Cycle(n) for n in range(3, 11)]
+    + [Empty(m) for m in range(1, 11)]
+    + [Complete(k) for k in range(1, 11)]
+    + [Wheel(n) for n in range(3, 10)]
+    + [JoinCycleEmpty(n, m) for n in range(3, 10) for m in range(1, 11 - n)]
+    + [Bipyramid(n) for n in range(3, 9)]
+    + [BipyramidUnion(m, n) for m in range(3, 5) for n in range(m, 8 - m)]
+)
+
+
+def assert_decides_every_k(g):
+    """decide_k says yes exactly from the oracle's value on, at every k and
+    in both orders, so no rule kills a coloring that exists at some k."""
+    value = brute_force_so(g).value
+    for order in ("degree", "index"):
+        answers = [decide_k(g, k, order=order).answer for k in range(1, g.n + 1)]
+        assert answers == ["no"] * (value - 1) + ["yes"] * (g.n + 1 - value), order
+
+
+class TestSoundnessAtEveryK:
+    @pytest.mark.parametrize("p", [0.2, 0.35, 0.5, 0.7])
+    def test_random_eight_vertices(self, p):
+        rng = random.Random(int(p * 100))
+        for _ in range(25):
+            assert_decides_every_k(random_graph(8, p, rng))
+
+    @pytest.mark.parametrize("spec", SMALL_FAMILY_MEMBERS, ids=repr)
+    def test_family_member(self, spec):
+        assert_decides_every_k(build(spec))
 
 
 class TestChromatic:
@@ -149,6 +197,16 @@ class TestChromatic:
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidParameterError):
             chromatic_strong_odd(Graph(0))
+
+    def test_witness_below_the_scanned_k_raises_internal_error(self, monkeypatch):
+        # a yes whose palette is smaller than k contradicts the refutation
+        # of k - 1, so it can only come from a bug
+        def decide_k_with_small_witness(g, k, budget=None, order="degree"):
+            return DecideResult("yes", Coloring([1] * g.n), 1, 0.0)
+
+        monkeypatch.setattr(strongodd.solver, "decide_k", decide_k_with_small_witness)
+        with pytest.raises(InternalError, match="palette differs"):
+            chromatic_strong_odd(cycle(5))
 
     def test_node_budget_returns_bounds(self):
         g = build(Wheel(12))
