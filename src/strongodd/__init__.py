@@ -10,16 +10,13 @@ certificates for the planar constructions that need 14 to 17 colors.
 """
 
 from .coloring import (
-    ClassSize,
     Coloring,
     ParityEntry,
     ParityReport,
-    class_parity_on,
     format_coloring,
     is_odd_coloring,
     is_proper,
     is_strong_odd,
-    is_two_distance_on,
     parity_report,
     parse_coloring,
     proper_violations,
@@ -71,7 +68,6 @@ from .graphs import (
     from_dimacs,
     join,
     one_point_union,
-    pendant_augment,
     to_dimacs,
 )
 from .solver import (
@@ -90,7 +86,6 @@ __all__ = [
     "Budget",
     "Certificate",
     "CertificationError",
-    "ClassSize",
     "Coloring",
     "Complete",
     "Cycle",
@@ -115,7 +110,6 @@ __all__ = [
     "brute_force_so",
     "build",
     "chromatic_strong_odd",
-    "class_parity_on",
     "complete",
     "counterexample",
     "counterexample_pair",
@@ -128,7 +122,6 @@ __all__ = [
     "is_odd_coloring",
     "is_proper",
     "is_strong_odd",
-    "is_two_distance_on",
     "join",
     "join_coloring",
     "join_formula",
@@ -137,7 +130,6 @@ __all__ = [
     "one_point_union",
     "parity_report",
     "parse_coloring",
-    "pendant_augment",
     "proper_violations",
     "reverify_certificate",
     "to_dimacs",

@@ -27,12 +27,13 @@ Claims default to kind "upper-bound": the coloring proves the value is
 attainable.  A claim is upgraded to "exact" only when a refutation search
 at value - 1 completes within an explicitly supplied budget (``--try-exact``
 on the command line).  All four special pairs refute that way: (6, 8) and
-(7, 7) at 14 colors in 1,224,335 and 470,293 nodes, (7, 8) at 15 colors in
-2,769,151 nodes and (8, 8) at 16 colors in 5,697,371 nodes, about 0.9, 0.4,
-1.4 and 3.0 s on a shared 2-vCPU x86-64 machine with CPython 3.11.  The
-members of the infinite 14-color family are larger; their exactness rests
-on the structural argument unless a refutation is requested and completes.
-The node count of a refutation is recorded in the notes, but
+(7, 7) at 14 colors in 7,265 and 3,330 nodes, (7, 8) at 15 colors in 9,352
+nodes and (8, 8) at 16 colors in 11,923 nodes, each whole ``certify`` run
+taking at most 11 ms on a shared 2-vCPU x86-64 machine with CPython 3.11.
+Members of the infinite 14-color family refute the same way when a budget
+is given, at 13 colors in a number of nodes about linear in n: 3,259 at
+n = 11, 32,419 at n = 101 and 1,294,075 at n = 3995 (1.3 s).  Without a
+completed refutation their exactness rests on the structural argument.  The node count of a refutation is recorded in the notes, but
 ``reverify_certificate`` does not re-run the search.
 """
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
-from .errors import InvalidColoringError, InvalidParameterError, ParseError
+from .errors import InvalidColoringError, ParseError
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -164,47 +164,6 @@ def parity_report(g: "Graph", c: ColoringLike) -> ParityReport:
             if not e.odd:
                 violations.append(e)
     return ParityReport(tuple(entries), tuple(violations))
-
-
-def _check_subset(g: "Graph", subset: Iterable[int]) -> frozenset[int]:
-    sub = frozenset(subset)
-    for v in sub:
-        if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < g.n):
-            raise InvalidParameterError(f"subset vertex {v!r} out of range for n={g.n}")
-    return sub
-
-
-def is_two_distance_on(g: "Graph", c: ColoringLike, subset: Iterable[int]) -> bool:
-    """True iff vertices of ``subset`` at distance <= 2 *within the induced
-    subgraph* all receive different colors."""
-    col = _total_on(g, as_coloring(c))
-    sub = _check_subset(g, subset)
-    colors = col.colors
-    for v in sub:
-        seen: set[int] = set()
-        for w in g.adj[v]:
-            if w not in sub:
-                continue
-            cw = colors[w]
-            if cw == colors[v] or cw in seen:
-                return False
-            seen.add(cw)
-    return True
-
-
-class ClassSize(NamedTuple):
-    size: int
-    odd: bool
-
-
-def class_parity_on(g: "Graph", c: ColoringLike, subset: Iterable[int]) -> dict[int, ClassSize]:
-    """Size and parity of each palette color's class restricted to ``subset``."""
-    col = _total_on(g, as_coloring(c))
-    sub = _check_subset(g, subset)
-    sizes = {color: 0 for color in col.palette}
-    for v in sub:
-        sizes[col.colors[v]] += 1
-    return {color: ClassSize(k, k % 2 == 1) for color, k in sizes.items()}
 
 
 # ---------------------------------------------------------------------------

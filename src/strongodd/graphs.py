@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InvalidColoringError, InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError
 
 
 class Graph:
@@ -311,41 +311,6 @@ def build(spec: FamilySpec) -> Graph:
         labels = _cycle_labels(m) | _cycle_labels(n, m + 2) | {x1: "x", y: "y", x2: "x"}
         return Graph(m + n + 3, edges, labels)
     raise InvalidParameterError(f"unknown family spec {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# Pendant augmentation
-# ---------------------------------------------------------------------------
-
-def pendant_augment(g: Graph, coloring) -> tuple[Graph, "Coloring"]:
-    """Repair every even neighborhood color class by attaching pendants.
-
-    Takes a proper coloring of ``g``.  For each vertex v and each color c
-    other than v's own, if c appears a positive even number of times among
-    v's neighbors, a new degree-1 vertex adjacent to v is added and colored
-    c.  The returned coloring is a strong odd coloring of the returned graph
-    and uses no colors beyond the input palette; ``g`` is an induced
-    subgraph of the result.
-    """
-    from .coloring import Coloring, as_coloring, is_proper
-
-    col = as_coloring(coloring)
-    if not is_proper(g, col):
-        raise InvalidColoringError("pendant_augment requires a proper input coloring")
-    edges = g.edges()
-    colors = list(col.colors)
-    nxt = g.n
-    for v in range(g.n):
-        counts: dict[int, int] = {}
-        for w in g.adj[v]:
-            counts[colors[w]] = counts.get(colors[w], 0) + 1
-        for c in sorted(counts):
-            if c != colors[v] and counts[c] % 2 == 0:
-                edges.append((v, nxt))
-                colors.append(c)
-                nxt += 1
-    out = Graph(nxt, edges, dict(g.labels))
-    return out, Coloring(colors)
 
 
 # ---------------------------------------------------------------------------

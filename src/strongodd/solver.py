@@ -20,7 +20,7 @@ search keeps, per vertex v, over its colored neighbors:
 * ``unc[v]`` and ``last[v]``: the number of uncolored neighbors and the xor
   of their ids, which is the last uncolored neighbor when one is left.
 
-It prunes on five sound rules:
+It prunes on six sound rules:
 
 * counting: each uncolored neighbor can repair at most one even class, so a
   vertex with more positive even classes than uncolored neighbors is dead
@@ -42,9 +42,19 @@ It prunes on five sound rules:
   the parity of the number of absent colors they use.  An odd r - e thus
   needs one absent color for the neighbors, and v's own color, which
   properness keeps absent around v whether v is colored yet or not, is a
-  second one.
+  second one;
+* dependence: for distinct non-isolated vertices a, b and c with
+  N(a) ^ N(b) = N(c), no color may be present around all three.  Over
+  GF(2) the three neighborhoods sum to zero, so every vertex sees none or
+  two of a, b and c, and a color's counts around them sum to twice the
+  number of its vertices that see any of them, an even number.  In a
+  strong odd coloring each of those counts is 0 or odd, so it has the
+  parity of the color being present, and the color is present around an
+  even number of the three, never all of them.  In a one-point union of
+  bipyramids the two x apexes and the shared y form such a triple, and
+  the rule is the disjoint-palette argument for the two cycles.
 
-Properness is enforced by the candidate set.  All five rules are applied in
+Properness is enforced by the candidate set.  All six rules are applied in
 one place, before assignment: for the vertex u to be colored, ``options``
 returns the colors tried (properness, the canonical cap, and forcing and
 exclusion from neighbors that u completes) and the viable subset whose
@@ -57,7 +67,15 @@ they were, so only a color absent around v, taken while r - e is even, can
 break the rule, and it does when at most two colors are absent around v
 before it.  ``options`` evaluates it only where it can bite: elsewhere
 r - e is odd, or forcing or counting already confines u to the colors
-present around v.  Every tried color is one search node, counted in
+present around v.  For dependence, a color only ever becomes present
+around a vertex, never absent again while the search descends, so a state
+that breaks the rule stays broken and it suffices to refuse the step that
+makes a color present around the last of the three.  That step colors a
+vertex u seeing two of them, and the color is already present around the
+third, which u does not see; ``_dependent_triples`` lists those third
+members per vertex once per graph (``chromatic_strong_odd`` shares the
+list across its ``decide_k`` calls), and ``options`` kills the colors
+present around them.  Every tried color is one search node, counted in
 ascending order, whether the search descends into it or the rules had
 already killed it; dead colors are counted in bulk by popcount.  The search
 runs on an explicit stack, one frame per colored vertex, so its depth is
@@ -73,6 +91,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, compress, starmap
+from operator import xor
 from time import monotonic, perf_counter
 from typing import Iterator, NamedTuple
 
@@ -127,9 +147,15 @@ class ValueWitness(NamedTuple):
     witness: Coloring
 
 
+# up to this many non-isolated vertices, one pass over all pairs finds the
+# dependent triples faster than the per-vertex walk
+_SCREEN_MAX = 32
+
+
 def _vertex_order(g: Graph, order) -> list[int]:
     if order == "degree":
-        return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+        # the sort is stable, so ties stay in index order
+        return sorted(range(g.n), key=[len(a) for a in g.adj].__getitem__, reverse=True)
     if order == "index":
         return list(range(g.n))
     if isinstance(order, (list, tuple)):
@@ -139,11 +165,85 @@ def _vertex_order(g: Graph, order) -> list[int]:
     raise InvalidParameterError(f"unknown vertex order {order!r}")
 
 
-def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> DecideResult:
+def _dependent_triples(g: Graph) -> list[tuple[int, ...]] | tuple[()]:
+    """The dependent triples of g, listed per vertex.
+
+    A dependent triple is a set {a, b, c} of distinct non-isolated vertices
+    with N(a) ^ N(b) = N(c).  Every vertex sees none or two of a triple's
+    members; entry u lists, for each triple of which u sees two members,
+    the third one.  Returns an empty tuple when g has no triple.
+
+    Neighborhoods are compared by xor-fingerprints over pseudo-random vertex
+    keys, so N(a) ^ N(b) = N(c) implies fp[a] ^ fp[b] = fp[c], and every
+    fingerprint match is checked on the sets.  Up to _SCREEN_MAX
+    non-isolated vertices, all pairs are screened at once.  Above it, each
+    vertex w of N(c) sees exactly one of a and b, so every triple is found
+    from c and the vertices beside any one such w.  w is c's first
+    neighbor, or its lowest-degree one when the first has more neighbors
+    than c, so the pairs stay linear in the size of cycles, wheels and
+    unions.
+    """
+    adj = g.adj
+    # hash((w,)) scrambles the bits of w, the same way in every process
+    key = list(map(hash, zip(range(g.n))))
+    fp = []
+    for a in adj:
+        x = 0
+        for w in a:
+            x ^= key[w]
+        fp.append(x)
+    live = list(compress(range(g.n), adj))
+    live_fp = list(map(fp.__getitem__, live))
+    # pairs whose fingerprints xor to a third vertex's
+    hit = set(live_fp).__contains__
+    if len(live) <= _SCREEN_MAX:
+        pairs = list(compress(combinations(live, 2), map(hit, starmap(xor, combinations(live_fp, 2)))))
+    else:
+        deg = list(map(len, adj))
+        pairs = []
+        for c in live:
+            w = adj[c][0]
+            if deg[w] > deg[c]:
+                w = min(adj[c], key=deg.__getitem__)
+            fc = fp[c]
+            for a in adj[w]:
+                if hit(fc ^ fp[a]):
+                    pairs.append((a, c))
+    if not pairs:
+        return ()
+    by_fp: dict[int, list[int]] = {}
+    for v, f in zip(live, live_fp):
+        by_fp.setdefault(f, []).append(v)
+    found = set()
+    for a, c in pairs:
+        for b in by_fp.get(fp[a] ^ fp[c], ()):
+            if set(adj[a]).symmetric_difference(adj[b]) == set(adj[c]):
+                found.add(frozenset((a, b, c)))
+    if not found:
+        return ()
+    third: dict[int, set[int]] = {}
+    for a, b, c in found:
+        # each vertex beside a is beside exactly one of b and c as well;
+        # the vertices beside both b and c are the rest
+        beside_b = set(adj[b])
+        for u in adj[a]:
+            third.setdefault(u, set()).add(c if u in beside_b else b)
+        for u in adj[c]:
+            if u in beside_b:
+                third.setdefault(u, set()).add(a)
+    out: list[tuple[int, ...]] = [()] * g.n
+    for u, zs in third.items():
+        out[u] = tuple(sorted(zs))
+    return out
+
+
+def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree", *, _third=None) -> DecideResult:
     """Decide whether g has a strong odd coloring with at most k colors.
 
     Returns yes with a verified witness, no after exhausting the canonical
-    search space, or timeout when the budget runs out first.
+    search space, or timeout when the budget runs out first.  ``_third`` is
+    ``_dependent_triples(g)``, passed by ``chromatic_strong_odd`` so that
+    its calls share one enumeration.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -155,6 +255,7 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
     seq = _vertex_order(g, order)
     n = g.n
     adj = g.adj
+    third = _dependent_triples(g) if _third is None else _third
     color = [0] * n
     cnt = [[0] * (k + 1) for _ in range(n)]
     odd = [0] * n  # colors on an odd number of colored neighbors
@@ -245,6 +346,12 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
                 absent &= absent - 1
                 if not absent & (absent - 1):
                     allowed &= present[v]
+        if third:
+            # dependence: u sees the other two members of each triple of a
+            # listed z, so a color present around z would then be present
+            # around all three
+            for z in third[u]:
+                allowed &= ~present[z]
         return tried, tried & allowed
 
     t0 = perf_counter()
@@ -340,17 +447,19 @@ def _clique_lower_bound(g: Graph) -> int:
     chromatic number bounds the strong odd chromatic number from below."""
     if g.n == 0:
         return 0
+    n = g.n
+    adj = g.adj
+    # the next member is the candidate of highest degree, then lowest index
+    rank = [len(a) * n + n - 1 - v for v, a in enumerate(adj)]
     best = 1
-    deg = [len(g.adj[v]) for v in range(g.n)]
-    for seed in range(g.n):
-        clique = [seed]
-        cand = set(g.adj[seed])
+    for seed in range(n):
+        size = 1
+        cand = set(adj[seed])
         while cand:
-            v = max(cand, key=lambda w: (deg[w], -w))
-            clique.append(v)
-            cand &= set(g.adj[v])
-        if len(clique) > best:
-            best = len(clique)
+            size += 1
+            cand.intersection_update(adj[max(cand, key=rank.__getitem__)])
+        if size > best:
+            best = size
     return best
 
 
@@ -386,6 +495,7 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     lower = max(1, _clique_lower_bound(g))
     upper = g.n
     all_distinct = Coloring(range(1, g.n + 1))
+    third = _dependent_triples(g)
     nodes = 0
     k = lower
     while True:
@@ -393,7 +503,7 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
         if isinstance(rem, str):
             status = "timeout" if rem == "max-seconds" else "bounds"
             return SolveResult(status, lower, upper, None, all_distinct, nodes, perf_counter() - t0)
-        r = decide_k(g, k, rem, order)
+        r = decide_k(g, k, rem, order, _third=third)
         nodes += r.nodes
         if r.answer == "yes":
             if len(r.witness.palette) != k:

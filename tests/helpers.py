@@ -1,8 +1,9 @@
-"""Shared test utilities: seeded random graphs and a first-fit proper coloring."""
+"""Shared test utilities: seeded random graphs and structural checks on
+colorings that several tests use as oracles."""
 
 import random
 
-from strongodd import Coloring, Graph
+from strongodd import Coloring, Graph, InvalidParameterError
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -10,12 +11,41 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def greedy_proper_coloring(g: Graph) -> Coloring:
-    colors = [0] * g.n
-    for v in range(g.n):
-        used = {colors[w] for w in g.adj[v] if colors[w]}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    return Coloring(colors)
+def _colors_and_subset(g: Graph, c, subset) -> tuple[tuple[int, ...], frozenset[int]]:
+    colors = c.colors if isinstance(c, Coloring) else tuple(c)
+    sub = frozenset(subset)
+    if not sub <= frozenset(range(g.n)):
+        raise InvalidParameterError(f"subset {sorted(sub)} out of range for n={g.n}")
+    return colors, sub
+
+
+def is_two_distance_on(g: Graph, c, subset) -> bool:
+    """True iff the vertices of ``subset`` at distance at most 2 within the
+    subgraph they induce all have different colors."""
+    colors, sub = _colors_and_subset(g, c, subset)
+    for v in sub:
+        seen = {colors[v]}
+        for w in g.adj[v]:
+            if w in sub:
+                if colors[w] in seen:
+                    return False
+                seen.add(colors[w])
+    return True
+
+
+def class_sizes_on(g: Graph, c, subset) -> dict[int, int]:
+    """Size of each palette color's class restricted to ``subset``, zero
+    for the colors that do not occur there."""
+    colors, sub = _colors_and_subset(g, c, subset)
+    sizes = dict.fromkeys(set(colors), 0)
+    for v in sub:
+        sizes[colors[v]] += 1
+    return sizes
+
+
+def c4_with_pendants() -> tuple[Graph, Coloring]:
+    """The 4-cycle colored 1, 2, 1, 2 with one pendant per vertex in the
+    other color: a strong odd 2-coloring of a supergraph of C4, which
+    itself needs 4 colors."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)]
+    return Graph(8, edges), Coloring([1, 2, 1, 2, 2, 1, 2, 1])

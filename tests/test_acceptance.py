@@ -12,23 +12,19 @@ from time import perf_counter
 
 import pytest
 
-from helpers import random_graph
+from helpers import c4_with_pendants, class_sizes_on, is_two_distance_on, random_graph
 from strongodd import (
     BipyramidUnion,
-    Coloring,
     JoinCycleEmpty,
     Wheel,
     brute_force_so,
     build,
     chromatic_strong_odd,
-    class_parity_on,
     cycle,
     decide_k,
     is_strong_odd,
-    is_two_distance_on,
     join_coloring,
     join_formula,
-    pendant_augment,
     reverify_certificate,
     union_coloring,
     union_formula,
@@ -202,15 +198,14 @@ def test_criterion_8_witness_parity_and_distance(wheel_solves, hard_wheel_decide
         for g, w in witnesses:
             assert w is not None
             cyc = g.vertices_with_role_prefix("cycle:")
-            parity = class_parity_on(g, w, cyc)
-            assert all(cs.odd for cs in parity.values() if cs.size > 0), (g, w)
+            assert all(k % 2 for k in class_sizes_on(g, w, cyc).values() if k), (g, w)
             assert is_two_distance_on(g, w, cyc), (g, w)
         rec.detail = f"{len(witnesses)} solver witnesses: cycle classes odd, 2-distance holds"
 
 
 def test_criterion_9_non_monotonicity_witness():
     with criterion(9, limit_seconds=1.0) as rec:
-        g, c = pendant_augment(cycle(4), Coloring([1, 2, 1, 2]))
+        g, c = c4_with_pendants()
         assert is_strong_odd(g, c)
         assert len(c.palette) == 2
         assert brute_force_so(cycle(4)).value == 4

@@ -22,6 +22,7 @@ from strongodd import (
     to_dimacs,
     union_formula,
 )
+from strongodd.certificates import SPECIAL_PAIRS
 from strongodd.cli import main
 
 
@@ -402,6 +403,19 @@ class TestCertify:
                                 *extra)
         assert code == 1 and stdout == "" and err.startswith("error:") and extra[0] in err
         assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("m,n", sorted(SPECIAL_PAIRS))
+    def test_try_exact_refutes_every_pair(self, tmp_path, capsys, m, n):
+        # the dependent-triple rule refutes value - 1 in at most 11,923 nodes
+        code, stdout, _ = run(capsys, "certify", "--pair", str(m), str(n), "--try-exact",
+                              "--max-nodes", "100000", "-o", str(tmp_path / "p"))
+        assert code == 0 and f"claimed value: {SPECIAL_PAIRS[m, n]} (exact)" in stdout
+
+    def test_try_exact_refutes_first_counterexample_member(self, tmp_path, capsys):
+        # union(8, 11) at 13 colors: 3,259 nodes with the dependent-triple rule
+        code, stdout, _ = run(capsys, "certify", "--family", "counterexample", "--n", "11", "--try-exact",
+                              "--max-nodes", "100000", "-o", str(tmp_path / "c"))
+        assert code == 0 and "claimed value: 14 (exact)" in stdout
 
     def test_try_exact_exhausted_stays_upper_bound(self, tmp_path, capsys):
         outdir = tmp_path / "b"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import c4_with_pendants, class_sizes_on, is_two_distance_on
 from strongodd import (
     BipyramidUnion,
     Coloring,
@@ -11,16 +12,13 @@ from strongodd import (
     ParseError,
     Wheel,
     build,
-    class_parity_on,
     cycle,
     format_coloring,
     is_odd_coloring,
     is_proper,
     is_strong_odd,
-    is_two_distance_on,
     parity_report,
     parse_coloring,
-    pendant_augment,
     proper_violations,
     union_coloring,
     wheel_coloring,
@@ -93,7 +91,7 @@ class TestIsStrongOdd:
         assert not is_strong_odd(cycle(4), [1, 2, 1, 3])
 
     def test_pendant_repaired_c4(self):
-        g, c = pendant_augment(cycle(4), Coloring([1, 2, 1, 2]))
+        g, c = c4_with_pendants()
         assert is_strong_odd(g, c)
 
     def test_wheel9_pattern(self):
@@ -133,6 +131,9 @@ class TestParityReport:
 
 
 class TestTwoDistance:
+    """The distance check that TestJoinWitnessStructure and acceptance
+    criterion 8 apply to solver witnesses (tests/helpers.py)."""
+
     def test_c8_period_four(self):
         assert is_two_distance_on(cycle(8), [1, 2, 3, 4, 1, 2, 3, 4], range(8))
 
@@ -154,28 +155,28 @@ class TestTwoDistance:
 
 
 class TestClassParity:
+    """The class-size check that TestJoinWitnessStructure and acceptance
+    criterion 8 apply to solver witnesses (tests/helpers.py)."""
+
     def test_wheel9_cycle_classes(self):
         g = build(Wheel(9))
-        par = class_parity_on(g, wheel_coloring(9), range(9))
-        assert sorted(cs.size for cs in par.values() if cs.size > 0) == [3, 3, 3]
-        assert all(cs.odd for cs in par.values() if cs.size > 0)
+        sizes = class_sizes_on(g, wheel_coloring(9), range(9))
+        assert sorted(k for k in sizes.values() if k) == [3, 3, 3]
 
     def test_empty_subset(self):
-        par = class_parity_on(cycle(3), [1, 2, 3], [])
-        assert all(cs.size == 0 for cs in par.values())
+        sizes = class_sizes_on(cycle(3), [1, 2, 3], [])
+        assert sizes == {1: 0, 2: 0, 3: 0}
 
     def test_w14_proof_pattern(self):
         g = build(Wheel(14))
-        par = class_parity_on(g, wheel_coloring(14), range(14))
-        sizes = sorted(cs.size for cs in par.values() if cs.size > 0)
-        assert sizes == [1, 1, 3, 3, 3, 3]
-        assert all(cs.odd for cs in par.values() if cs.size > 0)
+        sizes = class_sizes_on(g, wheel_coloring(14), range(14))
+        assert sorted(k for k in sizes.values() if k) == [1, 1, 3, 3, 3, 3]
 
 
 class TestNonMonotonicity:
     def test_supergraph_of_c4_with_two_colors(self):
         # a supergraph of the 4-chromatic C_4 that itself needs only 2 colors
-        g, c = pendant_augment(cycle(4), Coloring([1, 2, 1, 2]))
+        g, c = c4_with_pendants()
         assert is_strong_odd(g, c) and len(c.palette) == 2
 
 

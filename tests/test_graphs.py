@@ -1,15 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import greedy_proper_coloring
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
-    Coloring,
     Cycle,
     Graph,
-    InvalidColoringError,
     InvalidParameterError,
     JoinCycleEmpty,
     ParseError,
@@ -19,10 +16,8 @@ from strongodd import (
     cycle,
     empty,
     from_dimacs,
-    is_strong_odd,
     join,
     one_point_union,
-    pendant_augment,
     to_dimacs,
 )
 
@@ -216,39 +211,6 @@ class TestBuild:
             Cycle(2)
         with pytest.raises(InvalidParameterError):
             BipyramidUnion(2, 5)
-
-
-class TestPendantAugment:
-    def test_c4_two_color_repair(self):
-        g, c = pendant_augment(cycle(4), Coloring([1, 2, 1, 2]))
-        assert g.n == 8
-        assert is_strong_odd(g, c)
-        assert c.palette == frozenset({1, 2})
-
-    def test_k2_unchanged(self):
-        g, c = pendant_augment(complete(2), Coloring([1, 2]))
-        assert g.n == 2 and c.colors == (1, 2)
-
-    def test_c6_augmented(self):
-        g, c = pendant_augment(cycle(6), Coloring([1, 2, 1, 2, 1, 2]))
-        assert g.n == 12
-        assert is_strong_odd(g, c)
-
-    def test_improper_input_rejected(self):
-        with pytest.raises(InvalidColoringError):
-            pendant_augment(cycle(3), Coloring([1, 1, 2]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(graphs(min_n=1, max_n=10))
-    def test_repair_always_strong_odd(self, g):
-        base = greedy_proper_coloring(g)
-        h, c = pendant_augment(g, base)
-        assert is_strong_odd(h, c)
-        assert c.palette == base.palette
-        assert c.colors[: g.n] == base.colors
-        # original graph is induced: no new edges between old vertices
-        for v in range(g.n):
-            assert tuple(w for w in h.adj[v] if w < g.n) == g.adj[v]
 
 
 class TestDimacs:

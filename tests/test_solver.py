@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 import strongodd.solver
-from helpers import random_graph
+from helpers import class_sizes_on, is_two_distance_on, random_graph
+from strongodd.solver import _dependent_triples
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
@@ -21,13 +23,11 @@ from strongodd import (
     brute_force_so,
     build,
     chromatic_strong_odd,
-    class_parity_on,
     complete,
     cycle,
     decide_k,
     empty,
     is_strong_odd,
-    is_two_distance_on,
 )
 
 
@@ -110,6 +110,10 @@ class TestNodeCounts:
             (Wheel(25), 5, 46),
             (Wheel(29), 5, 53),
             (Wheel(1001), 5, 1_997),
+            (BipyramidUnion(6, 8), 14, 7_265),
+            (BipyramidUnion(7, 7), 14, 3_330),
+            (BipyramidUnion(8, 8), 16, 11_923),
+            (BipyramidUnion(8, 11), 13, 3_259),
         ],
     )
     def test_refutation_nodes(self, spec, k, nodes):
@@ -152,12 +156,95 @@ def assert_decides_every_k(g):
         assert answers == ["no"] * (value - 1) + ["yes"] * (g.n + 1 - value), order
 
 
+def planted_triple_graph(n, p, rng):
+    """G(n, p) plus a vertex n whose neighborhood is N(a) ^ N(b) for two
+    non-isolated vertices a and b with different neighborhoods, so that
+    {a, b, n} is a dependent triple."""
+    while True:
+        g = random_graph(n, p, rng)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if g.adj[a] and g.adj[b] and g.adj[a] != g.adj[b]]
+        if pairs:
+            a, b = rng.choice(pairs)
+            extra = [(w, n) for w in sorted(set(g.adj[a]) ^ set(g.adj[b]))]
+            return Graph(n + 1, g.edges() + extra)
+
+
+def dependent_triples_by_definition(g):
+    """_dependent_triples read off its definition: every set of three
+    distinct non-isolated vertices, then the third member for each vertex
+    that sees the other two."""
+    nb = [set(a) for a in g.adj]
+    third = [set() for _ in range(g.n)]
+    found = False
+    for a, b, c in itertools.combinations(range(g.n), 3):
+        if nb[a] and nb[b] and nb[c] and nb[a] ^ nb[b] == nb[c]:
+            found = True
+            for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+                for u in nb[x] & nb[y]:
+                    third[u].add(z)
+    return [tuple(sorted(t)) for t in third] if found else ()
+
+
+class TestDependentTriples:
+    # 12 vertices are screened over all pairs first, 40 are not
+    @pytest.mark.parametrize("n,p", [(7, 0.3), (7, 0.5), (11, 0.3), (39, 0.08), (39, 0.15)])
+    def test_matches_definition(self, n, p):
+        rng = random.Random(n * 100 + int(p * 100))
+        for _ in range(15):
+            planted = planted_triple_graph(n, p, rng)
+            assert _dependent_triples(planted) == dependent_triples_by_definition(planted) != ()
+            g = random_graph(n + 1, p, rng)
+            assert _dependent_triples(g) == dependent_triples_by_definition(g)
+
+    def test_fingerprint_matches_are_checked_on_the_sets(self, monkeypatch):
+        # with every vertex key equal, a fingerprint is only the degree's
+        # parity, so nearly every pair matches and the sets must decide
+        monkeypatch.setattr(strongodd.solver, "hash", lambda key: 1, raising=False)
+        rng = random.Random(3)
+        for n in (7, 39):
+            for _ in range(10):
+                g = planted_triple_graph(n, 0.15, rng)
+                assert _dependent_triples(g) == dependent_triples_by_definition(g)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 8), (8, 11), (8, 101)])
+    def test_union_apexes(self, m, n):
+        # {x1, y, x2} = {m, m+1, m+n+2}: each cycle vertex sees its own apex
+        # and y, so the rule keeps the colors around the other apex off it
+        third = _dependent_triples(build(BipyramidUnion(m, n)))
+        assert all(m + n + 2 in third[u] for u in range(m))
+        assert all(m in third[u] for u in range(m + 2, m + n + 2))
+
+    def test_none_on_cycles_wheels_and_joins(self):
+        specs = ([Cycle(n) for n in range(4, 40) if n != 6] + [Wheel(n) for n in range(5, 40)]
+                 + [JoinCycleEmpty(n, m) for n in range(5, 20) for m in range(1, 5)])
+        for spec in specs:
+            assert _dependent_triples(build(spec)) == (), spec
+
+    def test_six_cycle(self):
+        # {0, 2, 4} and {1, 3, 5} are the triples; u sees two members of the
+        # one it is not in, and the third member is u's antipode
+        assert _dependent_triples(cycle(6)) == [((u + 3) % 6,) for u in range(6)]
+
+    def test_solve_enumerates_once(self, monkeypatch):
+        calls = []
+        enumerate_triples = strongodd.solver._dependent_triples
+        monkeypatch.setattr(strongodd.solver, "_dependent_triples", lambda g: calls.append(g) or enumerate_triples(g))
+        r = chromatic_strong_odd(build(BipyramidUnion(3, 3)))
+        assert r.value == 7 and len(calls) == 1
+
+
 class TestSoundnessAtEveryK:
     @pytest.mark.parametrize("p", [0.2, 0.35, 0.5, 0.7])
     def test_random_eight_vertices(self, p):
         rng = random.Random(int(p * 100))
         for _ in range(25):
             assert_decides_every_k(random_graph(8, p, rng))
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_planted_dependent_triple(self, p):
+        rng = random.Random(int(p * 100) + 1)
+        for _ in range(25):
+            assert_decides_every_k(planted_triple_graph(7, p, rng))
 
     @pytest.mark.parametrize("spec", SMALL_FAMILY_MEMBERS, ids=repr)
     def test_family_member(self, spec):
@@ -201,7 +288,7 @@ class TestChromatic:
     def test_witness_below_the_scanned_k_raises_internal_error(self, monkeypatch):
         # a yes whose palette is smaller than k contradicts the refutation
         # of k - 1, so it can only come from a bug
-        def decide_k_with_small_witness(g, k, budget=None, order="degree"):
+        def decide_k_with_small_witness(g, k, budget=None, order="degree", **private):
             return DecideResult("yes", Coloring([1] * g.n), 1, 0.0)
 
         monkeypatch.setattr(strongodd.solver, "decide_k", decide_k_with_small_witness)
@@ -343,6 +430,5 @@ class TestJoinWitnessStructure:
         r = chromatic_strong_odd(g)
         assert r.status == "exact"
         cyc = g.vertices_with_role_prefix("cycle:")
-        par = class_parity_on(g, r.witness, cyc)
-        assert all(cs.odd for cs in par.values() if cs.size > 0)
+        assert all(k % 2 for k in class_sizes_on(g, r.witness, cyc).values() if k)
         assert is_two_distance_on(g, r.witness, cyc)
