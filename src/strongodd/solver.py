@@ -73,9 +73,10 @@ that breaks the rule stays broken and it suffices to refuse the step that
 makes a color present around the last of the three.  That step colors a
 vertex u seeing two of them, and the color is already present around the
 third, which u does not see; ``_dependent_triples`` lists those third
-members per vertex once per graph (``chromatic_strong_odd`` shares the
-list across its ``decide_k`` calls), and ``options`` kills the colors
-present around them.  Every tried color is one search node, counted in
+members per vertex once per graph, one per class of twins, within the
+time budget (``chromatic_strong_odd`` shares the list across its
+``decide_k`` calls), and ``options`` kills the colors present around
+them.  Every tried color is one search node, counted in
 ascending order, whether the search descends into it or the rules had
 already killed it; dead colors are counted in bulk by popcount.  The search
 runs on an explicit stack, one frame per colored vertex, so its depth is
@@ -91,8 +92,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress, starmap
-from operator import xor
 from time import monotonic, perf_counter
 from typing import Iterator, NamedTuple
 
@@ -147,11 +146,6 @@ class ValueWitness(NamedTuple):
     witness: Coloring
 
 
-# up to this many non-isolated vertices, one pass over all pairs finds the
-# dependent triples faster than the per-vertex walk
-_SCREEN_MAX = 32
-
-
 def _vertex_order(g: Graph, order) -> list[int]:
     if order == "degree":
         # the sort is stable, so ties stay in index order
@@ -165,72 +159,53 @@ def _vertex_order(g: Graph, order) -> list[int]:
     raise InvalidParameterError(f"unknown vertex order {order!r}")
 
 
-def _dependent_triples(g: Graph) -> list[tuple[int, ...]] | tuple[()]:
+def _dependent_triples(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]] | tuple[()] | None:
     """The dependent triples of g, listed per vertex.
 
     A dependent triple is a set {a, b, c} of distinct non-isolated vertices
     with N(a) ^ N(b) = N(c).  Every vertex sees none or two of a triple's
     members; entry u lists, for each triple of which u sees two members,
-    the third one.  Returns an empty tuple when g has no triple.
+    the third one, named by the lowest vertex with its neighborhood.
+    Returns an empty tuple when g has no triple, and None when the
+    ``monotonic()`` deadline passes first.
 
-    Neighborhoods are compared by xor-fingerprints over pseudo-random vertex
-    keys, so N(a) ^ N(b) = N(c) implies fp[a] ^ fp[b] = fp[c], and every
-    fingerprint match is checked on the sets.  Up to _SCREEN_MAX
-    non-isolated vertices, all pairs are screened at once.  Above it, each
-    vertex w of N(c) sees exactly one of a and b, so every triple is found
-    from c and the vertices beside any one such w.  w is c's first
-    neighbor, or its lowest-degree one when the first has more neighbors
-    than c, so the pairs stay linear in the size of cycles, wheels and
-    unions.
+    Twins, vertices with the same neighborhood, always have the same colors
+    around them, and no triple holds two of them (their neighborhoods xor
+    to nothing), so the triples are enumerated on the lowest vertex of each
+    twin class.  Each vertex w beside c sees exactly one of a and b, so a
+    triple is found from its member c of highest degree, the member a
+    beside c's lowest-degree neighbor w, and b looked up by N(a) ^ N(c).
+    That xor takes at most 2 deg(c) steps, and the pairs (a, c) stay
+    linear in the size of cycles, wheels and unions.
     """
     adj = g.adj
-    # hash((w,)) scrambles the bits of w, the same way in every process
-    key = list(map(hash, zip(range(g.n))))
-    fp = []
-    for a in adj:
-        x = 0
-        for w in a:
-            x ^= key[w]
-        fp.append(x)
-    live = list(compress(range(g.n), adj))
-    live_fp = list(map(fp.__getitem__, live))
-    # pairs whose fingerprints xor to a third vertex's
-    hit = set(live_fp).__contains__
-    if len(live) <= _SCREEN_MAX:
-        pairs = list(compress(combinations(live, 2), map(hit, starmap(xor, combinations(live_fp, 2)))))
-    else:
-        deg = list(map(len, adj))
-        pairs = []
-        for c in live:
-            w = adj[c][0]
-            if deg[w] > deg[c]:
-                w = min(adj[c], key=deg.__getitem__)
-            fc = fp[c]
-            for a in adj[w]:
-                if hit(fc ^ fp[a]):
-                    pairs.append((a, c))
-    if not pairs:
-        return ()
-    by_fp: dict[int, list[int]] = {}
-    for v, f in zip(live, live_fp):
-        by_fp.setdefault(f, []).append(v)
-    found = set()
-    for a, c in pairs:
-        for b in by_fp.get(fp[a] ^ fp[c], ()):
-            if set(adj[a]).symmetric_difference(adj[b]) == set(adj[c]):
-                found.add(frozenset((a, b, c)))
-    if not found:
-        return ()
+    nbs = list(map(frozenset, adj))
+    # the lowest vertex of each twin class, by neighborhood
+    rep: dict[frozenset[int], int] = {}
+    for v, s in enumerate(nbs):
+        if s:
+            rep.setdefault(s, v)
+    deg = list(map(len, adj))
     third: dict[int, set[int]] = {}
-    for a, b, c in found:
-        # each vertex beside a is beside exactly one of b and c as well;
-        # the vertices beside both b and c are the rest
-        beside_b = set(adj[b])
-        for u in adj[a]:
-            third.setdefault(u, set()).add(c if u in beside_b else b)
-        for u in adj[c]:
-            if u in beside_b:
-                third.setdefault(u, set()).add(a)
+    for s, c in rep.items():
+        if deadline is not None and monotonic() > deadline:
+            return None
+        for a in adj[min(s, key=deg.__getitem__)]:
+            if a == c or deg[a] > deg[c] or rep[nbs[a]] != a:
+                continue
+            b = rep.get(nbs[a] ^ s)
+            if b is None:
+                continue
+            # each vertex beside a is beside exactly one of b and c as well;
+            # the vertices beside both b and c are the rest
+            beside_b = nbs[b]
+            for u in adj[a]:
+                third.setdefault(u, set()).add(c if u in beside_b else b)
+            for u in adj[c]:
+                if u in beside_b:
+                    third.setdefault(u, set()).add(a)
+    if not third:
+        return ()
     out: list[tuple[int, ...]] = [()] * g.n
     for u, zs in third.items():
         out[u] = tuple(sorted(zs))
@@ -252,10 +227,15 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree", *, 
     # the canonical cap never reaches a color above n, so a larger k would
     # only make the per-vertex counters longer
     k = min(k, g.n)
+    # the clock and the deadline cover the triple enumeration as well
+    t0 = perf_counter()
+    deadline = monotonic() + budget.max_seconds if budget and budget.max_seconds else None
     seq = _vertex_order(g, order)
     n = g.n
     adj = g.adj
-    third = _dependent_triples(g) if _third is None else _third
+    third = _dependent_triples(g, deadline) if _third is None else _third
+    if third is None:
+        return DecideResult("timeout", None, 0, perf_counter() - t0, "max-seconds")
     color = [0] * n
     cnt = [[0] * (k + 1) for _ in range(n)]
     odd = [0] * n  # colors on an odd number of colored neighbors
@@ -270,13 +250,12 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree", *, 
         last[v] = x
     full = (2 << k) - 2  # colors 1..k
     max_nodes = budget.max_nodes if budget else None
-    deadline = monotonic() + budget.max_seconds if budget and budget.max_seconds else None
 
     def options(u: int, maxused: int) -> tuple[int, int]:
         """Masks (tried, viable) of colors for u, read off the state without
         changing it.  tried holds the colors allowed by properness, the
         canonical cap, and the rules of neighbors whose last uncolored
-        neighbor is u; viable holds those that also keep all five rules true
+        neighbor is u; viable holds those that also keep every rule true
         at every neighbor once u has them."""
         cap = maxused + 1 if maxused < k else k
         # colors after which no fresh color is left for later vertices
@@ -354,7 +333,6 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree", *, 
                 allowed &= ~present[z]
         return tried, tried & allowed
 
-    t0 = perf_counter()
     nodes = 0
     # node count at which the budget is next looked at: just past max_nodes,
     # or the next multiple of 256 when there is a deadline
@@ -492,10 +470,13 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     if g.n == 0:
         raise InvalidParameterError("chromatic_strong_odd requires a nonempty graph")
     t0 = perf_counter()
+    deadline = monotonic() + budget.max_seconds if budget and budget.max_seconds else None
     lower = max(1, _clique_lower_bound(g))
     upper = g.n
     all_distinct = Coloring(range(1, g.n + 1))
-    third = _dependent_triples(g)
+    third = _dependent_triples(g, deadline)
+    if third is None:
+        return SolveResult("timeout", lower, upper, None, all_distinct, 0, perf_counter() - t0)
     nodes = 0
     k = lower
     while True:

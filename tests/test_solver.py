@@ -1,5 +1,6 @@
 import itertools
 import random
+from time import perf_counter
 
 import pytest
 
@@ -172,8 +173,12 @@ def planted_triple_graph(n, p, rng):
 def dependent_triples_by_definition(g):
     """_dependent_triples read off its definition: every set of three
     distinct non-isolated vertices, then the third member for each vertex
-    that sees the other two."""
+    that sees the other two, named by the lowest vertex with its
+    neighborhood."""
     nb = [set(a) for a in g.adj]
+    lowest = {}
+    for v in range(g.n):
+        lowest.setdefault(frozenset(nb[v]), v)
     third = [set() for _ in range(g.n)]
     found = False
     for a, b, c in itertools.combinations(range(g.n), 3):
@@ -181,12 +186,23 @@ def dependent_triples_by_definition(g):
             found = True
             for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
                 for u in nb[x] & nb[y]:
-                    third[u].add(z)
+                    third[u].add(lowest[frozenset(nb[z])])
     return [tuple(sorted(t)) for t in third] if found else ()
 
 
+def complete_tripartite(p):
+    parts = [range(i * p, (i + 1) * p) for i in range(3)]
+    return Graph(3 * p, [(a, b) for i, j in ((0, 1), (0, 2), (1, 2)) for a in parts[i] for b in parts[j]])
+
+
+def subset_graph(d):
+    """Vertices 0..d-1 and, for each nonempty s < 2**d, a vertex d + s - 1
+    beside the vertices of the bits of s: no twins, and about 4**d / 6
+    dependent triples."""
+    return Graph(d + 2**d - 1, [(b, d + s - 1) for s in range(1, 2**d) for b in range(d) if s >> b & 1])
+
+
 class TestDependentTriples:
-    # 12 vertices are screened over all pairs first, 40 are not
     @pytest.mark.parametrize("n,p", [(7, 0.3), (7, 0.5), (11, 0.3), (39, 0.08), (39, 0.15)])
     def test_matches_definition(self, n, p):
         rng = random.Random(n * 100 + int(p * 100))
@@ -196,15 +212,20 @@ class TestDependentTriples:
             g = random_graph(n + 1, p, rng)
             assert _dependent_triples(g) == dependent_triples_by_definition(g)
 
-    def test_fingerprint_matches_are_checked_on_the_sets(self, monkeypatch):
-        # with every vertex key equal, a fingerprint is only the degree's
-        # parity, so nearly every pair matches and the sets must decide
-        monkeypatch.setattr(strongodd.solver, "hash", lambda key: 1, raising=False)
-        rng = random.Random(3)
-        for n in (7, 39):
-            for _ in range(10):
-                g = planted_triple_graph(n, 0.15, rng)
-                assert _dependent_triples(g) == dependent_triples_by_definition(g)
+    def test_twins_are_named_by_the_lowest(self):
+        # copies of vertices of a planted triple graph are twins of them
+        rng = random.Random(5)
+        for _ in range(15):
+            g = planted_triple_graph(8, 0.3, rng)
+            copies = rng.sample(range(g.n), 4)
+            extra = [(w, g.n + i) for i, v in enumerate(copies) for w in g.adj[v]]
+            twinned = Graph(g.n + len(copies), g.edges() + extra)
+            assert _dependent_triples(twinned) == dependent_triples_by_definition(twinned) != ()
+
+    def test_complete_tripartite(self):
+        # one triple of twin classes: u sees the two parts it is not in, and
+        # the third member is the lowest vertex of its own part
+        assert _dependent_triples(complete_tripartite(3)) == [(0,)] * 3 + [(3,)] * 3 + [(6,)] * 3
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 8), (8, 11), (8, 101)])
     def test_union_apexes(self, m, n):
@@ -228,7 +249,8 @@ class TestDependentTriples:
     def test_solve_enumerates_once(self, monkeypatch):
         calls = []
         enumerate_triples = strongodd.solver._dependent_triples
-        monkeypatch.setattr(strongodd.solver, "_dependent_triples", lambda g: calls.append(g) or enumerate_triples(g))
+        monkeypatch.setattr(
+            strongodd.solver, "_dependent_triples", lambda g, *a: calls.append(g) or enumerate_triples(g, *a))
         r = chromatic_strong_odd(build(BipyramidUnion(3, 3)))
         assert r.value == 7 and len(calls) == 1
 
@@ -359,6 +381,32 @@ class TestBudget:
         # a nan or inf deadline never trips; unbounded is spelled budget=None
         with pytest.raises(InvalidParameterError):
             Budget(max_seconds=seconds)
+
+    def test_many_twins_enumerate_quickly(self):
+        # K_{60,60,60} holds 60**3 dependent triples but only one of twin
+        # classes, so the search, not the enumeration, meets the deadline
+        t = perf_counter()
+        r = decide_k(complete_tripartite(60), 4, Budget(max_seconds=0.3))
+        assert r.answer == "timeout" and perf_counter() - t < 1.3
+
+    def test_enumeration_stops_at_the_deadline(self):
+        # listing the triples of subset_graph(10) takes seconds
+        g = subset_graph(10)
+        t = perf_counter()
+        r = decide_k(g, 6, Budget(max_seconds=0.02))
+        assert (r.answer, r.reason, r.nodes) == ("timeout", "max-seconds", 0)
+        assert perf_counter() - t < 0.5
+        t = perf_counter()
+        s = chromatic_strong_odd(g, Budget(max_seconds=0.02))
+        assert s.status == "timeout" and s.nodes == 0
+        assert perf_counter() - t < 0.5
+
+    def test_seconds_include_the_enumeration(self):
+        # the search refutes in a few nodes; nearly all the time is spent
+        # listing the triples
+        t = perf_counter()
+        r = decide_k(subset_graph(8), 6)
+        assert r.answer == "no" and r.nodes < 10 and r.seconds > 0.5 * (perf_counter() - t)
 
 
 class TestColorsAboveN:
