@@ -66,7 +66,6 @@ from .graphs import (
     cycle,
     empty,
     from_dimacs,
-    join,
     one_point_union,
     to_dimacs,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "is_odd_coloring",
     "is_proper",
     "is_strong_odd",
-    "join",
     "join_coloring",
     "join_formula",
     "join_formula_case",

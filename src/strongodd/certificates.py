@@ -33,7 +33,8 @@ taking at most 11 ms on a shared 2-vCPU x86-64 machine with CPython 3.11.
 Members of the infinite 14-color family refute the same way when a budget
 is given, at 13 colors in a number of nodes about linear in n: 3,259 at
 n = 11, 32,419 at n = 101 and 1,294,075 at n = 3995 (1.3 s).  Without a
-completed refutation their exactness rests on the structural argument.  The node count of a refutation is recorded in the notes, but
+completed refutation their exactness rests on the structural argument.
+The node count of a refutation is recorded in the notes, but
 ``reverify_certificate`` does not re-run the search.
 """
 

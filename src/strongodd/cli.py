@@ -64,6 +64,9 @@ _FAMILIES = {
     "union-g": BipyramidUnion,  # alternate spelling
 }
 
+# the size options of gen: every field of a spec, first seen first
+_SIZE_OPTIONS = tuple(dict.fromkeys(f.name for cls in _FAMILIES.values() for f in fields(cls)))
+
 # formula kind -> (value, case) function; its signature names the parameters
 _FORMULAS = {"wheel": wheel_formula_case, "join": join_formula_case, "union": union_formula_case}
 
@@ -91,10 +94,14 @@ def _family_spec(args):
     if kind not in _FAMILIES:
         raise InvalidParameterError(f"unknown family {kind!r}; choose from {sorted(_FAMILIES)}")
     cls = _FAMILIES[kind]
-    for f in fields(cls):
-        if getattr(args, f.name) is None:
-            raise InvalidParameterError(f"family {kind!r} needs --{f.name}")
-    return cls(*(getattr(args, f.name) for f in fields(cls)))
+    names = [f.name for f in fields(cls)]
+    for name in names:
+        if getattr(args, name) is None:
+            raise InvalidParameterError(f"family {kind!r} needs --{name}")
+    unused = [f"--{name}" for name in _SIZE_OPTIONS if name not in names and getattr(args, name) is not None]
+    if unused:
+        raise InvalidParameterError(f"family {kind!r} takes no {' '.join(unused)}")
+    return cls(*(getattr(args, name) for name in names))
 
 
 def _load_graph(path: str):
@@ -212,10 +219,18 @@ def _write_bundle(cert, outdir: Path) -> None:
 
 
 def _cmd_certify(args) -> int:
+    # one source of the bundle, and its size with the family alone: any other
+    # combination would drop an option
+    sources = [flag for flag, value in (("--pair", args.pair), ("--family", args.family),
+                                        ("--recheck", args.recheck)) if value is not None]
+    if len(sources) != 1:
+        raise InvalidParameterError("certify needs one of --pair M N, --family counterexample --n N"
+                                    f" and --recheck PATH, got {' '.join(sources) or 'none'}")
+    if args.n is not None and args.family is None:
+        raise InvalidParameterError("--n only applies with --family counterexample")
     if args.recheck:
         # the recheck reads only the bundle, so any other option would be ignored
-        given = [flag for flag, value in (("--pair", args.pair), ("--family", args.family), ("--n", args.n),
-                                          ("--try-exact", args.try_exact), ("--timeout", args.timeout),
+        given = [flag for flag, value in (("--try-exact", args.try_exact), ("--timeout", args.timeout),
                                           ("--max-nodes", args.max_nodes), ("-o", args.output))
                  if value is not None and value is not False]
         if given:
@@ -235,12 +250,10 @@ def _cmd_certify(args) -> int:
         raise InvalidParameterError("--timeout and --max-nodes only apply with --try-exact")
     if args.pair:
         cert = counterexample_pair(args.pair[0], args.pair[1], budget)
-    elif args.family == "counterexample":
-        if args.n is None:
-            raise InvalidParameterError("certify --family counterexample needs --n")
-        cert = counterexample(args.n, budget)
+    elif args.n is None:
+        raise InvalidParameterError("certify --family counterexample needs --n")
     else:
-        raise InvalidParameterError("certify needs --pair M N, --family counterexample --n N, or --recheck PATH")
+        cert = counterexample(args.n, budget)
     if not args.output:
         raise InvalidParameterError("certify needs -o DIR to write the bundle")
     _write_bundle(cert, Path(args.output))
@@ -266,9 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a family graph as a DIMACS-style file")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
+    for name in _SIZE_OPTIONS:
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("-o", "--output")
     p.add_argument("--embed", action="store_true", help="also emit a rotation system and check Euler's formula")
     p.add_argument("--no-labels", action="store_true")

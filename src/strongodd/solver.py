@@ -74,14 +74,17 @@ makes a color present around the last of the three.  That step colors a
 vertex u seeing two of them, and the color is already present around the
 third, which u does not see; ``_dependent_triples`` lists those third
 members per vertex once per graph, one per class of twins, within the
-time budget (``chromatic_strong_odd`` shares the list across its
-``decide_k`` calls), and ``options`` kills the colors present around
-them.  Every tried color is one search node, counted in
-ascending order, whether the search descends into it or the rules had
-already killed it; dead colors are counted in bulk by popcount.  The search
-runs on an explicit stack, one frame per colored vertex, so its depth is
-not limited by Python's recursion limit.  Every yes answer is re-checked
-through the public verifier before it is returned.
+time budget, and ``options`` kills the colors present around them.  Every
+tried color is one search node, counted in ascending order, whether the
+search descends into it or the rules had already killed it; dead colors
+are counted in bulk by popcount.  The search runs on an explicit stack,
+one frame per colored vertex, so its depth is not limited by Python's
+recursion limit.  Every yes answer is re-checked through the public
+verifier before it is returned.
+
+``chromatic_strong_odd`` makes one scan per graph: the order, the triples,
+the deadline and the state above are set up once, and k, k + 1, ... are
+decided on them, since a refutation leaves the state as it found it.
 
 ``brute_force_so`` is the independent oracle: it enumerates canonical color
 assignments outright and re-checks each complete one with ``is_strong_odd``,
@@ -212,13 +215,11 @@ def _dependent_triples(g: Graph, deadline: float | None = None) -> list[tuple[in
     return out
 
 
-def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree", *, _third=None) -> DecideResult:
+def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> DecideResult:
     """Decide whether g has a strong odd coloring with at most k colors.
 
     Returns yes with a verified witness, no after exhausting the canonical
-    search space, or timeout when the budget runs out first.  ``_third`` is
-    ``_dependent_triples(g)``, passed by ``chromatic_strong_odd`` so that
-    its calls share one enumeration.
+    search space, or timeout when the budget runs out first.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -226,16 +227,28 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree", *, 
         raise InvalidParameterError("decide_k requires a nonempty graph")
     # the canonical cap never reaches a color above n, so a larger k would
     # only make the per-vertex counters longer
-    k = min(k, g.n)
-    # the clock and the deadline cover the triple enumeration as well
+    return next(_scan(g, min(k, g.n), budget, order))
+
+
+def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResult]:
+    """Decide k, k + 1, ... on one search state, one result per k, stopping
+    after the first answer that is not no.
+
+    The order, the triples, the deadline and the state are set up once.  A
+    search that ends in no has undone every assignment, so the next k
+    starts from the same state with one more counter per vertex.  The budget
+    covers the whole scan and the set-up; each result counts the nodes and
+    seconds of its own k, the first one's seconds including the set-up.
+    """
     t0 = perf_counter()
     deadline = monotonic() + budget.max_seconds if budget and budget.max_seconds else None
     seq = _vertex_order(g, order)
     n = g.n
     adj = g.adj
-    third = _dependent_triples(g, deadline) if _third is None else _third
+    third = _dependent_triples(g, deadline)
     if third is None:
-        return DecideResult("timeout", None, 0, perf_counter() - t0, "max-seconds")
+        yield DecideResult("timeout", None, 0, perf_counter() - t0, "max-seconds")
+        return
     color = [0] * n
     cnt = [[0] * (k + 1) for _ in range(n)]
     odd = [0] * n  # colors on an odd number of colored neighbors
@@ -334,12 +347,12 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree", *, 
         return tried, tried & allowed
 
     nodes = 0
+    start = 0  # nodes before the current k
     # node count at which the budget is next looked at: just past max_nodes,
     # or the next multiple of 256 when there is a deadline
     limit = max_nodes + 1 if max_nodes is not None else 1 << 62
     check = min(limit, 256) if deadline is not None else limit
     reason = None
-    found = False
     stack = []  # (vertex, tried left, viable left, maxused) per colored vertex
     maxused = 0
     u = seq[0]
@@ -383,7 +396,6 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree", *, 
                 last[v] ^= u
             stack.append((u, tried, viable, maxused))
             if len(stack) == n:
-                found = True
                 break
             if c > maxused:
                 maxused = c
@@ -408,16 +420,31 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree", *, 
                 last[v] ^= u
             color[u] = 0
         else:
-            break
+            # k is refuted and every assignment undone, so u is seq[0] and
+            # maxused 0 again; k + 1 goes on from this state once the
+            # budget, looked at before its first node, allows it
+            yield DecideResult("no", None, nodes - start, perf_counter() - t0)
+            t0 = perf_counter()
+            start = nodes
+            if nodes == max_nodes:
+                reason = "max-nodes"
+                break
+            if deadline is not None and monotonic() > deadline:
+                reason = "max-seconds"
+                break
+            k += 1
+            full = (2 << k) - 2
+            for cv in cnt:
+                cv.append(0)
+            tried, viable = options(u, 0)
     elapsed = perf_counter() - t0
     if reason is not None:
-        return DecideResult("timeout", None, nodes, elapsed, reason)
-    if not found:
-        return DecideResult("no", None, nodes, elapsed)
+        yield DecideResult("timeout", None, nodes - start, elapsed, reason)
+        return
     witness = Coloring(color)
     if not is_strong_odd(g, witness) or len(witness.palette) > k:
         raise InternalError("internal error: search produced an invalid witness")
-    return DecideResult("yes", witness, nodes, elapsed)
+    yield DecideResult("yes", witness, nodes - start, elapsed)
 
 
 def _clique_lower_bound(g: Graph) -> int:
@@ -441,63 +468,32 @@ def _clique_lower_bound(g: Graph) -> int:
     return best
 
 
-def _remaining(budget: Budget | None, nodes_used: int, t0: float) -> Budget | None | str:
-    """Budget left for the next decision call, or the exhaustion reason."""
-    if budget is None:
-        return None
-    max_nodes = None
-    max_seconds = None
-    if budget.max_nodes is not None:
-        max_nodes = budget.max_nodes - nodes_used
-        if max_nodes <= 0:
-            return "max-nodes"
-    if budget.max_seconds is not None:
-        max_seconds = budget.max_seconds - (perf_counter() - t0)
-        if max_seconds <= 0:
-            return "max-seconds"
-    return Budget(max_nodes, max_seconds)
-
-
 def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree") -> SolveResult:
     """Exact strong odd chromatic number with a verified witness.
 
-    Scans k upward from a greedy clique lower bound, so the exact status
-    always rests on a refutation at value - 1 (or on the lower bound
-    itself).  The trivial all-distinct coloring pins the initial upper
-    bound at |V|; on budget exhaustion the verified bounds found so far
-    are returned, never a guess.
+    Scans k upward from a greedy clique lower bound on one search state, so
+    the exact status always rests on a refutation at value - 1 (or on the
+    lower bound itself).  The trivial all-distinct coloring pins the
+    initial upper bound at |V|; on budget exhaustion the verified bounds
+    found so far are returned, never a guess.
     """
     if g.n == 0:
         raise InvalidParameterError("chromatic_strong_odd requires a nonempty graph")
     t0 = perf_counter()
-    deadline = monotonic() + budget.max_seconds if budget and budget.max_seconds else None
     lower = max(1, _clique_lower_bound(g))
-    upper = g.n
-    all_distinct = Coloring(range(1, g.n + 1))
-    third = _dependent_triples(g, deadline)
-    if third is None:
-        return SolveResult("timeout", lower, upper, None, all_distinct, 0, perf_counter() - t0)
     nodes = 0
-    k = lower
-    while True:
-        rem = _remaining(budget, nodes, t0)
-        if isinstance(rem, str):
-            status = "timeout" if rem == "max-seconds" else "bounds"
-            return SolveResult(status, lower, upper, None, all_distinct, nodes, perf_counter() - t0)
-        r = decide_k(g, k, rem, order, _third=third)
+    for r in _scan(g, lower, budget, order):
         nodes += r.nodes
-        if r.answer == "yes":
-            if len(r.witness.palette) != k:
-                # cannot happen with a sound lower bound: a smaller witness
-                # would contradict the refutation of k - 1
-                raise InternalError("internal error: exact witness palette differs from value")
-            return SolveResult("exact", k, k, k, r.witness, nodes, perf_counter() - t0)
         if r.answer == "no":
-            lower = k + 1
-            k += 1
-            continue
-        status = "timeout" if r.reason == "max-seconds" else "bounds"
-        return SolveResult(status, lower, upper, None, all_distinct, nodes, perf_counter() - t0)
+            lower += 1
+    if r.answer == "yes":
+        if len(r.witness.palette) != lower:
+            # cannot happen with a sound lower bound: a smaller witness
+            # would contradict the refutation of lower - 1
+            raise InternalError("internal error: exact witness palette differs from value")
+        return SolveResult("exact", lower, lower, lower, r.witness, nodes, perf_counter() - t0)
+    status = "timeout" if r.reason == "max-seconds" else "bounds"
+    return SolveResult(status, lower, g.n, None, Coloring(range(1, g.n + 1)), nodes, perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

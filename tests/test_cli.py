@@ -106,6 +106,16 @@ class TestGen:
     def test_missing_parameter_message(self, capsys, argv, err):
         assert run(capsys, "gen", "--family", *argv) == (1, "", err)
 
+    @pytest.mark.parametrize("argv,err", [
+        (["cycle", "--n", "4", "--m", "3", "--k", "9"], "error: family 'cycle' takes no --m --k\n"),
+        (["wheel", "--n", "9", "--k", "3"], "error: family 'wheel' takes no --k\n"),
+        (["empty", "--m", "4", "--n", "2"], "error: family 'empty' takes no --n\n"),
+        (["union-g", "--m", "7", "--n", "8", "--k", "2"], "error: family 'union-g' takes no --k\n"),
+    ])
+    def test_unused_size_option_message(self, capsys, argv, err):
+        # a size option the spec has no field for would be dropped
+        assert run(capsys, "gen", "--family", *argv) == (1, "", err)
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         a = tmp_path / "a.col"
         b = tmp_path / "b.col"
@@ -381,6 +391,19 @@ class TestCertify:
         # a budget without --try-exact would be ignored, so it is refused
         outdir = tmp_path / "d"
         code, stdout, err = run(capsys, "certify", "--pair", "7", "7", *budget, "-o", str(outdir))
+        assert code == 1 and stdout == "" and err.startswith("error:")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--pair", "6", "8", "--family", "counterexample", "--n", "11"],
+        ["--pair", "6", "8", "--n", "11"],
+        ["--n", "11"],
+        [],
+    ], ids=lambda argv: " ".join(argv) or "none")
+    def test_one_source_and_n_only_with_family(self, tmp_path, capsys, argv):
+        # --pair would win over --family and drop --n, so both are refused
+        outdir = tmp_path / "d"
+        code, stdout, err = run(capsys, "certify", *argv, "-o", str(outdir))
         assert code == 1 and stdout == "" and err.startswith("error:")
         assert not outdir.exists()
 

@@ -6,7 +6,7 @@ import pytest
 
 import strongodd.solver
 from helpers import class_sizes_on, is_two_distance_on, random_graph
-from strongodd.solver import _dependent_triples
+from strongodd.solver import _clique_lower_bound, _dependent_triples
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
@@ -310,10 +310,10 @@ class TestChromatic:
     def test_witness_below_the_scanned_k_raises_internal_error(self, monkeypatch):
         # a yes whose palette is smaller than k contradicts the refutation
         # of k - 1, so it can only come from a bug
-        def decide_k_with_small_witness(g, k, budget=None, order="degree", **private):
-            return DecideResult("yes", Coloring([1] * g.n), 1, 0.0)
+        def scan_with_small_witness(g, k, budget, order):
+            yield DecideResult("yes", Coloring([1] * g.n), 1, 0.0)
 
-        monkeypatch.setattr(strongodd.solver, "decide_k", decide_k_with_small_witness)
+        monkeypatch.setattr(strongodd.solver, "_scan", scan_with_small_witness)
         with pytest.raises(InternalError, match="palette differs"):
             chromatic_strong_odd(cycle(5))
 
@@ -363,6 +363,40 @@ class TestChromatic:
         with ThreadPoolExecutor(max_workers=4) as pool:
             values = list(pool.map(lambda _: chromatic_strong_odd(g).value, range(8)))
         assert values == [6] * 8
+
+
+class TestOneScan:
+    """chromatic_strong_odd decides k, k + 1, ... on one search state; that
+    is the same search as one decide_k call per k, with one budget."""
+
+    @staticmethod
+    def scanned(g, order):
+        r = chromatic_strong_odd(g, order=order)
+        start = max(1, _clique_lower_bound(g))
+        return r, [decide_k(g, k, order=order) for k in range(start, r.value + 1)]
+
+    @pytest.mark.parametrize("order", ["degree", "index"])
+    def test_same_search_as_separate_calls(self, order):
+        graphs = [g for g in small_corpus(seed=31, count=40) if g.n] + [build(s) for s in SMALL_FAMILY_MEMBERS]
+        for g in graphs:
+            r, calls = self.scanned(g, order)
+            assert r.nodes == sum(c.nodes for c in calls)
+            assert [c.answer for c in calls] == ["no"] * (len(calls) - 1) + ["yes"]
+            assert r.witness == calls[-1].witness
+
+    @pytest.mark.parametrize("spec", [Wheel(14), JoinCycleEmpty(7, 2), BipyramidUnion(3, 4), Cycle(6)], ids=repr)
+    def test_budget_spent_exactly_by_the_refutations(self, spec):
+        # the budget is looked at between two k, so the scan stops before
+        # counting a node of the value's own search
+        g = build(spec)
+        r, calls = self.scanned(g, "degree")
+        refuted = r.nodes - calls[-1].nodes
+        assert refuted > 0
+        s = chromatic_strong_odd(g, Budget(max_nodes=refuted))
+        assert (s.status, s.nodes, s.lower, s.upper, s.value) == ("bounds", refuted, r.value, g.n, None)
+        assert s.witness == Coloring(range(1, g.n + 1))
+        t = chromatic_strong_odd(g, Budget(max_nodes=r.nodes))
+        assert (t.status, t.value, t.nodes, t.witness) == ("exact", r.value, r.nodes, r.witness)
 
 
 class TestBudget:
