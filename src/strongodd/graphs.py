@@ -20,6 +20,10 @@ class Graph:
     label map attaches a role string to a vertex ("hub", "x", "cycle:3", ...);
     the family constructors use it to mark special vertices so that callers
     can recover, say, the cycle part of a wheel without re-deriving indices.
+
+    The constructor rejects out-of-range endpoints, self-loops and duplicate
+    edges.  It is the only place that looks for duplicates: ``from_dimacs``
+    leaves them to it.
     """
 
     __slots__ = ("n", "adj", "_labels")
@@ -33,20 +37,21 @@ class Graph:
         if n < 0:
             raise InvalidParameterError(f"vertex count must be >= 0, got {n}")
         neigh: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InvalidParameterError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InvalidParameterError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
             neigh[u].append(v)
             neigh[v].append(u)
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in neigh)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, neigh)))
+        # the one duplicate-edge check: a repeated edge repeats a neighbor,
+        # which a set of the row drops
+        if sum(map(len, map(set, self.adj))) != sum(map(len, self.adj)):
+            u, row = next((u, row) for u, row in enumerate(self.adj) if len(set(row)) != len(row))
+            v = next(a for a, b in zip(row, row[1:]) if a == b)
+            raise InvalidParameterError(f"duplicate edge ({u}, {v})")
         lab = dict(labels) if labels else {}
         for v, role in lab.items():
             if not (0 <= v < n):
@@ -307,65 +312,83 @@ def to_dimacs(g: Graph, include_labels: bool = True) -> str:
 
 
 def from_dimacs(text: str) -> Graph:
+    """Parse the format above; raise ParseError, with the line number where
+    there is one, on anything else.
+
+    Lines are read in one pass, edge lines first since they are most of a
+    file.  Duplicate edges are left to ``Graph``; once it has found one, the
+    lines are read again for the line of the second occurrence.  So a file
+    with a duplicate edge and a malformed later line reports the malformed
+    line.
+    """
     n = -1
     expected_edges = -1
     header_line = 0
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     labels: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
-        if kind == "p":
+        if kind == "e":
+            if n < 0:
+                raise ParseError("edge before problem header", lineno)
+            try:
+                _, u, v = tokens
+                u, v = int(u), int(v)
+            except ValueError:
+                raise ParseError(f"malformed edge line {raw.strip()!r}", lineno) from None
+            if not (1 <= u < v <= n):
+                raise ParseError(f"edge endpoints ({u}, {v}) must satisfy 1 <= u < v <= {n}", lineno)
+            edges.append((u - 1, v - 1))
+        elif kind == "p":
             if n >= 0:
                 raise ParseError("duplicate problem header", lineno)
             if len(tokens) != 4 or tokens[1] != "edge":
-                raise ParseError(f"malformed header {line!r}", lineno)
+                raise ParseError(f"malformed header {raw.strip()!r}", lineno)
             try:
                 n, expected_edges = int(tokens[2]), int(tokens[3])
             except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno) from None
+                raise ParseError(f"malformed header {raw.strip()!r}", lineno) from None
             if n < 0 or expected_edges < 0:
                 raise ParseError("header counts must be nonnegative", lineno)
             header_line = lineno
-        elif kind == "e":
-            if n < 0:
-                raise ParseError("edge before problem header", lineno)
-            if len(tokens) != 3:
-                raise ParseError(f"malformed edge line {line!r}", lineno)
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(f"malformed edge line {line!r}", lineno) from None
-            if not (1 <= u < v <= n):
-                raise ParseError(f"edge endpoints ({u}, {v}) must satisfy 1 <= u < v <= {n}", lineno)
-            if (u, v) in seen:
-                raise ParseError(f"duplicate edge ({u}, {v})", lineno)
-            seen.add((u, v))
-            edges.append((u - 1, v - 1))
         elif kind == "l":
             if n < 0:
                 raise ParseError("label before problem header", lineno)
             if len(tokens) != 3:
-                raise ParseError(f"malformed label line {line!r}", lineno)
+                raise ParseError(f"malformed label line {raw.strip()!r}", lineno)
             try:
                 v = int(tokens[1])
             except ValueError:
-                raise ParseError(f"malformed label line {line!r}", lineno) from None
+                raise ParseError(f"malformed label line {raw.strip()!r}", lineno) from None
             if not (1 <= v <= n):
                 raise ParseError(f"label vertex {v} out of range", lineno)
             if v - 1 in labels:
                 raise ParseError(f"duplicate label for vertex {v}", lineno)
             labels[v - 1] = tokens[2]
-        else:
+        elif not kind.startswith("c"):
             raise ParseError(f"unknown line type {kind!r}", lineno)
     if n < 0:
         raise ParseError("missing problem header")
+    try:
+        g = Graph(n, edges, labels)
+    except InvalidParameterError:
+        # every line is well formed, so the one thing Graph can reject is a
+        # duplicate edge
+        seen: set[tuple[int, int]] = set()
+        for lineno, raw in enumerate(lines, start=1):
+            tokens = raw.split()
+            if tokens and tokens[0] == "e":
+                edge = int(tokens[1]), int(tokens[2])
+                if edge in seen:
+                    raise ParseError(f"duplicate edge {edge}", lineno) from None
+                seen.add(edge)
+        raise
     if len(edges) != expected_edges:
         raise ParseError(
             f"header announced {expected_edges} edges but {len(edges)} were given", header_line
         )
-    return Graph(n, edges, labels)
+    return g

@@ -1,5 +1,5 @@
-"""Shared test utilities: seeded random graphs and structural checks on
-colorings that several tests use as oracles."""
+"""Shared test utilities: seeded random graphs, structural checks on
+colorings and a face tracer that several tests use as oracles."""
 
 import random
 
@@ -49,3 +49,23 @@ def c4_with_pendants() -> tuple[Graph, Coloring]:
     itself needs 4 colors."""
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)]
     return Graph(8, edges), Coloring([1, 2, 1, 2, 2, 1, 2, 1])
+
+
+def traced_faces(g: Graph, rotation) -> int:
+    """Faces of a rotation system, traced one (u, v) dart at a time: after
+    the dart (u, v) comes (v, w), w the successor of u in the row of v.  An
+    oracle for ``verify_embedding``, sharing none of its dart encoding."""
+    successor = {}
+    for v, row in enumerate(rotation):
+        for i, u in enumerate(row):
+            successor[v, u] = row[(i + 1) % len(row)]
+    seen = set()
+    faces = 0
+    for u, v in ((u, v) for u in range(g.n) for v in g.adj[u]):
+        if (u, v) in seen:
+            continue
+        faces += 1
+        while (u, v) not in seen:
+            seen.add((u, v))
+            u, v = v, successor[v, u]
+    return faces

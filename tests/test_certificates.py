@@ -1,7 +1,10 @@
 import hashlib
 import json
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import strongodd.certificates
 
@@ -38,6 +41,36 @@ WRONG_TYPES = [
     ("checks", {}),
     ("notes", "none"),
 ]
+
+
+# strings that JSON must escape or that look like the row layout
+texts = st.text(max_size=10) | st.sampled_from(['"', "\\", '\\"', "é", "雪", "\u2028", "\n", "],\n[", "[]", ""])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | texts,
+    lambda items: st.lists(items, max_size=3) | st.dictionaries(texts, items, max_size=3),
+    max_leaves=8,
+)
+certificates = st.builds(
+    Certificate,
+    family=st.dictionaries(texts, json_values, max_size=3),
+    graph_dimacs=texts,
+    # rows as the library writes them, or whatever a document read back holds
+    labels=st.lists(st.lists(st.integers() | texts, max_size=4), max_size=5) | st.lists(json_values, max_size=4),
+    coloring=texts,
+    claimed_value=st.integers(),
+    claim_kind=texts,
+    rotation=st.lists(st.lists(st.integers(0, 10 ** 4), max_size=5), max_size=5),
+    faces=st.integers(),
+    euler_ok=st.booleans(),
+    checks=st.lists(st.fixed_dictionaries({"name": texts, "ok": st.booleans()}), max_size=3),
+    notes=st.lists(texts, max_size=3),
+)
+
+
+def json_encoded(cert):
+    """The certificate as json's own indenting encoder writes it: the oracle
+    for Certificate.to_json."""
+    return json.dumps({f.name: getattr(cert, f.name) for f in fields(cert)}, indent=2, sort_keys=True) + "\n"
 
 
 def cert_note(cert, prefix):
@@ -124,6 +157,23 @@ class TestSerialization:
     def test_pinned_bytes(self, n, digest):
         assert hashlib.sha256(counterexample(n).to_json().encode()).hexdigest() == digest
 
+    @settings(max_examples=200, deadline=None)
+    @given(certificates)
+    @example(replace(counterexample(11), rotation=[], labels=[[]], notes=[], checks=[]))
+    @example(replace(counterexample(11), rotation=[[], [1], []], labels=[[0, ""], [], [1, '"\\é']]))
+    def test_to_json_writes_what_json_writes(self, cert):
+        assert cert.to_json() == json_encoded(cert)
+
+    @pytest.mark.parametrize("n", [11, 13, 17, 101, 1003, 3995])
+    def test_to_json_on_family_members(self, n):
+        cert = counterexample(n)
+        assert cert.to_json() == json_encoded(cert)
+
+    @pytest.mark.parametrize("m,n", sorted(strongodd.certificates.SPECIAL_PAIRS))
+    def test_to_json_on_special_pairs(self, m, n):
+        cert = counterexample_pair(m, n)
+        assert cert.to_json() == json_encoded(cert)
+
     def test_integer_past_the_digit_limit(self):
         # json.loads raises a plain ValueError, not JSONDecodeError, for it
         text = counterexample(11).to_json().replace('"claimed_value": 14', '"claimed_value": ' + "9" * 5000)
@@ -135,7 +185,7 @@ class TestReverify:
     def test_accepts_fresh_certificate(self):
         ok, results = reverify_certificate(counterexample(11).to_json())
         assert ok
-        assert {name for name, _ in results} == {"proper", "strong_odd", "palette_count", "euler", "family"}
+        assert {name for name, _ in results} == {"proper", "strong_odd", "palette_count", "euler", "family", "record"}
 
     def test_coloring_is_self_contained(self):
         cert = counterexample_pair(8, 8)
@@ -157,6 +207,26 @@ class TestReverify:
         data["coloring"] = "\n".join(lines) + "\n"
         ok, results = reverify_certificate(json.dumps(data))
         assert not ok and dict(results)["proper"] is False
+
+    @pytest.mark.parametrize("checks", [
+        [{"name": "proper", "ok": 1}],
+        [{"name": "proper"}],
+        ["proper"],
+        [{"name": "refutation", "ok": False}],
+    ], ids=["ok-not-bool", "ok-missing", "not-a-dict", "failed-refutation"])
+    def test_detects_check_log_not_all_ok(self, checks):
+        data = json.loads(make_union_certificate(3, 3, try_exact_budget=Budget(max_nodes=2_000_000)).to_json())
+        assert data["claim_kind"] == "exact"
+        data["checks"] += checks
+        ok, results = reverify_certificate(json.dumps(data))
+        assert not ok and [name for name, good in results if not good] == ["record"]
+
+    def test_exact_claim_with_its_refutation_passes(self):
+        cert = make_union_certificate(3, 3, try_exact_budget=Budget(max_nodes=2_000_000))
+        assert reverify_certificate(cert.to_json()) == (True, [
+            ("proper", True), ("strong_odd", True), ("palette_count", True), ("euler", True),
+            ("family", True), ("record", True),
+        ])
 
     def test_detects_tampered_rotation(self):
         data = json.loads(counterexample(11).to_json())
@@ -223,4 +293,5 @@ class TestReverify:
         ok, results = reverify_certificate(json.dumps(data))
         assert not ok and dict(results) == {
             "proper": True, "strong_odd": True, "palette_count": True, "euler": True, "family": False,
+            "record": True,
         }

@@ -360,6 +360,26 @@ class TestCertify:
         code, stdout, _ = run(capsys, "certify", "--recheck", str(bad))
         assert code == 4 and "family: FAILED" in stdout and "euler: ok" in stdout
 
+    @pytest.mark.parametrize("forge,row", [
+        # with an ok refutation entry, so that only the kind is wrong
+        (lambda d: d.update(claim_kind="banana", checks=d["checks"] + [{"name": "refutation", "ok": True}]),
+         "record"),
+        (lambda d: d["checks"].__setitem__(0, {"name": "proper", "ok": False}), "record"),
+        (lambda d: d.update(euler_ok=False), "euler"),
+        # an upper-bound bundle relabelled exact, with no refutation behind it
+        (lambda d: d.update(claim_kind="exact"), "record"),
+    ], ids=["unknown-kind", "failed-check-logged", "euler-ok-false", "exact-without-refutation"])
+    def test_recheck_judges_the_bundles_own_record(self, tmp_path, capsys, forge, row):
+        outdir = tmp_path / "bundle"
+        run(capsys, "certify", "--family", "counterexample", "--n", "11", "-o", str(outdir))
+        data = json.loads((outdir / "bipyramid_union_8_11.cert.json").read_text())
+        forge(data)
+        bad = tmp_path / "forged.json"
+        bad.write_text(json.dumps(data))
+        code, stdout, _ = run(capsys, "certify", "--recheck", str(bad))
+        failed = [line.split(":")[0] for line in stdout.splitlines() if line.endswith("FAILED")]
+        assert code == 4 and failed == [row, "certificate"]
+
     def test_try_exact_on_small_instance(self, tmp_path, capsys):
         # (3, 3) is small enough to refute value-1 within a desk budget;
         # only the pair entry points are restricted, so drive the API check

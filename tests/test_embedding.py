@@ -1,6 +1,8 @@
+import random
 from collections import Counter
 from itertools import permutations, product
 
+import networkx as nx
 import pytest
 
 from strongodd import (
@@ -18,6 +20,8 @@ from strongodd import (
     embed_family,
     verify_embedding,
 )
+
+from helpers import random_graph, traced_faces
 
 
 class TestVerifyEmbedding:
@@ -97,3 +101,64 @@ class TestEmbedFamily:
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamilyError):
             embed_family(Complete(4))
+
+
+def planar_rotations(seed: int, count: int):
+    """``count`` seeded random planar graphs on 1..30 vertices, each with the
+    rotation system of networkx's planar embedding."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 30)
+        g = random_graph(n, min(1.0, 3 / n), rng)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(g.edges())
+        planar, emb = nx.check_planarity(nxg)
+        if planar:
+            out.append((g, nxg, [list(emb.neighbors_cw_order(v)) for v in range(n)]))
+    return out
+
+
+def traced_check(g, rotation):
+    faces = traced_faces(g, rotation)
+    return faces, g.n - g.edge_count + faces == 2
+
+
+class TestAgainstTracedFaces:
+    """verify_embedding against the tuple-dart tracer in tests/helpers.py."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_networkx_planar_rotations(self, seed):
+        for g, nxg, rot in planar_rotations(seed, 40):
+            check = verify_embedding(g, rot)
+            assert check == traced_check(g, rot)
+            # a planar embedding of a connected graph is a sphere
+            assert check.euler_ok == (g.n > 0 and nx.is_connected(nxg) and g.edge_count > 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_row_with_two_entries_swapped(self, seed):
+        rng = random.Random(seed)
+        broken = 0
+        for g, _, rot in planar_rotations(seed, 40):
+            rows = [v for v, row in enumerate(rot) if len(row) >= 3]
+            if not rows:
+                continue
+            sphere = verify_embedding(g, rot).euler_ok
+            v = rng.choice(rows)
+            i, j = rng.sample(range(len(rot[v])), 2)
+            rot[v][i], rot[v][j] = rot[v][j], rot[v][i]
+            check = verify_embedding(g, rot)
+            assert check == traced_check(g, rot)
+            broken += sphere and not check.euler_ok
+        assert broken > 0
+
+    @pytest.mark.parametrize("spec", [
+        *(Cycle(n) for n in (3, 4, 9)),
+        *(Wheel(n) for n in (3, 5, 12)),
+        *(Bipyramid(n) for n in (3, 8, 13)),
+        *(BipyramidUnion(m, n) for m, n in ((3, 3), (6, 8), (8, 8), (8, 101))),
+    ], ids=repr)
+    def test_family_embeddings(self, spec):
+        g, rot = build(spec), embed_family(spec)
+        assert verify_embedding(g, rot) == traced_check(g, rot) == (traced_faces(g, rot), True)

@@ -31,6 +31,17 @@ def graphs(draw, min_n=1, max_n=10):
     return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
+# label roles are single DIMACS tokens: no whitespace or control characters
+roles = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6)
+
+
+@st.composite
+def labeled_graphs(draw):
+    g = draw(graphs(min_n=0, max_n=12))
+    labels = draw(st.dictionaries(st.integers(0, g.n - 1), roles)) if g.n else {}
+    return Graph(g.n, g.edges(), labels)
+
+
 class TestGraphType:
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidParameterError):
@@ -39,6 +50,14 @@ class TestGraphType:
     def test_rejects_parallel_edge(self):
         with pytest.raises(InvalidParameterError):
             Graph(2, [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
+        ([(1, 2), (0, 1), (2, 1)], r"duplicate edge \(1, 2\)"),
+    ])
+    def test_duplicate_edge_named(self, edges, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            Graph(3, edges)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidParameterError):
@@ -197,6 +216,11 @@ class TestDimacs:
     def test_round_trip_random(self, g):
         assert from_dimacs(to_dimacs(g)) == g
 
+    @given(labeled_graphs())
+    def test_round_trip_random_labeled(self, g):
+        assert from_dimacs(to_dimacs(g)) == g
+        assert from_dimacs(to_dimacs(g, include_labels=False)) == Graph(g.n, g.edges())
+
     def test_out_of_range_endpoint(self):
         with pytest.raises(ParseError) as e:
             from_dimacs("p edge 4 1\ne 1 5\n")
@@ -210,6 +234,16 @@ class TestDimacs:
         with pytest.raises(ParseError) as e:
             from_dimacs("p edge 3 3\ne 1 2\ne 1 2\ne 2 3\n")
         assert e.value.line == 3
+
+    @pytest.mark.parametrize("text,line", [
+        ("p edge 3 3\ne 1 2\nc between\nl 1 hub\n  \ne 2 3\nc again\ne 1 2\n", 8),
+        # the duplicate is named even when it also throws the header count off
+        ("c first\np edge 4 2\ne 3 4\nl 3 x\ne 3  4\ne 1 2\n", 5),
+    ])
+    def test_duplicate_edge_line_past_other_lines(self, text, line):
+        with pytest.raises(ParseError, match="duplicate edge") as e:
+            from_dimacs(text)
+        assert e.value.line == line
 
     def test_malformed_header(self):
         with pytest.raises(ParseError):
