@@ -6,34 +6,30 @@ and a log of every check that was run.  Everything needed to re-verify the
 claim travels inside the document, so ``reverify_certificate`` can audit a
 bundle read back from disk with no other state.
 
-``Certificate.to_json`` writes the bytes ``json.dumps(fields, indent=2,
-sort_keys=True)`` plus a newline would write, but not through json's
-indenting encoder, which is pure Python (json uses its C encoder only
-without ``indent``).  Each field is encoded on its own and indented one
-level.  ``rotation`` and ``labels``, lists of flat rows of ints and
-strings, are encoded by the C encoder in one call each and then laid out
-(``_rows_json``); the small fields keep ``indent=2``, as does any field of
-another shape.  At n = 3995 that takes 15 ms instead of 44 ms.  The tests
-hold the text to json's own encoding.
+``Certificate.to_json`` writes the bytes of ``json.dumps(fields, indent=2,
+sort_keys=True)`` plus a newline without json's indenting encoder, which
+is pure Python.  Each field is encoded on its own and indented one level;
+``rotation`` and ``labels``, lists of flat rows, take one C encoder call
+each (``_rows_json``).  At n = 3995 that is about 15 ms instead of 44 ms
+(medians on a shared 2-vCPU x86-64 machine with CPython 3.11).
 
 ``Certificate.from_json`` raises ParseError on text that is not JSON, nests
 too deeply to parse or holds an integer longer than Python's int-string
 limit, on a document that is not an object or lacks a field, and on a field
 of the wrong JSON type: each field must have exactly the type its
 annotation names (so ``true`` is not an integer), and ``rotation`` must be
-a list of lists of integers.  A document that passes is well
-typed, so ``reverify_certificate`` only has to judge its content: an
-unparsable graph or coloring text raises the parser's error, a rotation
-that does not match the graph (InvalidRotationError) fails the "euler"
-check instead of raising, and the "family" check rebuilds the named
-BipyramidUnion(m, n) and compares it with the bundled graph and
-``labels``.  A family of another kind, with non-integer sizes, or of a
-size other than the bundled graph's fails that check before anything is
-built.  The "euler" check also holds ``faces`` and ``euler_ok`` to the
-traced embedding, and the "record" check holds the claim to the bundle's
-own record: it fails a claim kind other than "exact" and "upper-bound", a
-check log with an entry that is not ok, and an "exact" claim with no ok
-"refutation" entry.
+a list of lists of integers.  A document that passes is well typed, so
+``reverify_certificate`` only has to judge its content: an unparsable
+graph or coloring text raises the parser's error, a rotation that does not
+match the graph (InvalidRotationError) fails the "euler" check instead of
+raising, and the "family" check rebuilds the named BipyramidUnion(m, n)
+and compares it with the bundled graph and ``labels``.  A family of
+another kind, with non-integer sizes, or of a size other than the bundled
+graph's fails that check before anything is built.  The "euler" check also
+holds ``faces`` and ``euler_ok`` to the traced embedding, and the "record"
+check holds the claim to the bundle's own record: it fails a claim kind
+other than "exact" and "upper-bound", a check log with an entry that is
+not ok, and an "exact" claim with no ok "refutation" entry.
 
 Claims default to kind "upper-bound": the coloring proves the value is
 attainable.  A claim is upgraded to "exact" only when a refutation search
@@ -245,20 +241,10 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
     except InvalidRotationError:
         results.append(("euler", False))
     results.append(("family", _family_matches(cert, g)))
-    results.append(("record", _record_holds(cert)))
-    return all(ok for _, ok in results), results
-
-
-def _record_holds(cert: Certificate) -> bool:
-    """True when the bundle claims no more than its own record shows: a known
-    claim kind, a check log whose every entry is ok, and an ok "refutation"
-    entry behind an "exact" claim."""
     passed = [c.get("name") for c in cert.checks if type(c) is dict and c.get("ok") is True]
-    return (
-        len(passed) == len(cert.checks)
-        and cert.claim_kind in ("exact", "upper-bound")
-        and (cert.claim_kind == "upper-bound" or "refutation" in passed)
-    )
+    claim_backed = cert.claim_kind == "upper-bound" or cert.claim_kind == "exact" and "refutation" in passed
+    results.append(("record", len(passed) == len(cert.checks) and claim_backed))
+    return all(ok for _, ok in results), results
 
 
 def _family_matches(cert: Certificate, g: Graph) -> bool:
@@ -290,14 +276,13 @@ def _is_rows(value: object, item_types: set[type]) -> bool:
 
 
 def _rows_json(rows: list[list]) -> str:
-    """``json.dumps(rows, indent=2)``, written by the C encoder in one call.
+    """``json.dumps(rows, indent=2)``, from one call of the C encoder.
 
-    The encoder puts a raw newline after every comma, between rows and items
-    alike.  The items are ints and strings, and a raw newline is never inside
-    a string, so a comma between rows is the only one that follows ``]`` and
-    precedes ``[``.  The newlines are indented for items, the row boundaries
-    then re-indented, and an empty row, which that leaves with a blank line
-    between its brackets, is put back as ``[]``.
+    The encoder puts a raw newline after every comma.  The items are ints
+    and strings, whose JSON never holds a raw newline, so a comma between
+    rows is the only one after ``]`` and before ``[``.  The newlines are
+    indented for items, the row boundaries re-indented, and an empty row,
+    left with a blank line between its brackets, put back as ``[]``.
     """
     if not rows:
         return "[]"

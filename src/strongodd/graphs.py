@@ -22,8 +22,7 @@ class Graph:
     can recover, say, the cycle part of a wheel without re-deriving indices.
 
     The constructor rejects out-of-range endpoints, self-loops and duplicate
-    edges.  It is the only place that looks for duplicates: ``from_dimacs``
-    leaves them to it.
+    edges; ``from_dimacs`` leaves duplicates to it.
     """
 
     __slots__ = ("n", "adj", "_labels")
@@ -312,14 +311,11 @@ def to_dimacs(g: Graph, include_labels: bool = True) -> str:
 
 
 def from_dimacs(text: str) -> Graph:
-    """Parse the format above; raise ParseError, with the line number where
-    there is one, on anything else.
+    """Parse the format above, raising ParseError on anything else.
 
-    Lines are read in one pass, edge lines first since they are most of a
-    file.  Duplicate edges are left to ``Graph``; once it has found one, the
-    lines are read again for the line of the second occurrence.  So a file
-    with a duplicate edge and a malformed later line reports the malformed
-    line.
+    Duplicate edges are left to ``Graph``; only once it has found one are
+    the lines read again for the line of the second occurrence, so a
+    malformed line anywhere in the file is reported before a duplicate.
     """
     n = -1
     expected_edges = -1
