@@ -12,7 +12,6 @@ certificates for the planar constructions that need 14 to 17 colors.
 from .coloring import (
     Coloring,
     ParityEntry,
-    ParityReport,
     format_coloring,
     is_odd_coloring,
     is_proper,
@@ -62,9 +61,6 @@ from .graphs import (
     JoinCycleEmpty,
     Wheel,
     build,
-    complete,
-    cycle,
-    empty,
     from_dimacs,
     one_point_union,
     to_dimacs,
@@ -99,7 +95,6 @@ __all__ = [
     "InvalidRotationError",
     "JoinCycleEmpty",
     "ParityEntry",
-    "ParityReport",
     "ParseError",
     "SolveResult",
     "StrongOddError",
@@ -109,13 +104,10 @@ __all__ = [
     "brute_force_so",
     "build",
     "chromatic_strong_odd",
-    "complete",
     "counterexample",
     "counterexample_pair",
-    "cycle",
     "decide_k",
     "embed_family",
-    "empty",
     "format_coloring",
     "from_dimacs",
     "is_odd_coloring",

@@ -8,10 +8,9 @@ bundle read back from disk with no other state.
 
 ``Certificate.to_json`` writes the bytes of ``json.dumps(fields, indent=2,
 sort_keys=True)`` plus a newline without json's indenting encoder, which
-is pure Python.  Each field is encoded on its own and indented one level;
-``rotation`` and ``labels``, lists of flat rows, take one C encoder call
-each (``_rows_json``).  At n = 3995 that is about 15 ms instead of 44 ms
-(medians on a shared 2-vCPU x86-64 machine with CPython 3.11).
+is pure Python, where the unindented encoder is in C.  Each field is
+encoded on its own and indented one level; ``rotation`` and ``labels``,
+lists of flat rows, take one C encoder call each (``_rows_json``).
 
 ``Certificate.from_json`` raises ParseError on text that is not JSON, nests
 too deeply to parse or holds an integer longer than Python's int-string

@@ -117,14 +117,15 @@ def _write_witness(path: str | None, witness) -> None:
 def _cmd_gen(args) -> int:
     spec = _family_spec(args)
     g = build(spec)
+    # a family with no embedding fails before anything is written
+    rot = embed_family(spec) if args.embed else None
     text = to_dimacs(g, include_labels=not args.no_labels)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output} ({g.n} vertices, {g.edge_count} edges)")
     else:
         sys.stdout.write(text)
-    if args.embed:
-        rot = embed_family(spec)
+    if rot is not None:
         faces, ok = verify_embedding(g, rot)
         if args.output:
             rot_path = args.output + ".rot.json"
@@ -158,9 +159,9 @@ def _cmd_verify(args) -> int:
         print(f"strong-odd: ok ({len(col.palette)} colors)")
         return EXIT_OK
     # the per-class report is only needed to list the violations
-    report = parity_report(g, col)
-    print(f"strong-odd: violated ({len(report.violations)} even neighborhood class(es))")
-    for e in report.violations:
+    violations = parity_report(g, col)
+    print(f"strong-odd: violated ({len(violations)} even neighborhood class(es))")
+    for e in violations:
         print(f"  vertex {e.vertex + 1} sees color {e.color} {e.count} times")
     return EXIT_VIOLATION
 
@@ -169,7 +170,7 @@ def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     budget = _budget_from(args)
     if args.decide is not None:
-        r = decide_k(g, args.decide, budget, order=args.order)
+        r = decide_k(g, args.decide, budget)
         print(f"answer: {r.answer}")
         print(f"nodes: {r.nodes}")
         print(f"elapsed: {r.seconds:.3f}s")
@@ -178,7 +179,7 @@ def _cmd_solve(args) -> int:
             _write_witness(args.output, r.witness)
             return EXIT_OK
         return EXIT_VIOLATION if r.answer == "no" else EXIT_BUDGET
-    res = chromatic_strong_odd(g, budget, order=args.order)
+    res = chromatic_strong_odd(g, budget)
     print(f"status: {res.status}")
     if res.status == "exact":
         print(f"value: {res.value}")
@@ -299,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--decide", type=int, metavar="K")
     p.add_argument("--timeout", help="wall-clock limit, e.g. 30, 1.5m, 2h")
     p.add_argument("--max-nodes", type=int)
-    p.add_argument("--order", choices=["degree", "index"], default="degree")
     p.add_argument("-o", "--output", help="witness coloring file")
     p.set_defaults(func=_cmd_solve)
 

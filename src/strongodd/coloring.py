@@ -8,7 +8,6 @@ constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidColoringError, ParseError
@@ -65,27 +64,11 @@ def _total_on(g: "Graph", c: Coloring) -> Coloring:
 
 
 class ParityEntry(NamedTuple):
-    """Count of one color in one vertex's neighborhood (positive counts only)."""
+    """An even positive count of one color in one vertex's neighborhood."""
 
     vertex: int
     color: int
     count: int
-
-    @property
-    def odd(self) -> bool:
-        return self.count % 2 == 1
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    """Per (vertex, color) neighborhood counts; violations are the even ones."""
-
-    entries: tuple[ParityEntry, ...]
-    violations: tuple[ParityEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def proper_violations(g: "Graph", c: ColoringLike) -> list[tuple[int, int]]:
@@ -143,15 +126,14 @@ def is_strong_odd(g: "Graph", c: ColoringLike) -> bool:
     return True
 
 
-def parity_report(g: "Graph", c: ColoringLike) -> ParityReport:
-    """Neighborhood color counts for every vertex, flagging even positive ones.
+def parity_report(g: "Graph", c: ColoringLike) -> list[ParityEntry]:
+    """Every even positive neighborhood color count, by vertex then color.
 
     Zero counts are never listed: an absent color is not a violation.
     Properness is a separate concern; see ``proper_violations``.
     """
     col = _total_on(g, as_coloring(c))
     colors = col.colors
-    entries: list[ParityEntry] = []
     violations: list[ParityEntry] = []
     for u in range(g.n):
         counts: dict[int, int] = {}
@@ -159,11 +141,9 @@ def parity_report(g: "Graph", c: ColoringLike) -> ParityReport:
             cv = colors[v]
             counts[cv] = counts.get(cv, 0) + 1
         for color in sorted(counts):
-            e = ParityEntry(u, color, counts[color])
-            entries.append(e)
-            if not e.odd:
-                violations.append(e)
-    return ParityReport(tuple(entries), tuple(violations))
+            if counts[color] % 2 == 0:
+                violations.append(ParityEntry(u, color, counts[color]))
+    return violations
 
 
 # ---------------------------------------------------------------------------

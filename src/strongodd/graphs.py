@@ -18,8 +18,8 @@ class Graph:
 
     Adjacency is stored as a tuple of sorted neighbor tuples.  An optional
     label map attaches a role string to a vertex ("hub", "x", "cycle:3", ...);
-    the family constructors use it to mark special vertices so that callers
-    can recover, say, the cycle part of a wheel without re-deriving indices.
+    labels are carried by the DIMACS ``l`` lines and the certificate
+    ``labels`` field, and take part in ``==``.
 
     The constructor rejects out-of-range endpoints, self-loops and duplicate
     edges; ``from_dimacs`` leaves duplicates to it.
@@ -71,23 +71,6 @@ class Graph:
         """All edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def vertex_with_role(self, role: str) -> int:
-        """The unique vertex labeled ``role``; raises if absent or ambiguous."""
-        hits = [v for v, r in self._labels.items() if r == role]
-        if len(hits) != 1:
-            raise InvalidParameterError(f"expected exactly one vertex with role {role!r}, found {len(hits)}")
-        return hits[0]
-
-    def vertices_with_role_prefix(self, prefix: str) -> list[int]:
-        """Sorted vertices whose role starts with ``prefix``."""
-        return sorted(v for v, r in self._labels.items() if r.startswith(prefix))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -100,13 +83,6 @@ class Graph:
 # ---------------------------------------------------------------------------
 # Family constructors
 # ---------------------------------------------------------------------------
-
-def cycle(n: int) -> Graph:
-    """The cycle on n >= 3 vertices, edges {i, i+1 mod n}, roles "cycle:i"."""
-    if n < 3:
-        raise InvalidParameterError(f"a cycle needs at least 3 vertices, got {n}")
-    return Graph(n, _cycle_edges(n), _cycle_labels(n))
-
 
 def _cycle_edges(n: int, off: int = 0) -> list[tuple[int, int]]:
     """Edges of the n-cycle on the vertices ``off..off+n-1``, in cycle order."""
@@ -129,20 +105,6 @@ def _cycle_with_hubs(n: int, roles: Sequence[str]) -> Graph:
     hubs = range(n, n + len(roles))
     labels = _cycle_labels(n) | dict(zip(hubs, roles))
     return Graph(n + len(roles), _cycle_edges(n) + _spokes(n, hubs), labels)
-
-
-def empty(m: int) -> Graph:
-    """The edgeless graph on m >= 1 vertices."""
-    if m < 1:
-        raise InvalidParameterError(f"empty graph needs at least 1 vertex, got {m}")
-    return Graph(m)
-
-
-def complete(k: int) -> Graph:
-    """The complete graph on k >= 1 vertices."""
-    if k < 1:
-        raise InvalidParameterError(f"complete graph needs at least 1 vertex, got {k}")
-    return Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
 
 
 def one_point_union(parts: Sequence[tuple[Graph, int]]) -> Graph:
@@ -272,11 +234,12 @@ def build(spec: FamilySpec) -> Graph:
     m+2..m+n+1, and its x apex is the last vertex.
     """
     if isinstance(spec, Cycle):
-        return cycle(spec.n)
+        return Graph(spec.n, _cycle_edges(spec.n), _cycle_labels(spec.n))
     if isinstance(spec, Empty):
-        return empty(spec.m)
+        return Graph(spec.m)
     if isinstance(spec, Complete):
-        return complete(spec.k)
+        k = spec.k
+        return Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
     if isinstance(spec, Wheel):
         return _cycle_with_hubs(spec.n, ["hub"])
     if isinstance(spec, JoinCycleEmpty):

@@ -1,11 +1,12 @@
 """Exact strong odd chromatic number by parity-aware backtracking.
 
-The decision procedure colors vertices in a fixed order (default: descending
-degree, ties by index) and breaks color symmetry canonically: the vertex at
-position i may only use colors up to 1 + (largest color used so far).  Since
-relabeling colors permutes color classes without changing any class size,
-restricting to canonical assignments loses no solutions, so an exhausted
-search is a genuine refutation.
+The decision procedure colors vertices in a fixed order (descending degree,
+ties by index, unless an explicit permutation is given) and breaks color
+symmetry canonically: the vertex at position i may only use colors up to
+1 + (largest color used so far).  Since relabeling colors permutes color
+classes without changing any class size, restricting to canonical
+assignments loses no solutions, so an exhausted search is a genuine
+refutation.
 
 The strong odd condition at a vertex v only closes once N(v) is fully
 colored, so eager per-assignment checks would be unsound.  Instead the
@@ -14,9 +15,8 @@ search keeps, per vertex v, over its colored neighbors:
 * ``cnt[v]``: how often each color appears;
 * ``odd[v]`` and ``present[v]``: bit masks of the colors that appear an odd
   number of times and at all (bit c stands for color c), so the positive
-  even classes are ``present & ~odd`` and the lowest of them is one bit
-  operation away;
-* ``evp[v]``: the number of positive even classes;
+  even classes are ``present & ~odd``, their number e is the popcount of
+  present & ~odd, and the lowest of them is one bit operation away;
 * ``unc[v]`` and ``last[v]``: the number of uncolored neighbors and the xor
   of their ids, which is the last uncolored neighbor when one is left.
 
@@ -153,8 +153,6 @@ def _vertex_order(g: Graph, order) -> list[int]:
     if order == "degree":
         # the sort is stable, so ties stay in index order
         return sorted(range(g.n), key=[len(a) for a in g.adj].__getitem__, reverse=True)
-    if order == "index":
-        return list(range(g.n))
     if isinstance(order, (list, tuple)):
         if sorted(order) != list(range(g.n)):
             raise InvalidParameterError("explicit order must be a permutation of the vertices")
@@ -253,7 +251,6 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
     cnt = [[0] * (k + 1) for _ in range(n)]
     odd = [0] * n  # colors on an odd number of colored neighbors
     present = [0] * n  # colors on at least one colored neighbor
-    evp = [0] * n  # positive even color classes among colored neighbors
     unc = [len(a) for a in adj]
     last = [0] * n  # xor of the uncolored neighbors' ids
     for v in range(n):
@@ -277,7 +274,7 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
         allowed = -1
         for v in adj[u]:
             r = unc[v]
-            e = evp[v]
+            e = (present[v] & ~odd[v]).bit_count()
             if r == 1:
                 # forcing: u must repair v's one even class; exclusion: with
                 # none, u must avoid every color around v (e <= r always)
@@ -387,10 +384,6 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 cv[c] = x + 1
                 if not x:
                     present[v] |= cb
-                elif x & 1:
-                    evp[v] += 1
-                else:
-                    evp[v] -= 1
                 odd[v] ^= cb
                 unc[v] -= 1
                 last[v] ^= u
@@ -411,10 +404,6 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 cv[c] = x
                 if not x:
                     present[v] ^= cb
-                elif x & 1:
-                    evp[v] -= 1
-                else:
-                    evp[v] += 1
                 odd[v] ^= cb
                 unc[v] += 1
                 last[v] ^= u

@@ -43,6 +43,11 @@ def class_sizes_on(g: Graph, c, subset) -> dict[int, int]:
     return sizes
 
 
+def cycle_vertices(g: Graph) -> list[int]:
+    """The vertices a family graph labels "cycle:i", sorted."""
+    return sorted(v for v, role in g.labels.items() if role.startswith("cycle:"))
+
+
 def c4_with_pendants() -> tuple[Graph, Coloring]:
     """The 4-cycle colored 1, 2, 1, 2 with one pendant per vertex in the
     other color: a strong odd 2-coloring of a supergraph of C4, which

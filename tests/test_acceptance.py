@@ -12,15 +12,15 @@ from time import perf_counter
 
 import pytest
 
-from helpers import c4_with_pendants, class_sizes_on, is_two_distance_on, random_graph
+from helpers import c4_with_pendants, class_sizes_on, cycle_vertices, is_two_distance_on, random_graph
 from strongodd import (
     BipyramidUnion,
+    Cycle,
     JoinCycleEmpty,
     Wheel,
     brute_force_so,
     build,
     chromatic_strong_odd,
-    cycle,
     decide_k,
     is_strong_odd,
     join_coloring,
@@ -197,7 +197,7 @@ def test_criterion_8_witness_parity_and_distance(wheel_solves, hard_wheel_decide
     with criterion(8) as rec:
         for g, w in witnesses:
             assert w is not None
-            cyc = g.vertices_with_role_prefix("cycle:")
+            cyc = cycle_vertices(g)
             assert all(k % 2 for k in class_sizes_on(g, w, cyc).values() if k), (g, w)
             assert is_two_distance_on(g, w, cyc), (g, w)
         rec.detail = f"{len(witnesses)} solver witnesses: cycle classes odd, 2-distance holds"
@@ -208,5 +208,5 @@ def test_criterion_9_non_monotonicity_witness():
         g, c = c4_with_pendants()
         assert is_strong_odd(g, c)
         assert len(c.palette) == 2
-        assert brute_force_so(cycle(4)).value == 4
+        assert brute_force_so(build(Cycle(4))).value == 4
         rec.detail = "supergraph of the 4-color cycle colored with 2"

@@ -75,6 +75,19 @@ class TestGen:
                            "-o", str(tmp_path / "j.col"), "--embed")
         assert code == 1 and "embedding" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["empty", "--m", "4"],
+        ["complete", "--k", "5"],
+        ["join-cycle-empty", "--n", "5", "--m", "2"],
+    ], ids=lambda v: v[0])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_embed_unsupported_writes_nothing(self, tmp_path, capsys, argv, to_file):
+        out = tmp_path / "j.col"
+        code, stdout, err = run(capsys, "gen", "--family", *argv, "--embed", *(["-o", str(out)] if to_file else []))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_parameter(self, capsys):
         assert run(capsys, "gen", "--family", "wheel")[0] == 1
 

@@ -6,13 +6,14 @@ from helpers import c4_with_pendants, class_sizes_on, is_two_distance_on
 from strongodd import (
     BipyramidUnion,
     Coloring,
+    Cycle,
     Graph,
     InvalidColoringError,
     InvalidParameterError,
+    ParityEntry,
     ParseError,
     Wheel,
     build,
-    cycle,
     format_coloring,
     is_odd_coloring,
     is_proper,
@@ -45,36 +46,36 @@ class TestColoringType:
 
     def test_partial_coloring_rejected(self):
         with pytest.raises(InvalidColoringError):
-            is_proper(cycle(3), Coloring([1, 2]))
+            is_proper(build(Cycle(3)), Coloring([1, 2]))
 
 
 class TestIsProper:
     def test_rainbow_triangle(self):
-        assert is_proper(cycle(3), [1, 2, 3])
+        assert is_proper(build(Cycle(3)), [1, 2, 3])
 
     def test_monochromatic_edge(self):
-        assert not is_proper(cycle(3), [1, 1, 2])
+        assert not is_proper(build(Cycle(3)), [1, 1, 2])
 
     def test_seventeen_coloring_of_glued_bipyramids(self):
         g = build(BipyramidUnion(8, 8))
         assert is_proper(g, union_coloring(8, 8))
 
     def test_violations_listed(self):
-        assert proper_violations(cycle(4), [1, 1, 2, 2]) == [(0, 1), (2, 3)]
+        assert proper_violations(build(Cycle(4)), [1, 1, 2, 2]) == [(0, 1), (2, 3)]
 
 
 class TestIsOdd:
     def test_c4_alternating_fails(self):
-        assert not is_odd_coloring(cycle(4), [1, 2, 1, 2])
+        assert not is_odd_coloring(build(Cycle(4)), [1, 2, 1, 2])
 
     def test_c4_needs_four_for_odd(self):
         # with colors (1,2,1,3) the vertices between the repeated 1s see
         # {1,1}: an even count and nothing else, so no odd color exists
-        assert not is_odd_coloring(cycle(4), [1, 2, 1, 3])
-        assert is_odd_coloring(cycle(4), [1, 2, 3, 4])
+        assert not is_odd_coloring(build(Cycle(4)), [1, 2, 1, 3])
+        assert is_odd_coloring(build(Cycle(4)), [1, 2, 3, 4])
 
     def test_c6_repeating_triple(self):
-        assert is_odd_coloring(cycle(6), [1, 2, 3, 1, 2, 3])
+        assert is_odd_coloring(build(Cycle(6)), [1, 2, 3, 1, 2, 3])
 
     def test_all_distinct_always_odd(self):
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
@@ -87,8 +88,8 @@ class TestIsOdd:
 
 class TestIsStrongOdd:
     def test_c4_needs_four(self):
-        assert is_strong_odd(cycle(4), [1, 2, 3, 4])
-        assert not is_strong_odd(cycle(4), [1, 2, 1, 3])
+        assert is_strong_odd(build(Cycle(4)), [1, 2, 3, 4])
+        assert not is_strong_odd(build(Cycle(4)), [1, 2, 1, 3])
 
     def test_pendant_repaired_c4(self):
         g, c = c4_with_pendants()
@@ -115,19 +116,28 @@ class TestIsStrongOdd:
 
 class TestParityReport:
     def test_violations_are_even_positive(self):
-        rep = parity_report(cycle(4), [1, 2, 1, 2])
-        assert len(rep.violations) == 4
-        assert all(e.count == 2 for e in rep.violations)
-        assert not rep.ok
+        rep = parity_report(build(Cycle(4)), [1, 2, 1, 2])
+        assert len(rep) == 4
+        assert all(e.count == 2 for e in rep)
 
     def test_zero_counts_absent(self):
-        rep = parity_report(cycle(4), [1, 2, 3, 4])
-        assert rep.ok
-        assert all(e.count > 0 for e in rep.entries)
+        # every vertex of C4 has two colors absent around it, and even counts
+        # of zero are no violation
+        assert parity_report(build(Cycle(4)), [1, 2, 3, 4]) == []
 
     def test_entry_parity_flag(self):
-        rep = parity_report(cycle(3), [1, 2, 3])
-        assert all(e.odd for e in rep.entries)
+        # the hub sees color 2 twice and color 3 three times: only the even
+        # class is a row, and each leaf's single neighbor is an odd class
+        g = Graph(6, [(0, v) for v in range(1, 6)])
+        assert parity_report(g, [1, 2, 2, 3, 3, 3]) == [ParityEntry(0, 2, 2)]
+
+    @settings(max_examples=150)
+    @given(graph_and_coloring())
+    def test_empty_exactly_when_proper_coloring_is_strong_odd(self, gc):
+        # verify lists these rows for a proper coloring that is not strong odd
+        g, c = gc
+        if is_proper(g, c):
+            assert (parity_report(g, c) == []) == is_strong_odd(g, c)
 
 
 class TestTwoDistance:
@@ -135,13 +145,13 @@ class TestTwoDistance:
     criterion 8 apply to solver witnesses (tests/helpers.py)."""
 
     def test_c8_period_four(self):
-        assert is_two_distance_on(cycle(8), [1, 2, 3, 4, 1, 2, 3, 4], range(8))
+        assert is_two_distance_on(build(Cycle(8)), [1, 2, 3, 4, 1, 2, 3, 4], range(8))
 
     def test_c6_alternating_fails(self):
-        assert not is_two_distance_on(cycle(6), [1, 2, 1, 2, 1, 2], range(6))
+        assert not is_two_distance_on(build(Cycle(6)), [1, 2, 1, 2, 1, 2], range(6))
 
     def test_singleton_vacuous(self):
-        assert is_two_distance_on(cycle(6), [1, 1, 1, 1, 1, 1], [2])
+        assert is_two_distance_on(build(Cycle(6)), [1, 1, 1, 1, 1, 1], [2])
 
     def test_distance_measured_in_induced_subgraph(self):
         # 0 and 2 are at distance 2 through 1, but not within {0, 2}
@@ -151,7 +161,7 @@ class TestTwoDistance:
 
     def test_subset_out_of_range(self):
         with pytest.raises(InvalidParameterError):
-            is_two_distance_on(cycle(3), [1, 2, 3], [5])
+            is_two_distance_on(build(Cycle(3)), [1, 2, 3], [5])
 
 
 class TestClassParity:
@@ -164,7 +174,7 @@ class TestClassParity:
         assert sorted(k for k in sizes.values() if k) == [3, 3, 3]
 
     def test_empty_subset(self):
-        sizes = class_sizes_on(cycle(3), [1, 2, 3], [])
+        sizes = class_sizes_on(build(Cycle(3)), [1, 2, 3], [])
         assert sizes == {1: 0, 2: 0, 3: 0}
 
     def test_w14_proof_pattern(self):

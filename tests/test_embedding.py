@@ -15,8 +15,6 @@ from strongodd import (
     UnsupportedFamilyError,
     Wheel,
     build,
-    complete,
-    cycle,
     embed_family,
     verify_embedding,
 )
@@ -32,11 +30,11 @@ class TestVerifyEmbedding:
 
     def test_c4_two_faces(self):
         rot = [[1, 3], [2, 0], [3, 1], [0, 2]]
-        faces, ok = verify_embedding(cycle(4), rot)
+        faces, ok = verify_embedding(build(Cycle(4)), rot)
         assert (faces, ok) == (2, True)
 
     def test_k5_has_no_planar_rotation(self):
-        g = complete(5)
+        g = build(Complete(5))
         # all rotation systems up to rotation of each cyclic order: 3!^5 = 7776
         per_vertex = []
         for v in range(5):
@@ -56,11 +54,11 @@ class TestVerifyEmbedding:
 
     def test_rotation_mismatch_rejected(self):
         with pytest.raises(InvalidRotationError):
-            verify_embedding(cycle(3), [[1, 2], [0, 2], [0, 0]])
+            verify_embedding(build(Cycle(3)), [[1, 2], [0, 2], [0, 0]])
 
     def test_rotation_wrong_length(self):
         with pytest.raises(InvalidRotationError):
-            verify_embedding(cycle(3), [[1, 2], [0, 2]])
+            verify_embedding(build(Cycle(3)), [[1, 2], [0, 2]])
 
 
 class TestEmbedFamily:

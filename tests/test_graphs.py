@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import cycle_vertices
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
+    Complete,
     Cycle,
     Graph,
     InvalidParameterError,
@@ -14,9 +16,6 @@ from strongodd import (
     ParseError,
     Wheel,
     build,
-    complete,
-    cycle,
-    empty,
     from_dimacs,
     one_point_union,
     to_dimacs,
@@ -75,36 +74,32 @@ class TestGraphType:
 
 class TestCycleConstructor:
     def test_triangle(self):
-        g = cycle(3)
+        g = build(Cycle(3))
         assert (g.n, g.edge_count) == (3, 3)
 
     def test_c4_regular(self):
-        g = cycle(4)
-        assert all(g.degree(v) == 2 for v in range(4))
+        g = build(Cycle(4))
+        assert all(len(g.adj[v]) == 2 for v in range(4))
 
     def test_c8_edges(self):
-        assert cycle(8).edge_count == 8
-
-    def test_too_small(self):
-        with pytest.raises(InvalidParameterError):
-            cycle(2)
+        assert build(Cycle(8)).edge_count == 8
 
     def test_labels(self):
-        assert cycle(5).labels[3] == "cycle:3"
+        assert build(Cycle(5)).labels[3] == "cycle:3"
 
 
 class TestOnePointUnion:
     def test_single_part_keeps_adjacency(self):
-        g = cycle(5)
+        g = build(Cycle(5))
         u = one_point_union([(g, 2)])
         assert u.n == g.n and u.adj == g.adj
         assert u.labels[2] == "x"
 
     def test_two_k2_make_path(self):
-        k2 = complete(2)
+        k2 = build(Complete(2))
         u = one_point_union([(k2, 0), (k2, 0)])
         assert (u.n, u.edge_count) == (3, 2)
-        assert u.degree(0) == 2  # the glued vertex is the middle of the path
+        assert len(u.adj[0]) == 2  # the glued vertex is the middle of the path
 
     def test_union_of_bipyramids_vertex_count(self):
         g8 = build(Bipyramid(8))
@@ -112,14 +107,14 @@ class TestOnePointUnion:
         assert u.n == 10 + 10 - 1
 
     def test_three_copies_make_star(self):
-        k2 = complete(2)
+        k2 = build(Complete(2))
         u = one_point_union([(k2, 0), (k2, 0), (k2, 0)])
         assert (u.n, u.edge_count) == (4, 3)
-        assert u.degree(0) == 3 and all(u.degree(v) == 1 for v in range(1, 4))
+        assert len(u.adj[0]) == 3 and all(len(u.adj[v]) == 1 for v in range(1, 4))
 
     def test_bad_designated_vertex(self):
         with pytest.raises(InvalidParameterError):
-            one_point_union([(cycle(3), 7)])
+            one_point_union([(build(Cycle(3)), 7)])
 
     def test_empty_parts(self):
         with pytest.raises(InvalidParameterError):
@@ -142,17 +137,18 @@ class TestOnePointUnion:
                 nxt += 1
         for a in range(g2.n):
             for b in range(a + 1, g2.n):
-                assert g2.has_edge(a, b) == u.has_edge(mapping[a], mapping[b])
+                assert (b in g2.adj[a]) == (mapping[b] in u.adj[mapping[a]])
         for a in range(g1.n):
             for b in range(a + 1, g1.n):
-                assert g1.has_edge(a, b) == u.has_edge(a, b)
+                assert (b in g1.adj[a]) == (b in u.adj[a])
 
 
 # sha256 of the concatenated to_dimacs(build(spec)) over each grid, taken
-# when build was still checked against a composition of the public
-# constructors: join(cycle(n), complete(1)) for a wheel, join(cycle(n),
-# empty(m)) for the hub joins and bipyramids, and one_point_union of two
-# bipyramids at their y apexes, each relabelled to the specs' roles
+# when build was still checked against a composition of earlier public
+# constructors (since deleted): the n-cycle joined with one vertex for a
+# wheel and with m independent vertices for the hub joins and bipyramids,
+# and one_point_union of two bipyramids at their y apexes, each relabelled
+# to the specs' roles
 COMPOSED_GRID = {
     "wheel": ([Wheel(n) for n in range(3, 31)],
               "ec431a3d81db889fc02c9482fa965d46089350cc45f33004561384ec47c9c3e1"),
@@ -183,18 +179,19 @@ class TestBuild:
     def test_bipyramid_8(self):
         g = build(Bipyramid(8))
         assert (g.n, g.edge_count) == (10, 24)
-        assert g.vertex_with_role("x") == 8 and g.vertex_with_role("y") == 9
+        assert g.labels == {v: f"cycle:{v}" for v in range(8)} | {8: "x", 9: "y"}
 
     def test_union_layout(self):
         g = build(BipyramidUnion(8, 8))
-        assert g.vertex_with_role("y") == 9
-        assert g.vertices_with_role_prefix("cycle:") == list(range(8)) + list(range(10, 18))
+        assert [v for v, role in g.labels.items() if role == "y"] == [9]
+        assert cycle_vertices(g) == list(range(8)) + list(range(10, 18))
         y = 9
-        assert g.degree(y) == 16  # adjacent to both cycles, not to either x apex
+        assert len(g.adj[y]) == 16  # adjacent to both cycles, not to either x apex
 
     def test_join_cycle_empty_labels(self):
         g = build(JoinCycleEmpty(5, 3))
-        assert g.vertices_with_role_prefix("hub:") == [5, 6, 7]
+        assert {v: role for v, role in g.labels.items() if role.startswith("hub:")} == {
+            5: "hub:0", 6: "hub:1", 7: "hub:2"}
 
     def test_spec_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -205,7 +202,7 @@ class TestBuild:
 
 class TestDimacs:
     def test_c3_format(self):
-        text = to_dimacs(cycle(3), include_labels=False)
+        text = to_dimacs(build(Cycle(3)), include_labels=False)
         assert text == "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
     def test_round_trip_union(self):

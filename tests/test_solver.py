@@ -5,7 +5,7 @@ from time import perf_counter
 import pytest
 
 import strongodd.solver
-from helpers import class_sizes_on, is_two_distance_on, random_graph
+from helpers import class_sizes_on, cycle_vertices, is_two_distance_on, random_graph
 from strongodd.solver import _clique_lower_bound, _dependent_triples
 from strongodd import (
     Bipyramid,
@@ -24,10 +24,7 @@ from strongodd import (
     brute_force_so,
     build,
     chromatic_strong_odd,
-    complete,
-    cycle,
     decide_k,
-    empty,
     is_strong_odd,
 )
 
@@ -40,7 +37,7 @@ def small_corpus(seed=424242, count=40):
 
 class TestDecideK:
     def test_c4_threshold(self):
-        g = cycle(4)
+        g = build(Cycle(4))
         assert decide_k(g, 3).answer == "no"
         assert decide_k(g, 4).answer == "yes"
 
@@ -57,7 +54,7 @@ class TestDecideK:
 
     def test_invalid_k(self):
         with pytest.raises(InvalidParameterError):
-            decide_k(cycle(3), 0)
+            decide_k(build(Cycle(3)), 0)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -78,7 +75,7 @@ class TestDecideK:
     def test_order_independent(self):
         for g in small_corpus(seed=99, count=20):
             for k in range(1, g.n + 1):
-                assert decide_k(g, k, order="degree").answer == decide_k(g, k, order="index").answer
+                assert decide_k(g, k).answer == decide_k(g, k, order=list(range(g.n))).answer
 
     def test_explicit_order(self):
         g = build(Wheel(6))
@@ -88,11 +85,11 @@ class TestDecideK:
     def test_failed_witness_check_raises_internal_error(self, monkeypatch):
         monkeypatch.setattr(strongodd.solver, "is_strong_odd", lambda g, c: False)
         with pytest.raises(InternalError, match="invalid witness"):
-            decide_k(cycle(3), 3)
+            decide_k(build(Cycle(3)), 3)
 
     def test_bad_order(self):
         with pytest.raises(InvalidParameterError):
-            decide_k(cycle(3), 2, order=[0, 0, 1])
+            decide_k(build(Cycle(3)), 2, order=[0, 0, 1])
 
 
 class TestNodeCounts:
@@ -115,6 +112,12 @@ class TestNodeCounts:
             (BipyramidUnion(7, 7), 14, 3_330),
             (BipyramidUnion(8, 8), 16, 11_923),
             (BipyramidUnion(8, 11), 13, 3_259),
+            # the rest of the refute benchmark's pool
+            (JoinCycleEmpty(19, 4), 6, 170_214),
+            (BipyramidUnion(4, 8), 12, 3_989),
+            (BipyramidUnion(5, 9), 8, 150),
+            (BipyramidUnion(6, 7), 13, 2_529),
+            (BipyramidUnion(9, 10), 7, 1_168),
         ],
     )
     def test_refutation_nodes(self, spec, k, nodes):
@@ -152,7 +155,7 @@ def assert_decides_every_k(g):
     """decide_k says yes exactly from the oracle's value on, at every k and
     in both orders, so no rule kills a coloring that exists at some k."""
     value = brute_force_so(g).value
-    for order in ("degree", "index"):
+    for order in ("degree", list(range(g.n))):
         answers = [decide_k(g, k, order=order).answer for k in range(1, g.n + 1)]
         assert answers == ["no"] * (value - 1) + ["yes"] * (g.n + 1 - value), order
 
@@ -244,7 +247,7 @@ class TestDependentTriples:
     def test_six_cycle(self):
         # {0, 2, 4} and {1, 3, 5} are the triples; u sees two members of the
         # one it is not in, and the third member is u's antipode
-        assert _dependent_triples(cycle(6)) == [((u + 3) % 6,) for u in range(6)]
+        assert _dependent_triples(build(Cycle(6))) == [((u + 3) % 6,) for u in range(6)]
 
     def test_solve_enumerates_once(self, monkeypatch):
         calls = []
@@ -275,12 +278,12 @@ class TestSoundnessAtEveryK:
 
 class TestChromatic:
     def test_c4(self):
-        r = chromatic_strong_odd(cycle(4))
+        r = chromatic_strong_odd(build(Cycle(4)))
         assert r.status == "exact" and r.value == 4
 
     def test_complete_graphs(self):
         for n in range(1, 7):
-            r = chromatic_strong_odd(complete(n))
+            r = chromatic_strong_odd(build(Complete(n)))
             assert r.value == n
 
     def test_w9(self):
@@ -292,7 +295,7 @@ class TestChromatic:
         assert chromatic_strong_odd(build(Wheel(15))).value == 4
 
     def test_edgeless(self):
-        r = chromatic_strong_odd(empty(5))
+        r = chromatic_strong_odd(build(Empty(5)))
         assert r.value == 1
         assert chromatic_strong_odd(Graph(1)).value == 1
 
@@ -315,7 +318,7 @@ class TestChromatic:
 
         monkeypatch.setattr(strongodd.solver, "_scan", scan_with_small_witness)
         with pytest.raises(InternalError, match="palette differs"):
-            chromatic_strong_odd(cycle(5))
+            chromatic_strong_odd(build(Cycle(5)))
 
     def test_node_budget_returns_bounds(self):
         g = build(Wheel(12))
@@ -371,6 +374,8 @@ class TestOneScan:
 
     @staticmethod
     def scanned(g, order):
+        if order == "index":  # the identity permutation
+            order = list(range(g.n))
         r = chromatic_strong_odd(g, order=order)
         start = max(1, _clique_lower_bound(g))
         return r, [decide_k(g, k, order=order) for k in range(start, r.value + 1)]
@@ -447,7 +452,7 @@ class TestColorsAboveN:
     """A graph never needs more than n colors, so decide_k treats k > n as n."""
 
     def test_same_search_as_k_equal_n(self):
-        graphs = small_corpus(seed=77, count=30) + [build(Wheel(9)), cycle(7), build(BipyramidUnion(3, 3))]
+        graphs = small_corpus(seed=77, count=30) + [build(Wheel(9)), build(Cycle(7)), build(BipyramidUnion(3, 3))]
         for g in graphs:
             at_n = decide_k(g, g.n)
             for k in (g.n + 1, g.n + 5, g.n + 40):
@@ -459,7 +464,7 @@ class TestColorsAboveN:
 
         tracemalloc.start()
         try:
-            r = decide_k(cycle(5), 10**6)
+            r = decide_k(build(Cycle(5)), 10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -469,10 +474,10 @@ class TestColorsAboveN:
 
 class TestBruteForce:
     def test_c4(self):
-        assert brute_force_so(cycle(4)).value == 4
+        assert brute_force_so(build(Cycle(4))).value == 4
 
     def test_c3(self):
-        assert brute_force_so(cycle(3)).value == 3
+        assert brute_force_so(build(Cycle(3))).value == 3
 
     def test_union_3_3(self):
         assert brute_force_so(build(BipyramidUnion(3, 3))).value == 7
@@ -511,6 +516,6 @@ class TestJoinWitnessStructure:
         g = build(JoinCycleEmpty(n, m))
         r = chromatic_strong_odd(g)
         assert r.status == "exact"
-        cyc = g.vertices_with_role_prefix("cycle:")
+        cyc = cycle_vertices(g)
         assert all(k % 2 for k in class_sizes_on(g, r.witness, cyc).values() if k)
         assert is_two_distance_on(g, r.witness, cyc)
