@@ -118,12 +118,7 @@ class Certificate:
         return cls(**{k: data[k] for k in required})
 
 
-def make_union_certificate(
-    m: int,
-    n: int,
-    try_exact_budget: Budget | None = None,
-    extra_notes: list[str] | None = None,
-) -> Certificate:
+def make_union_certificate(m: int, n: int, try_exact_budget: Budget | None = None) -> Certificate:
     """Build, check, and bundle the glued-bipyramid certificate for (m, n).
 
     The graph is built once, and the constructed coloring is judged on it
@@ -171,9 +166,6 @@ def make_union_certificate(
                 f"refutation attempt at {claimed - 1} colors exhausted its budget "
                 f"({r.reason}, {r.nodes} nodes); claim stays upper-bound"
             )
-    if extra_notes:
-        notes.extend(extra_notes)
-
     failed = [c["name"] for c in checks if not c["ok"]]
     if failed:
         raise CertificationError(f"certificate checks failed: {failed}")
@@ -202,8 +194,9 @@ def counterexample(n: int, try_exact_budget: Budget | None = None) -> Certificat
         raise InvalidParameterError(
             f"the 14-color family needs n > 9 with n = 1 or 5 (mod 6), got {n}"
         )
-    note = "member of the infinite family of planar graphs needing 14 colors"
-    return make_union_certificate(8, n, try_exact_budget, [note])
+    cert = make_union_certificate(8, n, try_exact_budget)
+    cert.notes.append("member of the infinite family of planar graphs needing 14 colors")
+    return cert
 
 
 def counterexample_pair(m: int, n: int, try_exact_budget: Budget | None = None) -> Certificate:

@@ -20,7 +20,7 @@ search keeps, per vertex v, over its colored neighbors:
 * ``unc[v]`` and ``last[v]``: the number of uncolored neighbors and the xor
   of their ids, which is the last uncolored neighbor when one is left.
 
-It prunes on six sound rules:
+It prunes on five sound rules:
 
 * counting: each uncolored neighbor can repair at most one even class, so a
   vertex with more positive even classes than uncolored neighbors is dead
@@ -31,9 +31,6 @@ It prunes on six sound rules:
   beside it;
 * exclusion: a vertex with one uncolored neighbor left and no even class
   forbids that neighbor every color currently present around the vertex;
-* no fresh color: once all k colors are in use, a vertex with one uncolored
-  neighbor left and no even class is dead unless some color is absent both
-  around the vertex and beside that neighbor;
 * parity: a vertex v with r uncolored neighbors and e positive even classes
   is dead when r - e is odd and at most one of the colors 1..k is absent
   around it.  Every final class is empty or odd, so the remaining
@@ -54,33 +51,43 @@ It prunes on six sound rules:
   bipyramids the two x apexes and the shared y form such a triple, and
   the rule is the disjoint-palette argument for the two cycles.
 
-Properness is enforced by the candidate set.  All six rules are applied in
+Properness is enforced by the candidate set.  All five rules are applied in
 one place, before assignment: for the vertex u to be colored, ``options``
 returns the colors tried (properness, the canonical cap, and forcing and
 exclusion from neighbors that u completes) and the viable subset whose
 assignment keeps every rule true at every neighbor of u, read off the masks
 without changing any state.  Only coloring a neighbor of v changes v's
-state, and ``options`` checks every such step, so no rule needs checking
-anywhere else.  For parity that check is one condition: a color already
-present around v leaves both the parity of r - e and the absent colors as
-they were, so only a color absent around v, taken while r - e is even, can
-break the rule, and it does when at most two colors are absent around v
-before it.  ``options`` evaluates it only where it can bite: elsewhere
-r - e is odd, or forcing or counting already confines u to the colors
-present around v.  For dependence, a color only ever becomes present
-around a vertex, never absent again while the search descends, so a state
-that breaks the rule stays broken and it suffices to refuse the step that
-makes a color present around the last of the three.  That step colors a
-vertex u seeing two of them, and the color is already present around the
-third, which u does not see; ``_dependent_triples`` lists those third
-members per vertex once per graph, one per class of twins, within the
-time budget, and ``options`` kills the colors present around them.  Every
-tried color is one search node, counted in ascending order, whether the
-search descends into it or the rules had already killed it; dead colors
-are counted in bulk by popcount.  The search runs on an explicit stack,
-one frame per colored vertex, so its depth is not limited by Python's
-recursion limit.  Every yes answer is re-checked through the public
-verifier before it is returned.
+state, and ``options`` checks every such step, so counting, parity and
+dependence need no check anywhere else.  For parity that check is one
+condition: a color already present around v leaves both the parity of r - e
+and the absent colors as they were, so only a color absent around v, taken
+while r - e is even, can break the rule, and it does when at most two
+colors are absent around v before it.  ``options`` evaluates it only where
+it can bite: elsewhere r - e is odd, or forcing or counting already
+confines u to the colors present around v.  For dependence, a color only
+ever becomes present around a vertex, never absent again while the search
+descends, so a state that breaks the rule stays broken and it suffices to
+refuse the step that makes a color present around the last of the three.
+That step colors a vertex u seeing two of them, and the color is already
+present around the third, which u does not see; ``_dependent_triples``
+lists those third members per vertex once per graph, one per class of
+twins, within the time budget, and ``options`` kills the colors present
+around them.
+
+When v has r = 2, ``options`` also applies forcing and exclusion one step
+early, at w, the neighbor of v still uncolored after u: w must keep a
+color, the even class u leaves or, with none left, one absent around v, and
+not one beside w.  Unused colors are absent everywhere, so this needs no
+test for all k colors being in use.  It is checked once, when u is colored;
+a color that appears beside w later is caught at w's own step by the r = 1
+rule on the tried colors.
+
+Every tried color is one search node, counted in ascending order, whether
+the search descends into it or the rules had already killed it; dead colors
+are counted in bulk by popcount.  The search runs on an explicit stack, one
+frame per colored vertex, so its depth is not limited by Python's recursion
+limit.  Every yes answer is re-checked through the public verifier before
+it is returned.
 
 ``chromatic_strong_odd`` makes one scan per graph: the order, the triples,
 the deadline and the state above are set up once, and k, k + 1, ... are
@@ -268,62 +275,21 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
         neighbor is u; viable holds those that also keep every rule true
         at every neighbor once u has them."""
         cap = maxused + 1 if maxused < k else k
-        # colors after which no fresh color is left for later vertices
-        nofresh = full if maxused >= k else 1 << k
         tried = ((2 << cap) - 2) & ~present[u]
         allowed = -1
         for v in adj[u]:
             r = unc[v]
-            e = (present[v] & ~odd[v]).bit_count()
+            p = present[v]
+            ev = p & ~odd[v]
             if r == 1:
                 # forcing: u must repair v's one even class; exclusion: with
                 # none, u must avoid every color around v (e <= r always)
-                tried &= present[v] & ~odd[v] if e else ~present[v]
-            elif r == 2:
-                # after u, w is the last uncolored neighbor of v
-                p = present[v]
-                pw = present[last[v] ^ u]
-                if e == 2:
-                    # counting: u repairs one even class; forcing: w then
-                    # needs the other one, so it must not appear beside w
-                    ev = p & ~odd[v]
-                    lo = ev & -ev
-                    hi = ev ^ lo
-                    allowed &= (0 if hi & pw else lo) | (0 if lo & pw else hi)
-                elif e == 1:
-                    # forcing: a color new to v leaves the even class for w;
-                    # no fresh color: repairing it leaves w needing a color
-                    # absent around v and beside w; counting kills odd colors
-                    ev = p & ~odd[v]
-                    a = ev if full & ~p & ~pw else ev & ~nofresh
-                    if not ev & pw:
-                        a |= ~p
-                    allowed &= a
-                else:
-                    # parity: a color new to v makes r - e odd, so it must
-                    # leave two colors absent around v, which at most two
-                    # absent now cannot; no fresh color: a color new to v
-                    # leaves w needing a
-                    # different color absent around v and beside w; forcing:
-                    # a color already at v turns even and is forced on w,
-                    # which must not see it, from u included
-                    absent = full & ~p
-                    free = absent & ~pw
-                    absent &= absent - 1
-                    if not absent & (absent - 1):
-                        a = 0
-                    elif not free:
-                        a = ~p & ~nofresh
-                    elif free & (free - 1):
-                        a = ~p
-                    else:
-                        a = ~p & ~(nofresh & free)
-                    if u not in adj[last[v] ^ u]:
-                        a |= p & ~pw
-                    allowed &= a
-            elif e == r:
+                tried &= ev if ev else ~p
+                continue
+            e = ev.bit_count()
+            if e == r:
                 # counting: only repairing an even class keeps v alive
-                allowed &= present[v] & ~odd[v]
+                allowed &= ev
             elif e == r - 1:
                 # counting: an odd color would add an even class
                 allowed &= ~odd[v]
@@ -331,10 +297,29 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 # parity: a color new to v would make r - e odd, which needs
                 # two colors absent around v after it, so with at most two
                 # absent now only the present colors stay
-                absent = full & ~present[v]
+                absent = full & ~p
                 absent &= absent - 1
                 if not absent & (absent - 1):
-                    allowed &= present[v]
+                    allowed &= p
+            if r == 2:
+                # forcing and exclusion at w, v's last uncolored neighbor
+                # after u; free holds the colors around neither v nor w
+                pw = present[last[v] ^ u]
+                free = full & ~p & ~pw
+                if e == 2:
+                    # u repairs one even class and leaves w the other
+                    lo = ev & -ev
+                    hi = ev ^ lo
+                    allowed &= (0 if hi & pw else lo) | (0 if lo & pw else hi)
+                elif e:
+                    # repairing the class leaves w a free color to find; a
+                    # color new to v leaves the class to w
+                    allowed &= (ev if free else 0) | (0 if ev & pw else ~p)
+                else:
+                    # a color new to v must leave w another free color; one at
+                    # v turns even and is forced on w, which must not see it or u
+                    a = 0 if not free else ~p if free & (free - 1) else ~p & ~free
+                    allowed &= a | (0 if u in adj[last[v] ^ u] else p & ~pw)
         if third:
             # dependence: u sees the other two members of each triple of a
             # listed z, so a color present around z would then be present

@@ -74,3 +74,16 @@ def traced_faces(g: Graph, rotation) -> int:
             seen.add((u, v))
             u, v = v, successor[v, u]
     return faces
+
+
+def stacked_triangulation(n: int, rng: random.Random) -> Graph:
+    """A random stacked triangulation on n >= 3 vertices (each new vertex
+    goes into a random face of the last), with each edge then dropped with
+    probability 0.2; planar, as every subgraph of a planar graph is."""
+    edges = {(0, 1), (0, 2), (1, 2)}
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges |= {(a, v), (b, v), (c, v)}
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return Graph(n, [e for e in sorted(edges) if rng.random() >= 0.2])

@@ -1,10 +1,12 @@
 """The public surface: the names ``strongodd`` exports, and the README's
-library quick start run as written."""
+library quick start and command line block run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 import strongodd
+from strongodd import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +35,16 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    # the block runs in order in an empty directory, each line through the
+    # console script's entry point; the --decide 6 line is the documented
+    # refutation (W14 needs 7 colors), exit code 2
+    blocks = re.findall(r"^## Command line\n.*?^```\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    for line in blocks[0].splitlines():
+        prog, *argv = shlex.split(line)
+        assert prog == "strongodd"
+        assert cli.main(argv) == (2 if "--decide 6" in line else 0), (line, capsys.readouterr().err)

@@ -5,7 +5,7 @@ from time import perf_counter
 import pytest
 
 import strongodd.solver
-from helpers import class_sizes_on, cycle_vertices, is_two_distance_on, random_graph
+from helpers import class_sizes_on, cycle_vertices, is_two_distance_on, random_graph, stacked_triangulation
 from strongodd.solver import _clique_lower_bound, _dependent_triples
 from strongodd import (
     Bipyramid,
@@ -123,6 +123,28 @@ class TestNodeCounts:
     def test_refutation_nodes(self, spec, k, nodes):
         r = decide_k(build(spec), k)
         assert (r.answer, r.nodes) == ("no", nodes)
+
+    @pytest.mark.parametrize(
+        "kind,n,seed,degree_order,shuffled_order",
+        [
+            ("planar", 14, 2, ("exact", 9, 1_586), ("exact", 9, 18_693)),
+            ("planar", 16, 1, ("exact", 9, 3_219), ("exact", 9, 39_758)),
+            ("planar", 20, 1, ("exact", 7, 27_766), ("exact", 7, 88_956)),
+            ("gnp", 16, 1, ("exact", 7, 681), ("exact", 7, 20_596)),
+            ("gnp", 18, 2, ("exact", 11, 2_318), ("exact", 11, 89_121)),
+            ("gnp", 20, 3, ("exact", 8, 7_991), ("exact", 8, 131_301)),
+        ],
+    )
+    def test_random_graph_nodes(self, kind, n, seed, degree_order, shuffled_order):
+        # planar: a stacked triangulation with 20 % of its edges dropped;
+        # gnp: G(n, 0.3); the same rng then draws the shuffled vertex order
+        rng = random.Random(seed)
+        g = stacked_triangulation(n, rng) if kind == "planar" else random_graph(n, 0.3, rng)
+        order = list(range(n))
+        rng.shuffle(order)
+        for o, pinned in (("degree", degree_order), (order, shuffled_order)):
+            r = chromatic_strong_odd(g, order=o)
+            assert (r.status, r.value, r.nodes) == pinned
 
     def test_budget_of_exactly_the_node_count_suffices(self):
         r = decide_k(build(Wheel(17)), 5, Budget(max_nodes=29))
