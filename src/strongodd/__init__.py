@@ -38,18 +38,7 @@ from .errors import (
     StrongOddError,
     UnsupportedFamilyError,
 )
-from .families import (
-    join_coloring,
-    join_formula,
-    join_formula_case,
-    union_coloring,
-    union_formula,
-    union_formula_case,
-    wheel_coloring,
-    wheel_cycle_pattern,
-    wheel_formula,
-    wheel_formula_case,
-)
+from .families import Formula, coloring_for, formula, wheel_cycle_pattern
 from .graphs import (
     Bipyramid,
     BipyramidUnion,
@@ -88,6 +77,7 @@ __all__ = [
     "EmbeddingCheck",
     "Empty",
     "FamilySpec",
+    "Formula",
     "Graph",
     "InternalError",
     "InvalidColoringError",
@@ -104,18 +94,17 @@ __all__ = [
     "brute_force_so",
     "build",
     "chromatic_strong_odd",
+    "coloring_for",
     "counterexample",
     "counterexample_pair",
     "decide_k",
     "embed_family",
     "format_coloring",
+    "formula",
     "from_dimacs",
     "is_odd_coloring",
     "is_proper",
     "is_strong_odd",
-    "join_coloring",
-    "join_formula",
-    "join_formula_case",
     "make_union_certificate",
     "one_point_union",
     "parity_report",
@@ -123,14 +112,8 @@ __all__ = [
     "proper_violations",
     "reverify_certificate",
     "to_dimacs",
-    "union_coloring",
-    "union_formula",
-    "union_formula_case",
     "verify_embedding",
-    "wheel_coloring",
     "wheel_cycle_pattern",
-    "wheel_formula",
-    "wheel_formula_case",
 ]
 
 __version__ = "0.1.0"

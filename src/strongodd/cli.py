@@ -1,15 +1,15 @@
 """Command-line surface: gen, verify, solve, formula, certify, oracle.
 
 Exit codes: 0 success, 1 parse or usage error (every package error but a
-certification failure, and any unreadable or non-UTF-8 file), 2 violation
-or refuted decision, 3 budget exhausted, 4 certification failure.  Output
-files are byte-deterministic; timestamps never appear in file content.
+certification failure, any unreadable or non-UTF-8 file, and running out
+of memory), 2 violation or refuted decision, 3 budget exhausted, 4
+certification failure.  Output files are byte-deterministic; neither
+timestamps nor durations appear in file content.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from dataclasses import fields
@@ -30,7 +30,7 @@ from .coloring import (
 )
 from .embedding import embed_family, verify_embedding
 from .errors import CertificationError, InvalidParameterError, StrongOddError
-from .families import join_formula_case, union_formula_case, wheel_formula_case
+from .families import formula
 from .graphs import (
     Bipyramid,
     BipyramidUnion,
@@ -67,8 +67,8 @@ _FAMILIES = {
 # the size options of gen: every field of a spec, first seen first
 _SIZE_OPTIONS = tuple(dict.fromkeys(f.name for cls in _FAMILIES.values() for f in fields(cls)))
 
-# formula kind -> (value, case) function; its signature names the parameters
-_FORMULAS = {"wheel": wheel_formula_case, "join": join_formula_case, "union": union_formula_case}
+# formula kind -> spec class; the spec's fields name the parameters
+_FORMULAS = {"wheel": Wheel, "join": JoinCycleEmpty, "union": BipyramidUnion}
 
 
 def _parse_duration(text: str) -> float:
@@ -193,12 +193,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    case_of = _FORMULAS[args.kind]
-    names = list(inspect.signature(case_of).parameters)
+    cls = _FORMULAS[args.kind]
+    names = [f.name for f in fields(cls)]
     if len(args.params) != len(names):
         count = "one parameter" if len(names) == 1 else "two parameters"
         raise InvalidParameterError(f"formula {args.kind} takes {count}: {' '.join(names)}")
-    value, case = case_of(*args.params)
+    value, case = formula(cls(*args.params))
     print(value)
     print(f"case: {case}")
     return EXIT_OK
@@ -249,14 +249,14 @@ def _cmd_certify(args) -> int:
         raise InvalidParameterError("--try-exact needs --timeout and/or --max-nodes")
     if budget is not None and not args.try_exact:
         raise InvalidParameterError("--timeout and --max-nodes only apply with --try-exact")
+    if not args.output:
+        raise InvalidParameterError("certify needs -o DIR to write the bundle")
     if args.pair:
         cert = counterexample_pair(args.pair[0], args.pair[1], budget)
     elif args.n is None:
         raise InvalidParameterError("certify --family counterexample needs --n")
     else:
         cert = counterexample(args.n, budget)
-    if not args.output:
-        raise InvalidParameterError("certify needs -o DIR to write the bundle")
     _write_bundle(cert, Path(args.output))
     print(f"claimed value: {cert.claimed_value} ({cert.claim_kind})")
     print("all checks passed")
@@ -344,6 +344,11 @@ def main(argv=None) -> int:
         return EXIT_CERT
     except (StrongOddError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError:
+        # a size too large to build; where the kernel kills the process first,
+        # nothing can be printed
+        print("error: out of memory", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -1,14 +1,15 @@
 """Closed-form strong odd chromatic values and the matching constructive colorings.
 
-Three families are covered: wheels (cycle plus one universal hub), cycles
-joined with an edgeless hub set, and two bipyramids glued at one apex.  Each
-``*_formula`` returns the closed-form value; each ``*_coloring`` builds an
-explicit coloring that attains it and re-checks itself through the verifier
-before returning, so a construction bug can never escape silently.  Each
-``*_formula_case`` (``wheel_formula_case``, ``join_formula_case``,
-``union_formula_case``) returns the value together with the text of the
-case that produced it, as ``strongodd formula`` prints it and the
-certificate notes record it.
+Three families are covered, each named by its spec: ``Wheel(n)`` (cycle
+plus one universal hub), ``JoinCycleEmpty(n, m)`` (cycle joined with an
+edgeless hub set) and ``BipyramidUnion(m, n)`` (two bipyramids glued at one
+apex).  ``formula(spec)`` returns the closed-form value together with the
+text of the case that produced it, as ``strongodd formula`` prints it and
+the certificate notes record it.  ``coloring_for(spec)`` builds an explicit
+coloring that attains the value and re-checks it through the verifier
+before returning, so a construction bug can never escape silently.  The
+spec has already checked the sizes; any other spec raises
+UnsupportedFamilyError.
 
 The wheel value is piecewise in n:
 
@@ -29,64 +30,49 @@ color.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .coloring import Coloring, is_strong_odd
-from .errors import InternalError, InvalidParameterError
-from .graphs import BipyramidUnion, JoinCycleEmpty, Wheel, build
+from .errors import InternalError, InvalidParameterError, UnsupportedFamilyError
+from .graphs import BipyramidUnion, FamilySpec, JoinCycleEmpty, Wheel, build
 
 
-def wheel_formula_case(n: int) -> tuple[int, str]:
-    """Wheel value together with the piecewise case that produced it."""
-    if n < 3:
-        raise InvalidParameterError(f"wheel needs n >= 3, got {n}")
+class Formula(NamedTuple):
+    value: int
+    case: str
+
+
+def formula(spec: FamilySpec) -> Formula:
+    """Closed-form value of a Wheel, JoinCycleEmpty or BipyramidUnion, with its case."""
+    if isinstance(spec, JoinCycleEmpty):
+        base = formula(Wheel(spec.n)).value
+        return Formula(base, "m odd") if spec.m % 2 == 1 else Formula(base + 1, "m even")
+    if isinstance(spec, BipyramidUnion):
+        m, n = spec.m, spec.n
+        a, b = formula(Wheel(m)).value, formula(Wheel(n)).value
+        return Formula(a + b - 1, f"wheel({m}) + wheel({n}) - 1 = {a} + {b} - 1")
+    if not isinstance(spec, Wheel):
+        raise UnsupportedFamilyError(f"no closed form for family {spec!r}")
+    n = spec.n
     if n <= 8:
-        return n + 1, "n <= 8"
+        return Formula(n + 1, "n <= 8")
     if n == 14:
-        return 7, "n = 14"
+        return Formula(7, "n = 14")
     r = n % 6
     if r == 3:
-        return 4, "n = 3 (mod 6)"
+        return Formula(4, "n = 3 (mod 6)")
     if r in (0, 2, 4):
-        return 5, "n = 0, 2 or 4 (mod 6), n > 8, n != 14"
-    return 6, "n = 1 or 5 (mod 6), n > 8"
-
-
-def wheel_formula(n: int) -> int:
-    return wheel_formula_case(n)[0]
-
-
-def join_formula_case(n: int, m: int) -> tuple[int, str]:
-    if n < 3:
-        raise InvalidParameterError(f"join formula needs cycle length n >= 3, got {n}")
-    if m < 1:
-        raise InvalidParameterError(f"join formula needs hub count m >= 1, got {m}")
-    base = wheel_formula(n)
-    if m % 2 == 1:
-        return base, "m odd"
-    return base + 1, "m even"
-
-
-def join_formula(n: int, m: int) -> int:
-    return join_formula_case(n, m)[0]
-
-
-def union_formula_case(m: int, n: int) -> tuple[int, str]:
-    """Glued-bipyramid value together with the wheel values it sums."""
-    if m < 3 or n < 3:
-        raise InvalidParameterError(f"union formula needs m, n >= 3, got ({m}, {n})")
-    a, b = wheel_formula(m), wheel_formula(n)
-    return a + b - 1, f"wheel({m}) + wheel({n}) - 1 = {a} + {b} - 1"
-
-
-def union_formula(m: int, n: int) -> int:
-    return union_formula_case(m, n)[0]
+        return Formula(5, "n = 0, 2 or 4 (mod 6), n > 8, n != 14")
+    return Formula(6, "n = 1 or 5 (mod 6), n > 8")
 
 
 def wheel_cycle_pattern(n: int) -> tuple[int, ...]:
     """Colors for the cycle vertices of a wheel, in cycle order.
 
-    Uses exactly wheel_formula(n) - 1 colors, every used color class has odd
-    size, and any two cycle vertices at distance <= 2 differ, which together
-    make the wheel coloring strong odd once the hub takes a fresh color.
+    Uses exactly formula(Wheel(n)).value - 1 colors, every used color class
+    has odd size, and any two cycle vertices at distance <= 2 differ, which
+    together make the wheel coloring strong odd once the hub takes a fresh
+    color.
     """
     if n < 3:
         raise InvalidParameterError(f"cycle pattern needs n >= 3, got {n}")
@@ -109,8 +95,26 @@ def wheel_cycle_pattern(n: int) -> tuple[int, ...]:
     return (1, 2, 3, 4) * 5 + (1, 2, 3) * ((n - 20) // 3)
 
 
-def _verified(g, colors, expected: int) -> Coloring:
+def coloring_for(spec: FamilySpec) -> Coloring:
+    """A verified strong odd coloring of build(spec) with formula(spec).value colors.
+
+    A wheel's or join's cycle takes the wheel pattern.  An odd hub set (the
+    wheel's single hub included) shares one new color; an even hub set gives
+    one hub a second new color so both hub colors appear an odd number of
+    times in every cycle vertex's neighborhood.  For a BipyramidUnion see
+    ``_union_colors``.
+    """
+    expected = formula(spec).value  # raises UnsupportedFamilyError for other families
+    if isinstance(spec, BipyramidUnion):
+        colors = _union_colors(spec.m, spec.n)
+    else:
+        pattern = wheel_cycle_pattern(spec.n)
+        hub = max(pattern) + 1
+        m = spec.m if isinstance(spec, JoinCycleEmpty) else 1
+        hubs = (hub,) * m if m % 2 == 1 else (hub,) * (m - 1) + (hub + 1,)
+        colors = pattern + hubs
     c = Coloring(colors)
+    g = build(spec)
     if len(c.palette) != expected or not is_strong_odd(g, c):
         raise InternalError(
             f"internal error: constructed coloring failed verification on {g!r} "
@@ -119,51 +123,16 @@ def _verified(g, colors, expected: int) -> Coloring:
     return c
 
 
-def wheel_coloring(n: int) -> Coloring:
-    """A verified strong odd coloring of build(Wheel(n)) with wheel_formula(n) colors."""
-    pattern = wheel_cycle_pattern(n)
-    hub = max(pattern) + 1
-    return _verified(build(Wheel(n)), pattern + (hub,), wheel_formula(n))
-
-
-def join_coloring(n: int, m: int) -> Coloring:
-    """A verified coloring of build(JoinCycleEmpty(n, m)) with join_formula(n, m) colors.
-
-    The cycle takes the wheel pattern; an odd hub set shares one new color,
-    an even hub set gives one hub a second new color so both hub colors
-    appear an odd number of times in every cycle vertex's neighborhood.
-    """
-    if m < 1:
-        raise InvalidParameterError(f"join coloring needs m >= 1, got {m}")
-    pattern = wheel_cycle_pattern(n)
-    a = max(pattern)
-    if m % 2 == 1:
-        hubs = (a + 1,) * m
-    else:
-        hubs = (a + 1,) * (m - 1) + (a + 2,)
-    return _verified(build(JoinCycleEmpty(n, m)), pattern + hubs, join_formula(n, m))
-
-
-def union_coloring(m: int, n: int) -> Coloring:
-    """A verified coloring of build(BipyramidUnion(m, n)) with union_formula(m, n) colors.
+def _union_colors(m: int, n: int) -> list[int]:
+    """The colors ``coloring_for(BipyramidUnion(m, n))`` assigns, in vertex order, unverified.
 
     The two cycles use disjoint palettes (the shared apex is adjacent to
     both, so a color on both sides would reach it an even number of times),
     each inner apex borrows a color from the opposite cycle, and the shared
-    apex gets the single fresh color.
+    apex gets the single fresh color.  Callers that already hold the built
+    graph judge these colors on it themselves instead of building a second
+    copy.
     """
-    colors = _union_colors(m, n)
-    return _verified(build(BipyramidUnion(m, n)), colors, union_formula(m, n))
-
-
-def _union_colors(m: int, n: int) -> list[int]:
-    """The colors ``union_coloring`` assigns, in vertex order, unverified.
-
-    Callers that already hold the built graph judge these colors on it
-    themselves instead of building a second copy.
-    """
-    if m < 3 or n < 3:
-        raise InvalidParameterError(f"union coloring needs m, n >= 3, got ({m}, {n})")
     first = wheel_cycle_pattern(m)
     second = wheel_cycle_pattern(n)
     a = max(first)

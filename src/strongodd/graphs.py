@@ -6,7 +6,7 @@ objects are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -145,77 +145,68 @@ def one_point_union(parts: Sequence[tuple[Graph, int]]) -> Graph:
 # Family specs
 # ---------------------------------------------------------------------------
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidParameterError(msg)
+class _Spec:
+    """Base of the family specs: field i must be at least ``_least[i]``."""
+
+    _least: tuple[int, ...]
+
+    def __post_init__(self):
+        for f, least in zip(fields(self), self._least, strict=True):
+            value = getattr(self, f.name)
+            if value < least:
+                raise InvalidParameterError(f"{type(self).__name__} needs {f.name} >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
-class Cycle:
+class Cycle(_Spec):
     n: int
-
-    def __post_init__(self):
-        _require(self.n >= 3, f"Cycle needs n >= 3, got {self.n}")
+    _least = (3,)
 
 
 @dataclass(frozen=True)
-class Empty:
+class Empty(_Spec):
     m: int
-
-    def __post_init__(self):
-        _require(self.m >= 1, f"Empty needs m >= 1, got {self.m}")
+    _least = (1,)
 
 
 @dataclass(frozen=True)
-class Complete:
+class Complete(_Spec):
     k: int
-
-    def __post_init__(self):
-        _require(self.k >= 1, f"Complete needs k >= 1, got {self.k}")
+    _least = (1,)
 
 
 @dataclass(frozen=True)
-class Wheel:
+class Wheel(_Spec):
     """Cycle on n vertices joined with one universal hub vertex."""
 
     n: int
-
-    def __post_init__(self):
-        _require(self.n >= 3, f"Wheel needs n >= 3, got {self.n}")
+    _least = (3,)
 
 
 @dataclass(frozen=True)
-class JoinCycleEmpty:
+class JoinCycleEmpty(_Spec):
     """Cycle on n vertices joined with m pairwise nonadjacent hub vertices."""
 
     n: int
     m: int
-
-    def __post_init__(self):
-        _require(self.n >= 3, f"JoinCycleEmpty needs n >= 3, got {self.n}")
-        _require(self.m >= 1, f"JoinCycleEmpty needs m >= 1, got {self.m}")
+    _least = (3, 1)
 
 
 @dataclass(frozen=True)
-class Bipyramid:
+class Bipyramid(_Spec):
     """Cycle on n vertices joined with two nonadjacent apexes labeled x and y."""
 
     n: int
-
-    def __post_init__(self):
-        _require(self.n >= 3, f"Bipyramid needs n >= 3, got {self.n}")
+    _least = (3,)
 
 
 @dataclass(frozen=True)
-class BipyramidUnion:
+class BipyramidUnion(_Spec):
     """Two bipyramids (sizes m and n) glued at their y apex; planar for all m, n."""
 
     m: int
     n: int
-
-    def __post_init__(self):
-        _require(self.m >= 3, f"BipyramidUnion needs m >= 3, got {self.m}")
-        _require(self.n >= 3, f"BipyramidUnion needs n >= 3, got {self.n}")
+    _least = (3, 3)
 
 
 FamilySpec = Union[Cycle, Empty, Complete, Wheel, JoinCycleEmpty, Bipyramid, BipyramidUnion]

@@ -21,15 +21,11 @@ from strongodd import (
     brute_force_so,
     build,
     chromatic_strong_odd,
+    coloring_for,
     decide_k,
+    formula,
     is_strong_odd,
-    join_coloring,
-    join_formula,
     reverify_certificate,
-    union_coloring,
-    union_formula,
-    wheel_coloring,
-    wheel_formula,
 )
 from strongodd.cli import main as cli_main
 
@@ -83,7 +79,7 @@ def test_criterion_1_wheel_formula_vs_exact_solver(wheel_solves):
         for n in range(3, 13):
             r = results[n]
             assert r.status == "exact", f"W_{n} not solved exactly"
-            assert r.value == wheel_formula(n) == expected[n], f"W_{n}: got {r.value}"
+            assert r.value == formula(Wheel(n)).value == expected[n], f"W_{n}: got {r.value}"
         rec.detail = f"values {[results[n].value for n in range(3, 13)]}"
 
 
@@ -102,25 +98,14 @@ def test_criterion_2_hard_wheel_decisions(hard_wheel_decides):
 
 def test_criterion_3_constructive_upper_bounds_at_scale():
     with criterion(3, limit_seconds=5.0) as rec:
-        checked = 0
-        for n in range(3, 61):
-            c = wheel_coloring(n)
-            assert is_strong_odd(build(Wheel(n)), c)
-            assert len(c.palette) == wheel_formula(n)
-            checked += 1
-        for n in range(3, 31):
-            for m in range(1, 7):
-                c = join_coloring(n, m)
-                assert is_strong_odd(build(JoinCycleEmpty(n, m)), c)
-                assert len(c.palette) == join_formula(n, m)
-                checked += 1
-        for m in range(3, 21):
-            for n in range(3, 21):
-                c = union_coloring(m, n)
-                assert is_strong_odd(build(BipyramidUnion(m, n)), c)
-                assert len(c.palette) == union_formula(m, n)
-                checked += 1
-        rec.detail = f"{checked} colorings verified"
+        specs = ([Wheel(n) for n in range(3, 61)]
+                 + [JoinCycleEmpty(n, m) for n in range(3, 31) for m in range(1, 7)]
+                 + [BipyramidUnion(m, n) for m in range(3, 21) for n in range(3, 21)])
+        for spec in specs:
+            c = coloring_for(spec)
+            assert is_strong_odd(build(spec), c)
+            assert len(c.palette) == formula(spec).value
+        rec.detail = f"{len(specs)} colorings verified"
 
 
 def test_criterion_4_oracle_equivalence(connected_small_graphs):
@@ -144,9 +129,9 @@ def test_criterion_5_one_point_union_at_desk_scale():
     with criterion(5, limit_seconds=120.0) as rec:
         g = build(BipyramidUnion(3, 3))
         value, witness = brute_force_so(g)
-        assert value == 7 == union_formula(3, 3)
+        assert value == 7 == formula(BipyramidUnion(3, 3)).value
         assert is_strong_odd(g, witness)
-        constructed = union_coloring(3, 3)
+        constructed = coloring_for(BipyramidUnion(3, 3))
         assert is_strong_odd(g, constructed) and len(constructed.palette) == 7
         rec.detail = "brute force value 7 matches the closed form"
 

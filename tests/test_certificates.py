@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 import strongodd.certificates
 
 from strongodd import (
+    BipyramidUnion,
     Budget,
     Certificate,
     InvalidParameterError,
     ParseError,
     counterexample,
     counterexample_pair,
+    formula,
     from_dimacs,
     make_union_certificate,
     parse_coloring,
     reverify_certificate,
-    union_formula_case,
 )
 
 # one wrong JSON type per certificate field; bools are not integers
@@ -99,8 +100,14 @@ class TestGeneration:
         cert = counterexample_pair(m, n)
         assert cert.claimed_value == value
 
+    def test_refutation_note_records_nodes_not_time(self):
+        # the note holds no duration, so --try-exact bundles are byte-deterministic
+        cert = counterexample_pair(8, 8, Budget(max_nodes=100_000))
+        assert cert_note(cert, "refutation:") == (
+            "refutation: no strong odd coloring with 16 colors exists; search explored 11923 nodes")
+
     def test_closed_form_note_is_the_formula_case(self):
-        value, case = union_formula_case(8, 11)
+        value, case = formula(BipyramidUnion(8, 11))
         assert cert_note(counterexample(11), "closed-form value:") == f"closed-form value: {case} = {value}"
 
     def test_pair_order_insensitive(self):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import strongodd.certificates
 import strongodd.cli
 import strongodd.solver
 from strongodd import (
@@ -16,11 +17,11 @@ from strongodd import (
     StrongOddError,
     Wheel,
     build,
+    formula,
     from_dimacs,
     is_strong_odd,
     parse_coloring,
     to_dimacs,
-    union_formula,
 )
 from strongodd.certificates import SPECIAL_PAIRS
 from strongodd.cli import main
@@ -139,12 +140,12 @@ class TestGen:
 
 class TestVerify:
     def test_generated_coloring_passes(self, tmp_path, capsys):
-        from strongodd import format_coloring, wheel_coloring
+        from strongodd import coloring_for, format_coloring
 
         g = tmp_path / "w9.col"
         c = tmp_path / "w9.coloring"
         run(capsys, "gen", "--family", "wheel", "--n", "9", "-o", str(g))
-        c.write_text(format_coloring(wheel_coloring(9)))
+        c.write_text(format_coloring(coloring_for(Wheel(9))))
         code, stdout, _ = run(capsys, "verify", str(g), str(c), "--mode", "strong-odd")
         assert code == 0 and "ok" in stdout
 
@@ -164,6 +165,15 @@ class TestVerify:
         c.write_text("1 1\n2 2\n3 1\n4 2\n")
         assert run(capsys, "verify", str(g), str(c), "--mode", "proper")[0] == 0
         assert run(capsys, "verify", str(g), str(c), "--mode", "odd")[0] == 2
+
+    def test_odd_mode_violation_output(self, tmp_path, capsys):
+        # proper, but every vertex sees its one neighbor color twice
+        g = tmp_path / "c4.col"
+        c = tmp_path / "c4.coloring"
+        run(capsys, "gen", "--family", "cycle", "--n", "4", "-o", str(g))
+        c.write_text("1 1\n2 2\n3 1\n4 2\n")
+        assert run(capsys, "verify", str(g), str(c), "--mode", "odd") == (
+            2, "odd: violated (some vertex has no odd color in its neighborhood)\n", "")
 
     def test_missing_vertex_line_is_parse_error(self, tmp_path, capsys):
         g = tmp_path / "c4.col"
@@ -286,9 +296,10 @@ class TestFormula:
         (["join", "9"], (1, "", "error: formula join takes two parameters: n m\n")),
         (["join", "9", "2", "1"], (1, "", "error: formula join takes two parameters: n m\n")),
         (["union", "8"], (1, "", "error: formula union takes two parameters: m n\n")),
-        (["wheel", "2"], (1, "", "error: wheel needs n >= 3, got 2\n")),
-        (["join", "9", "0"], (1, "", "error: join formula needs hub count m >= 1, got 0\n")),
-        (["union", "2", "8"], (1, "", "error: union formula needs m, n >= 3, got (2, 8)\n")),
+        # out of range: the spec's own message, as gen prints it
+        (["wheel", "2"], (1, "", "error: Wheel needs n >= 3, got 2\n")),
+        (["join", "9", "0"], (1, "", "error: JoinCycleEmpty needs m >= 1, got 0\n")),
+        (["union", "2", "8"], (1, "", "error: BipyramidUnion needs m >= 3, got 2\n")),
     ])
     def test_pinned_output(self, capsys, argv, expected):
         assert run(capsys, "formula", *argv) == expected
@@ -415,6 +426,23 @@ class TestCertify:
     def test_missing_output_dir(self, capsys):
         assert run(capsys, "certify", "--pair", "8", "8")[0] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "counterexample", "--n", "3995", "--try-exact", "--max-nodes", "2000000"],
+        ["--pair", "8", "8"],
+    ], ids=["counterexample", "pair"])
+    def test_missing_output_dir_is_found_before_any_work(self, monkeypatch, capsys, argv):
+        def fail(*args):
+            raise AssertionError("certify built a bundle it cannot write")
+
+        monkeypatch.setattr(strongodd.certificates, "make_union_certificate", fail)
+        assert run(capsys, "certify", *argv) == (1, "", "error: certify needs -o DIR to write the bundle\n")
+
+    def test_counterexample_needs_n(self, tmp_path, capsys):
+        outdir = tmp_path / "d"
+        assert run(capsys, "certify", "--family", "counterexample", "-o", str(outdir)) == (
+            1, "", "error: certify --family counterexample needs --n\n")
+        assert not outdir.exists()
+
     def test_try_exact_requires_budget(self, tmp_path, capsys):
         assert run(capsys, "certify", "--pair", "8", "8", "-o", str(tmp_path / "x"),
                    "--try-exact")[0] == 1
@@ -535,7 +563,7 @@ class TestParser:
         # the printed formula agrees with the library
         code = main(["formula", "union", "8", "11"])
         out = capsys.readouterr().out
-        assert code == 0 and out.splitlines()[0] == str(union_formula(8, 11))
+        assert code == 0 and out.splitlines()[0] == str(formula(BipyramidUnion(8, 11)).value)
 
 
 class TestErrorMap:
@@ -559,6 +587,22 @@ class TestErrorMap:
 
         monkeypatch.setattr(strongodd.cli, "from_dimacs", raise_it)
         assert run(capsys, "solve", str(g), "--exact") == (code, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("command,name", [
+        (["gen", "--family", "cycle", "--n", "100000000000"], "build"),
+        (["verify", "huge.col", "huge.coloring"], "from_dimacs"),
+    ], ids=["gen", "verify"])
+    def test_out_of_memory_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys, command, name):
+        # a size too large to build raises MemoryError; it is simulated here,
+        # never allocated
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+
+        (tmp_path / "huge.col").write_text("p edge 1000000000000 0\n")
+        (tmp_path / "huge.coloring").write_text("")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(strongodd.cli, name, exhaust)
+        assert run(capsys, *command) == (1, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("mode", [["--decide", "3"], ["--exact"]], ids=["decide", "exact"])
     def test_failed_self_check_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys, mode):

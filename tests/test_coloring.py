@@ -14,6 +14,7 @@ from strongodd import (
     ParseError,
     Wheel,
     build,
+    coloring_for,
     format_coloring,
     is_odd_coloring,
     is_proper,
@@ -21,8 +22,6 @@ from strongodd import (
     parity_report,
     parse_coloring,
     proper_violations,
-    union_coloring,
-    wheel_coloring,
 )
 
 
@@ -58,7 +57,7 @@ class TestIsProper:
 
     def test_seventeen_coloring_of_glued_bipyramids(self):
         g = build(BipyramidUnion(8, 8))
-        assert is_proper(g, union_coloring(8, 8))
+        assert is_proper(g, coloring_for(BipyramidUnion(8, 8)))
 
     def test_violations_listed(self):
         assert proper_violations(build(Cycle(4)), [1, 1, 2, 2]) == [(0, 1), (2, 3)]
@@ -170,7 +169,7 @@ class TestClassParity:
 
     def test_wheel9_cycle_classes(self):
         g = build(Wheel(9))
-        sizes = class_sizes_on(g, wheel_coloring(9), range(9))
+        sizes = class_sizes_on(g, coloring_for(Wheel(9)), range(9))
         assert sorted(k for k in sizes.values() if k) == [3, 3, 3]
 
     def test_empty_subset(self):
@@ -179,7 +178,7 @@ class TestClassParity:
 
     def test_w14_proof_pattern(self):
         g = build(Wheel(14))
-        sizes = class_sizes_on(g, wheel_coloring(14), range(14))
+        sizes = class_sizes_on(g, coloring_for(Wheel(14)), range(14))
         assert sorted(k for k in sizes.values() if k) == [1, 1, 3, 3, 3, 3]
 
 

@@ -16,17 +16,15 @@ def test_exported_names():
     assert sorted(strongodd.__all__) == [
         "Bipyramid", "BipyramidUnion", "Budget", "Certificate", "CertificationError",
         "Coloring", "Complete", "Cycle", "DecideResult", "EmbeddingCheck", "Empty",
-        "FamilySpec", "Graph", "InternalError", "InvalidColoringError",
+        "FamilySpec", "Formula", "Graph", "InternalError", "InvalidColoringError",
         "InvalidParameterError", "InvalidRotationError", "JoinCycleEmpty", "ParityEntry",
         "ParseError", "SolveResult", "StrongOddError", "UnsupportedFamilyError",
         "ValueWitness", "Wheel", "brute_force_so", "build", "chromatic_strong_odd",
-        "counterexample", "counterexample_pair", "decide_k", "embed_family",
-        "format_coloring", "from_dimacs", "is_odd_coloring", "is_proper", "is_strong_odd",
-        "join_coloring", "join_formula", "join_formula_case", "make_union_certificate",
-        "one_point_union", "parity_report", "parse_coloring", "proper_violations",
-        "reverify_certificate", "to_dimacs", "union_coloring", "union_formula",
-        "union_formula_case", "verify_embedding", "wheel_coloring", "wheel_cycle_pattern",
-        "wheel_formula", "wheel_formula_case",
+        "coloring_for", "counterexample", "counterexample_pair", "decide_k", "embed_family",
+        "format_coloring", "formula", "from_dimacs", "is_odd_coloring", "is_proper",
+        "is_strong_odd", "make_union_certificate", "one_point_union", "parity_report",
+        "parse_coloring", "proper_violations", "reverify_certificate", "to_dimacs",
+        "verify_embedding", "wheel_cycle_pattern",
     ]
     assert all(hasattr(strongodd, name) for name in strongodd.__all__)
 
