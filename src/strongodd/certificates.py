@@ -247,10 +247,15 @@ def _family_matches(cert: Certificate, g: Graph) -> bool:
     m, n = fam.get("m"), fam.get("n")
     if fam.get("kind") != "bipyramid-union" or type(m) is not int or type(n) is not int:
         return False
-    # sizes first, so a forged family never builds a graph larger than g
-    if m < 3 or n < 3 or m + n + 3 != g.n:
+    # the vertex count first, so a forged family never builds a graph larger
+    # than g; the spec judges the least sizes
+    if m + n + 3 != g.n:
         return False
-    built = build(BipyramidUnion(m, n))
+    try:
+        spec = BipyramidUnion(m, n)
+    except InvalidParameterError:
+        return False
+    built = build(spec)
     return (
         built.adj == g.adj
         and cert.labels == _label_rows(built)

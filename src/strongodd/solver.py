@@ -18,9 +18,12 @@ search keeps, per vertex v, over its colored neighbors:
   even classes are ``present & ~odd``, their number e is the popcount of
   present & ~odd, and the lowest of them is one bit operation away;
 * ``unc[v]`` and ``last[v]``: the number of uncolored neighbors and the xor
-  of their ids, which is the last uncolored neighbor when one is left.
+  of their ids, which is the last uncolored neighbor when one is left;
+* ``tc[cls[v]]``, tc(v) for short: the colors on the colored members of
+  v's class of twins, the vertices with v's neighborhood (v included;
+  twins are never adjacent), which ``cls[v]`` names by its lowest vertex.
 
-It prunes on five sound rules:
+It prunes on seven rules:
 
 * counting: each uncolored neighbor can repair at most one even class, so a
   vertex with more positive even classes than uncolored neighbors is dead
@@ -40,6 +43,11 @@ It prunes on five sound rules:
   needs one absent color for the neighbors, and v's own color, which
   properness keeps absent around v whether v is colored yet or not, is a
   second one;
+* twin parity: once a member of v's class of twins is colored, v is dead
+  when r - e is odd and every color absent around v is in tc(v).  Each
+  neighbor of v sees the whole class, so it can take no color of tc(v),
+  and the one absent color an odd r - e needs must lie outside it.  When v
+  is colored and has no twin, tc(v) is v's color and the rule is parity;
 * dependence: for distinct non-isolated vertices a, b and c with
   N(a) ^ N(b) = N(c), no color may be present around all three.  Over
   GF(2) the three neighborhoods sum to zero, so every vertex sees none or
@@ -49,22 +57,37 @@ It prunes on five sound rules:
   parity of the color being present, and the color is present around an
   even number of the three, never all of them.  In a one-point union of
   bipyramids the two x apexes and the shared y form such a triple, and
-  the rule is the disjoint-palette argument for the two cycles.
+  the rule is the disjoint-palette argument for the two cycles;
+* twin order: twins take nondecreasing colors in the vertex order.
+  Swapping the colors of two twins keeps a coloring strong odd, and so
+  does relabeling the colors.  Among the colorings that these moves make
+  of one another, the lexicographically least in the vertex order obeys
+  both this order and the canonical cap, so together they lose no
+  solution.  Like the cap, the rule narrows the colors tried.
 
-Properness is enforced by the candidate set.  All five rules are applied in
-one place, before assignment: for the vertex u to be colored, ``options``
-returns the colors tried (properness, the canonical cap, and forcing and
-exclusion from neighbors that u completes) and the viable subset whose
-assignment keeps every rule true at every neighbor of u, read off the masks
-without changing any state.  Only coloring a neighbor of v changes v's
-state, and ``options`` checks every such step, so counting, parity and
-dependence need no check anywhere else.  For parity that check is one
-condition: a color already present around v leaves both the parity of r - e
-and the absent colors as they were, so only a color absent around v, taken
-while r - e is even, can break the rule, and it does when at most two
-colors are absent around v before it.  ``options`` evaluates it only where
-it can bite: elsewhere r - e is odd, or forcing or counting already
-confines u to the colors present around v.  For dependence, a color only
+Properness is enforced by the candidate set.  All seven rules are applied
+in one place, before assignment: for the vertex u to be colored,
+``options`` returns the colors tried (properness, the canonical cap, the
+twin order, and forcing and exclusion from neighbors that u completes) and
+the viable subset whose assignment keeps every rule true at every neighbor
+of u and in u's own class of twins, read off the masks without changing
+any state.  Coloring a neighbor of v changes v's counts, coloring a twin of
+v (or v) changes tc(v), and nothing else changes v's state; ``options``
+checks every such step, so counting, parity, twin parity and dependence
+need no check anywhere else.  At a neighbor v the parity check is one
+condition: a color already present around v leaves both the parity of
+r - e and the absent colors as they were, so only a color absent around v,
+taken while r - e is even, can break the rule.  It does when at most two
+colors are absent around v before it or, with a member of v's class
+colored, at most one outside tc(v).  ``options`` evaluates it only where it can bite:
+elsewhere r - e is odd, or forcing or counting already confines u to the
+colors present around v.  In u's own class r - e stays as it is and u's
+color joins tc(u), so with r - e odd that color must not be the last one
+absent around u outside tc(u).  The first member of a class to be colored
+needs no such check: parity already keeps a second color absent around it.
+By the twin order, u's color is new to its class unless the twin colored
+just before has it, so tc keeps no count per color.  Graphs without twins
+skip all of this twin work.  For dependence, a color only
 ever becomes present around a vertex, never absent again while the search
 descends, so a state that breaks the rule stays broken and it suffices to
 refuse the step that makes a color present around the last of the three.
@@ -167,7 +190,25 @@ def _vertex_order(g: Graph, order) -> list[int]:
     raise InvalidParameterError(f"unknown vertex order {order!r}")
 
 
-def _dependent_triples(g: Graph, deadline: float | None = None) -> list[tuple[int, ...]] | tuple[()] | None:
+TwinClasses = tuple[list[frozenset[int]], dict[frozenset[int], int]]
+
+
+def _twin_classes(g: Graph) -> TwinClasses:
+    """Each vertex's neighborhood, and the lowest vertex with each
+    neighborhood of a non-isolated vertex, which names its class of twins.
+    Twins are never adjacent: a vertex beside its twin would be its own
+    neighbor."""
+    nbs = list(map(frozenset, g.adj))
+    rep: dict[frozenset[int], int] = {}
+    for v, s in enumerate(nbs):
+        if s:
+            rep.setdefault(s, v)
+    return nbs, rep
+
+
+def _dependent_triples(
+    g: Graph, deadline: float | None = None, classes: TwinClasses | None = None
+) -> list[tuple[int, ...]] | tuple[()] | None:
     """The dependent triples of g, listed per vertex.
 
     A dependent triple is a set {a, b, c} of distinct non-isolated vertices
@@ -175,7 +216,8 @@ def _dependent_triples(g: Graph, deadline: float | None = None) -> list[tuple[in
     members; entry u lists, for each triple of which u sees two members,
     the third one, named by the lowest vertex with its neighborhood.
     Returns an empty tuple when g has no triple, and None when the
-    ``monotonic()`` deadline passes first.
+    ``monotonic()`` deadline passes first.  ``classes`` is
+    ``_twin_classes(g)``, computed here when not given.
 
     Twins, vertices with the same neighborhood, always have the same colors
     around them, and no triple holds two of them (their neighborhoods xor
@@ -187,12 +229,7 @@ def _dependent_triples(g: Graph, deadline: float | None = None) -> list[tuple[in
     linear in the size of cycles, wheels and unions.
     """
     adj = g.adj
-    nbs = list(map(frozenset, adj))
-    # the lowest vertex of each twin class, by neighborhood
-    rep: dict[frozenset[int], int] = {}
-    for v, s in enumerate(nbs):
-        if s:
-            rep.setdefault(s, v)
+    nbs, rep = classes or _twin_classes(g)
     deg = list(map(len, adj))
     third: dict[int, set[int]] = {}
     for s, c in rep.items():
@@ -250,10 +287,26 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
     seq = _vertex_order(g, order)
     n = g.n
     adj = g.adj
-    third = _dependent_triples(g, deadline)
+    classes = _twin_classes(g)
+    third = _dependent_triples(g, deadline, classes)
     if third is None:
         yield DecideResult("timeout", None, 0, perf_counter() - t0, "max-seconds")
         return
+    # with twins: cls[v] names v's class by its lowest vertex, tc[cls[v]]
+    # holds the colors on the class's colored members, and prev[v] is v's
+    # twin just before it in the search order, or -1
+    nbs, rep = classes
+    twins = len(rep) < n - nbs.count(frozenset())
+    if twins:
+        cls = [rep.get(s, v) for v, s in enumerate(nbs)]
+        tc = [0] * n
+        prev = [-1] * n
+        latest: dict[int, int] = {}
+        for v in seq:
+            prev[v] = latest.get(cls[v], -1)
+            latest[cls[v]] = v
+    # on long sparse graphs the neighborhoods outweigh the search state
+    del classes, nbs, rep
     color = [0] * n
     cnt = [[0] * (k + 1) for _ in range(n)]
     odd = [0] * n  # colors on an odd number of colored neighbors
@@ -271,12 +324,22 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
     def options(u: int, maxused: int) -> tuple[int, int]:
         """Masks (tried, viable) of colors for u, read off the state without
         changing it.  tried holds the colors allowed by properness, the
-        canonical cap, and the rules of neighbors whose last uncolored
-        neighbor is u; viable holds those that also keep every rule true
-        at every neighbor once u has them."""
+        canonical cap, the twin order and the rules of neighbors whose last
+        uncolored neighbor is u; viable holds those that also keep every
+        rule true at every neighbor and in u's class once u has them."""
         cap = maxused + 1 if maxused < k else k
         tried = ((2 << cap) - 2) & ~present[u]
         allowed = -1
+        if twins and prev[u] >= 0:
+            # twin order: no color below the previous twin's
+            tried &= -(1 << color[prev[u]])
+            # twin parity at u's own class, whose colors u may add to: with
+            # r - e odd, one color absent around u must stay out of them
+            pu = present[u]
+            if (unc[u] - (pu & ~odd[u]).bit_count()) & 1:
+                a = full & ~pu & ~tc[cls[u]]
+                if not a & (a - 1):
+                    allowed = ~a
         for v in adj[u]:
             r = unc[v]
             p = present[v]
@@ -295,10 +358,15 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 allowed &= ~odd[v]
             elif not (r - e) & 1:
                 # parity: a color new to v would make r - e odd, which needs
-                # two colors absent around v after it, so with at most two
-                # absent now only the present colors stay
+                # a color absent around v after it and outside the colors of
+                # v's class, and with none of that class colored yet a second
+                # one for v itself; with at most one or two of them now, only
+                # the present colors stay
                 absent = full & ~p
-                absent &= absent - 1
+                if twins and tc[cls[v]]:
+                    absent &= ~tc[cls[v]]
+                else:
+                    absent &= absent - 1
                 if not absent & (absent - 1):
                     allowed &= p
             if r == 2:
@@ -372,6 +440,10 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 odd[v] ^= cb
                 unc[v] -= 1
                 last[v] ^= u
+            # a color new to u's class: twins in search order take
+            # nondecreasing colors, so it is new unless the last twin has it
+            if twins and (prev[u] < 0 or color[prev[u]] != c):
+                tc[cls[u]] ^= cb
             stack.append((u, tried, viable, maxused))
             if len(stack) == n:
                 break
@@ -392,6 +464,8 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 odd[v] ^= cb
                 unc[v] += 1
                 last[v] ^= u
+            if twins and (prev[u] < 0 or color[prev[u]] != c):
+                tc[cls[u]] ^= cb
             color[u] = 0
         else:
             # k is refuted and every assignment undone, so u is seq[0] and

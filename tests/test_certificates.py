@@ -288,6 +288,14 @@ class TestReverify:
         ok, results = reverify_certificate(json.dumps(data))
         assert not ok and dict(results)["family"] is False
 
+    def test_detects_family_below_the_least_sizes(self):
+        # m = 2, n = 9 has the vertex count of the bundled (3, 8) member, so
+        # only BipyramidUnion's own least sizes reject it
+        data = json.loads(make_union_certificate(3, 8).to_json())
+        data["family"] = {"kind": "bipyramid-union", "m": 2, "n": 9}
+        ok, results = reverify_certificate(json.dumps(data))
+        assert not ok and [name for name, good in results if not good] == ["family"]
+
     @pytest.mark.parametrize("tamper", [
         lambda rows: [],
         lambda rows: [[0, "junk"]],

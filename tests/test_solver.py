@@ -103,7 +103,7 @@ class TestNodeCounts:
             (Wheel(14), 6, 2_713),
             (Wheel(17), 5, 29),
             (Wheel(19), 5, 34),
-            (JoinCycleEmpty(14, 4), 7, 81_313),
+            (JoinCycleEmpty(14, 4), 7, 5_447),
             (Wheel(23), 5, 41),
             (Wheel(25), 5, 46),
             (Wheel(29), 5, 53),
@@ -113,8 +113,8 @@ class TestNodeCounts:
             (BipyramidUnion(8, 8), 16, 11_923),
             (BipyramidUnion(8, 11), 13, 3_259),
             # the rest of the refute benchmark's pool
-            (JoinCycleEmpty(19, 4), 6, 170_214),
-            (BipyramidUnion(4, 8), 12, 3_989),
+            (JoinCycleEmpty(19, 4), 6, 87),
+            (BipyramidUnion(4, 8), 12, 2_510),
             (BipyramidUnion(5, 9), 8, 150),
             (BipyramidUnion(6, 7), 13, 2_529),
             (BipyramidUnion(9, 10), 7, 1_168),
@@ -123,6 +123,40 @@ class TestNodeCounts:
     def test_refutation_nodes(self, spec, k, nodes):
         r = decide_k(build(spec), k)
         assert (r.answer, r.nodes) == ("no", nodes)
+
+    @pytest.mark.parametrize(
+        "spec,k,nodes",
+        [
+            (JoinCycleEmpty(14, 6), 7, 8_235),
+            (JoinCycleEmpty(19, 6), 6, 182),
+            (JoinCycleEmpty(23, 2), 6, 44),
+            (JoinCycleEmpty(23, 4), 6, 101),
+            (JoinCycleEmpty(101, 6), 6, 671),
+        ],
+    )
+    def test_even_hub_sets(self, spec, k, nodes):
+        # the hubs are one class of twins and need two colors; without the
+        # twin rules each of these takes from 300,000 to over 3 M nodes, so
+        # the budget makes such a search fail fast
+        r = decide_k(build(spec), k, Budget(max_nodes=20_000))
+        assert (r.answer, r.nodes) == ("no", nodes)
+
+    @pytest.mark.parametrize(
+        "edges,order,nodes",
+        [
+            # two 4-cycles, 0 5 2 6 and 1 3 7 4; in each, opposite vertices are twins
+            ([(0, 5), (0, 6), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (4, 7)], "degree", 24),
+            # the path 0 1 2 3 and the 4-cycle 4 5 6 7
+            ([(0, 1), (1, 2), (2, 3), (4, 5), (4, 7), (5, 6), (6, 7)], [5, 1, 4, 6, 3, 0, 2, 7], 17),
+        ],
+    )
+    def test_twin_parity_at_the_colored_vertex(self, edges, order, nodes):
+        # coloring u adds its color to the colors of u's class; where r - e is
+        # odd at u and that would leave u's class no absent color for its
+        # other neighbors, the color is killed at u itself (27 and 33 nodes
+        # without that check)
+        r = chromatic_strong_odd(Graph(8, edges), order=order)
+        assert (r.status, r.value, r.nodes) == ("exact", 4, nodes)
 
     @pytest.mark.parametrize(
         "kind,n,seed,degree_order,shuffled_order",
@@ -173,11 +207,12 @@ SMALL_FAMILY_MEMBERS = (
 )
 
 
-def assert_decides_every_k(g):
-    """decide_k says yes exactly from the oracle's value on, at every k and
-    in both orders, so no rule kills a coloring that exists at some k."""
+def assert_decides_every_k(g, *orders):
+    """decide_k says yes exactly from the oracle's value on, at every k, in
+    degree order, index order and the given orders, so no rule kills a
+    coloring that exists at some k."""
     value = brute_force_so(g).value
-    for order in ("degree", list(range(g.n))):
+    for order in ("degree", list(range(g.n)), *orders):
         answers = [decide_k(g, k, order=order).answer for k in range(1, g.n + 1)]
         assert answers == ["no"] * (value - 1) + ["yes"] * (g.n + 1 - value), order
 
@@ -193,6 +228,20 @@ def planted_triple_graph(n, p, rng):
             a, b = rng.choice(pairs)
             extra = [(w, n) for w in sorted(set(g.adj[a]) ^ set(g.adj[b]))]
             return Graph(n + 1, g.edges() + extra)
+
+
+def planted_twin_graph(n, p, rng):
+    """G(n - copies, p) plus one or two copies, new vertices that take the
+    neighborhood of a non-isolated vertex and so are twins of it; both
+    copies may be of the same vertex, which makes a class of three."""
+    copies = rng.randint(1, 2)
+    while True:
+        g = random_graph(n - copies, p, rng)
+        sources = [v for v in range(g.n) if g.adj[v]]
+        if sources:
+            picked = [rng.choice(sources) for _ in range(copies)]
+            extra = [(w, g.n + i) for i, v in enumerate(picked) for w in g.adj[v]]
+            return Graph(n, g.edges() + extra)
 
 
 def dependent_triples_by_definition(g):
@@ -292,6 +341,17 @@ class TestSoundnessAtEveryK:
         rng = random.Random(int(p * 100) + 1)
         for _ in range(25):
             assert_decides_every_k(planted_triple_graph(7, p, rng))
+
+    @pytest.mark.parametrize("n,p", [(7, 0.3), (7, 0.6), (8, 0.3), (8, 0.5), (9, 0.4)])
+    def test_planted_twins(self, n, p):
+        # twins in every position of the three orders, so the twin order
+        # and twin parity meet twins colored before, after and between others
+        rng = random.Random(n * 100 + int(p * 100))
+        for _ in range(12):
+            g = planted_twin_graph(n, p, rng)
+            order = list(range(g.n))
+            rng.shuffle(order)
+            assert_decides_every_k(g, order)
 
     @pytest.mark.parametrize("spec", SMALL_FAMILY_MEMBERS, ids=repr)
     def test_family_member(self, spec):
@@ -445,9 +505,16 @@ class TestBudget:
 
     def test_many_twins_enumerate_quickly(self):
         # K_{60,60,60} holds 60**3 dependent triples but only one of twin
-        # classes, so the search, not the enumeration, meets the deadline
+        # classes.  At k = 4 the twin rules refute it: the three parts are
+        # its twin classes and need disjoint palettes, and a part of one
+        # color is an even class around every vertex of the other two
+        g = complete_tripartite(60)
         t = perf_counter()
-        r = decide_k(complete_tripartite(60), 4, Budget(max_seconds=0.3))
+        r = decide_k(g, 4, Budget(max_nodes=20_000))
+        assert (r.answer, r.nodes) == ("no", 3_717) and perf_counter() - t < 1.3
+        # at k = 5 the search, not the enumeration, meets the deadline
+        t = perf_counter()
+        r = decide_k(g, 5, Budget(max_seconds=0.3))
         assert r.answer == "timeout" and perf_counter() - t < 1.3
 
     def test_enumeration_stops_at_the_deadline(self):
