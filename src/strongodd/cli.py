@@ -86,7 +86,7 @@ def _budget_from(args) -> Budget | None:
     # Budget judges the limits: positive, and a finite number of seconds
     if args.max_nodes is None and args.timeout is None:
         return None
-    return Budget(args.max_nodes, _parse_duration(args.timeout) if args.timeout else None)
+    return Budget(args.max_nodes, None if args.timeout is None else _parse_duration(args.timeout))
 
 
 def _family_spec(args):

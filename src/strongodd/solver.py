@@ -17,11 +17,12 @@ search keeps, per vertex v, over its colored neighbors:
   number of times and at all (bit c stands for color c), so the positive
   even classes are ``present & ~odd``, their number e is the popcount of
   present & ~odd, and the lowest of them is one bit operation away;
-* ``unc[v]`` and ``last[v]``: the number of uncolored neighbors and the xor
-  of their ids, which is the last uncolored neighbor when one is left;
 * ``tc[cls[v]]``, tc(v) for short: the colors on the colored members of
   v's class of twins, the vertices with v's neighborhood (v included;
-  twins are never adjacent), which ``cls[v]`` names by its lowest vertex.
+  twins are never adjacent), which ``cls[v]`` names by its lowest vertex;
+* ``near[u]``, fixed by the order since the colored vertices are always a
+  prefix of it: for each neighbor v of u, the number r of v's uncolored
+  neighbors when u is colored and, with r = 2, the one besides u.
 
 It prunes on seven rules:
 
@@ -125,7 +126,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from time import monotonic, perf_counter
+from time import perf_counter
 from typing import Iterator, NamedTuple
 
 from .coloring import Coloring, is_strong_odd
@@ -207,7 +208,7 @@ def _twin_classes(g: Graph) -> TwinClasses:
 
 
 def _dependent_triples(
-    g: Graph, deadline: float | None = None, classes: TwinClasses | None = None
+    g: Graph, classes: TwinClasses, deadline: float | None = None
 ) -> list[tuple[int, ...]] | tuple[()] | None:
     """The dependent triples of g, listed per vertex.
 
@@ -215,9 +216,8 @@ def _dependent_triples(
     with N(a) ^ N(b) = N(c).  Every vertex sees none or two of a triple's
     members; entry u lists, for each triple of which u sees two members,
     the third one, named by the lowest vertex with its neighborhood.
-    Returns an empty tuple when g has no triple, and None when the
-    ``monotonic()`` deadline passes first.  ``classes`` is
-    ``_twin_classes(g)``, computed here when not given.
+    ``classes`` is ``_twin_classes(g)``.  Returns an empty tuple when g has
+    no triple, and None when the ``perf_counter()`` deadline passes first.
 
     Twins, vertices with the same neighborhood, always have the same colors
     around them, and no triple holds two of them (their neighborhoods xor
@@ -229,11 +229,11 @@ def _dependent_triples(
     linear in the size of cycles, wheels and unions.
     """
     adj = g.adj
-    nbs, rep = classes or _twin_classes(g)
+    nbs, rep = classes
     deg = list(map(len, adj))
     third: dict[int, set[int]] = {}
     for s, c in rep.items():
-        if deadline is not None and monotonic() > deadline:
+        if deadline is not None and perf_counter() > deadline:
             return None
         for a in adj[min(s, key=deg.__getitem__)]:
             if a == c or deg[a] > deg[c] or rep[nbs[a]] != a:
@@ -283,18 +283,19 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
     seconds of its own k, the first one's seconds including the set-up.
     """
     t0 = perf_counter()
-    deadline = monotonic() + budget.max_seconds if budget and budget.max_seconds else None
+    deadline = t0 + budget.max_seconds if budget and budget.max_seconds else None
     seq = _vertex_order(g, order)
     n = g.n
     adj = g.adj
     classes = _twin_classes(g)
-    third = _dependent_triples(g, deadline, classes)
+    third = _dependent_triples(g, classes, deadline)
     if third is None:
         yield DecideResult("timeout", None, 0, perf_counter() - t0, "max-seconds")
         return
+    pos = sorted(range(n), key=seq.__getitem__)  # pos[v]: v's index in seq
     # with twins: cls[v] names v's class by its lowest vertex, tc[cls[v]]
-    # holds the colors on the class's colored members, and prev[v] is v's
-    # twin just before it in the search order, or -1
+    # holds the colors on the class's colored members, prev[v] is v's twin
+    # just before it in seq, or -1, and after[v] counts v's neighbors after it
     nbs, rep = classes
     twins = len(rep) < n - nbs.count(frozenset())
     if twins:
@@ -305,19 +306,20 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
         for v in seq:
             prev[v] = latest.get(cls[v], -1)
             latest[cls[v]] = v
+        after = [sum(pos[w] > pos[v] for w in a) for v, a in enumerate(adj)]
     # on long sparse graphs the neighborhoods outweigh the search state
     del classes, nbs, rep
+    # near[u] holds (v, r, w) per neighbor v of u: u and the neighbors of v
+    # after it in seq are the r uncolored ones, and w is v's last in seq
+    near: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for v, a in enumerate(adj):
+        row = sorted(a, key=pos.__getitem__)
+        for i, u in enumerate(row):
+            near[u].append((v, len(row) - i, row[-1]))
     color = [0] * n
     cnt = [[0] * (k + 1) for _ in range(n)]
     odd = [0] * n  # colors on an odd number of colored neighbors
     present = [0] * n  # colors on at least one colored neighbor
-    unc = [len(a) for a in adj]
-    last = [0] * n  # xor of the uncolored neighbors' ids
-    for v in range(n):
-        x = 0
-        for w in adj[v]:
-            x ^= w
-        last[v] = x
     full = (2 << k) - 2  # colors 1..k
     max_nodes = budget.max_nodes if budget else None
 
@@ -336,12 +338,11 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
             # twin parity at u's own class, whose colors u may add to: with
             # r - e odd, one color absent around u must stay out of them
             pu = present[u]
-            if (unc[u] - (pu & ~odd[u]).bit_count()) & 1:
+            if (after[u] - (pu & ~odd[u]).bit_count()) & 1:
                 a = full & ~pu & ~tc[cls[u]]
                 if not a & (a - 1):
                     allowed = ~a
-        for v in adj[u]:
-            r = unc[v]
+        for v, r, w in near[u]:
             p = present[v]
             ev = p & ~odd[v]
             if r == 1:
@@ -372,7 +373,7 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
             if r == 2:
                 # forcing and exclusion at w, v's last uncolored neighbor
                 # after u; free holds the colors around neither v nor w
-                pw = present[last[v] ^ u]
+                pw = present[w]
                 free = full & ~p & ~pw
                 if e == 2:
                     # u repairs one even class and leaves w the other
@@ -387,7 +388,7 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                     # a color new to v must leave w another free color; one at
                     # v turns even and is forced on w, which must not see it or u
                     a = 0 if not free else ~p if free & (free - 1) else ~p & ~free
-                    allowed &= a | (0 if u in adj[last[v] ^ u] else p & ~pw)
+                    allowed &= a | (0 if u in adj[w] else p & ~pw)
         if third:
             # dependence: u sees the other two members of each triple of a
             # listed z, so a color present around z would then be present
@@ -424,7 +425,7 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 nodes = limit
                 reason = "max-nodes"
                 break
-            if monotonic() > deadline:
+            if perf_counter() > deadline:
                 reason = "max-seconds"
                 break
             check = min(limit, (nodes | 255) + 1)
@@ -438,8 +439,6 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 if not x:
                     present[v] |= cb
                 odd[v] ^= cb
-                unc[v] -= 1
-                last[v] ^= u
             # a color new to u's class: twins in search order take
             # nondecreasing colors, so it is new unless the last twin has it
             if twins and (prev[u] < 0 or color[prev[u]] != c):
@@ -462,8 +461,6 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 if not x:
                     present[v] ^= cb
                 odd[v] ^= cb
-                unc[v] += 1
-                last[v] ^= u
             if twins and (prev[u] < 0 or color[prev[u]] != c):
                 tc[cls[u]] ^= cb
             color[u] = 0
@@ -477,7 +474,7 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
             if nodes == max_nodes:
                 reason = "max-nodes"
                 break
-            if deadline is not None and monotonic() > deadline:
+            if deadline is not None and perf_counter() > deadline:
                 reason = "max-seconds"
                 break
             k += 1

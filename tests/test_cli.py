@@ -254,6 +254,13 @@ class TestSolve:
     def test_missing_file(self, tmp_path, capsys):
         assert run(capsys, "solve", str(tmp_path / "nope.col"), "--exact")[0] == 1
 
+    def test_empty_timeout_is_refused(self, tmp_path, capsys):
+        # an empty --timeout used to drop the time limit without a word
+        g = tmp_path / "w9.col"
+        run(capsys, "gen", "--family", "wheel", "--n", "9", "-o", str(g))
+        assert run(capsys, "solve", str(g), "--exact", "--timeout", "", "--max-nodes", "5") == (
+            1, "", "error: cannot parse duration ''\n")
+
     @pytest.mark.parametrize("timeout", ["nan", "inf", "1e400", "-inf", "0", "-2m"])
     def test_timeout_must_be_finite_and_positive(self, tmp_path, capsys, timeout):
         # a nan or infinite limit used to be accepted and never tripped
@@ -453,6 +460,13 @@ class TestCertify:
         outdir = tmp_path / "d"
         code, stdout, err = run(capsys, "certify", "--pair", "7", "7", *budget, "-o", str(outdir))
         assert code == 1 and stdout == "" and err.startswith("error:")
+        assert not outdir.exists()
+
+    def test_empty_timeout_is_refused(self, tmp_path, capsys):
+        # an empty --timeout used to drop the time limit without a word
+        outdir = tmp_path / "d"
+        assert run(capsys, "certify", "--pair", "8", "8", "-o", str(outdir), "--try-exact", "--timeout", "",
+                   "--max-nodes", "5") == (1, "", "error: cannot parse duration ''\n")
         assert not outdir.exists()
 
     @pytest.mark.parametrize("argv", [

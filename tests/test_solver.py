@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from time import perf_counter
@@ -6,7 +7,7 @@ import pytest
 
 import strongodd.solver
 from helpers import class_sizes_on, cycle_vertices, is_two_distance_on, random_graph, stacked_triangulation
-from strongodd.solver import _clique_lower_bound, _dependent_triples
+from strongodd.solver import _clique_lower_bound, _dependent_triples, _twin_classes, _vertex_order
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
@@ -282,9 +283,9 @@ class TestDependentTriples:
         rng = random.Random(n * 100 + int(p * 100))
         for _ in range(15):
             planted = planted_triple_graph(n, p, rng)
-            assert _dependent_triples(planted) == dependent_triples_by_definition(planted) != ()
+            assert _dependent_triples(planted, _twin_classes(planted)) == dependent_triples_by_definition(planted) != ()
             g = random_graph(n + 1, p, rng)
-            assert _dependent_triples(g) == dependent_triples_by_definition(g)
+            assert _dependent_triples(g, _twin_classes(g)) == dependent_triples_by_definition(g)
 
     def test_twins_are_named_by_the_lowest(self):
         # copies of vertices of a planted triple graph are twins of them
@@ -294,18 +295,20 @@ class TestDependentTriples:
             copies = rng.sample(range(g.n), 4)
             extra = [(w, g.n + i) for i, v in enumerate(copies) for w in g.adj[v]]
             twinned = Graph(g.n + len(copies), g.edges() + extra)
-            assert _dependent_triples(twinned) == dependent_triples_by_definition(twinned) != ()
+            assert _dependent_triples(twinned, _twin_classes(twinned)) == dependent_triples_by_definition(twinned) != ()
 
     def test_complete_tripartite(self):
         # one triple of twin classes: u sees the two parts it is not in, and
         # the third member is the lowest vertex of its own part
-        assert _dependent_triples(complete_tripartite(3)) == [(0,)] * 3 + [(3,)] * 3 + [(6,)] * 3
+        g = complete_tripartite(3)
+        assert _dependent_triples(g, _twin_classes(g)) == [(0,)] * 3 + [(3,)] * 3 + [(6,)] * 3
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 8), (8, 11), (8, 101)])
     def test_union_apexes(self, m, n):
         # {x1, y, x2} = {m, m+1, m+n+2}: each cycle vertex sees its own apex
         # and y, so the rule keeps the colors around the other apex off it
-        third = _dependent_triples(build(BipyramidUnion(m, n)))
+        g = build(BipyramidUnion(m, n))
+        third = _dependent_triples(g, _twin_classes(g))
         assert all(m + n + 2 in third[u] for u in range(m))
         assert all(m in third[u] for u in range(m + 2, m + n + 2))
 
@@ -313,12 +316,14 @@ class TestDependentTriples:
         specs = ([Cycle(n) for n in range(4, 40) if n != 6] + [Wheel(n) for n in range(5, 40)]
                  + [JoinCycleEmpty(n, m) for n in range(5, 20) for m in range(1, 5)])
         for spec in specs:
-            assert _dependent_triples(build(spec)) == (), spec
+            g = build(spec)
+            assert _dependent_triples(g, _twin_classes(g)) == (), spec
 
     def test_six_cycle(self):
         # {0, 2, 4} and {1, 3, 5} are the triples; u sees two members of the
         # one it is not in, and the third member is u's antipode
-        assert _dependent_triples(build(Cycle(6))) == [((u + 3) % 6,) for u in range(6)]
+        g = build(Cycle(6))
+        assert _dependent_triples(g, _twin_classes(g)) == [((u + 3) % 6,) for u in range(6)]
 
     def test_solve_enumerates_once(self, monkeypatch):
         calls = []
@@ -484,6 +489,57 @@ class TestOneScan:
         assert s.witness == Coloring(range(1, g.n + 1))
         t = chromatic_strong_odd(g, Budget(max_nodes=r.nodes))
         assert (t.status, t.value, t.nodes, t.witness) == ("exact", r.value, r.nodes, r.witness)
+
+
+class TestSearchDigest:
+    """One sha256 over everything the search returns on a seeded corpus, in
+    degree order and in its reverse: statuses, bounds, answers, node counts,
+    reasons and witnesses.  A change that keeps the search the same keeps
+    the digest; one that changes what any rule prunes, the order or the
+    counting does not.  The corpus is drawn with random.Random alone, so the
+    digest does not depend on the Python version."""
+
+    DIGEST = "f6fd1a80a6333a3d98a18049638b192f4286427f670bb7d04a9ea8a6191cbaea"
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(14)
+        graphs = []
+        for i in range(128):
+            n = rng.randint(4, 14)
+            if i % 4 == 0:
+                graphs.append(random_graph(n, 0.3, rng))
+            elif i % 4 == 1:
+                graphs.append(random_graph(n, 0.5, rng))
+            elif i % 4 == 2:
+                graphs.append(stacked_triangulation(n, rng))
+            else:
+                graphs.append(planted_twin_graph(n, 0.4, rng))
+        specs = ([Wheel(n) for n in range(4, 20, 3)] + [JoinCycleEmpty(n, m) for n in (5, 7, 9, 14) for m in (1, 2, 4)]
+                 + [BipyramidUnion(m, n) for m, n in ((3, 3), (3, 6), (4, 5), (4, 8), (5, 9))])
+        return graphs + [build(s) for s in specs]
+
+    @staticmethod
+    def results(g, order):
+        # the scan under a node budget, then decide_k around the value, both
+        # unbounded and one node short
+        r = chromatic_strong_odd(g, Budget(max_nodes=20_000), order)
+        out = [(r.status, r.lower, r.upper, r.value, r.nodes, r.witness.colors)]
+        if r.status == "exact":
+            for k in range(max(1, r.value - 1), r.value + 2):
+                d = decide_k(g, k, None, order)
+                out.append((k, d.answer, d.nodes, d.reason, d.witness and d.witness.colors))
+                if d.nodes > 1:
+                    d = decide_k(g, k, Budget(max_nodes=d.nodes - 1), order)
+                    out.append((k, d.answer, d.nodes, d.reason, d.witness and d.witness.colors))
+        return out
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for g in self.corpus():
+            for order in ("degree", _vertex_order(g, "degree")[::-1]):
+                h.update(repr(self.results(g, order)).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestBudget:
