@@ -12,7 +12,7 @@ The strong odd condition at a vertex v only closes once N(v) is fully
 colored, so eager per-assignment checks would be unsound.  Instead the
 search keeps, per vertex v, over its colored neighbors:
 
-* ``cnt[v]``: how often each color appears;
+* ``cnt[c][v]``: how often color c appears;
 * ``odd[v]`` and ``present[v]``: bit masks of the colors that appear an odd
   number of times and at all (bit c stands for color c), so the positive
   even classes are ``present & ~odd``, their number e is the popcount of
@@ -20,9 +20,19 @@ search keeps, per vertex v, over its colored neighbors:
 * ``tc[cls[v]]``, tc(v) for short: the colors on the colored members of
   v's class of twins, the vertices with v's neighborhood (v included;
   twins are never adjacent), which ``cls[v]`` names by its lowest vertex;
-* ``near[u]``, fixed by the order since the colored vertices are always a
-  prefix of it: for each neighbor v of u, the number r of v's uncolored
-  neighbors when u is colored and, with r = 2, the one besides u.
+* three tables per vertex u, fixed by the order since the colored vertices
+  are always a prefix of it.  They list each neighbor v of u by r, the
+  number of v's uncolored neighbors when u is colored: ``ones[u]`` the v
+  with r = 1, ``twos[u]`` the v with r = 2, with the other one, w, and
+  whether u is beside w, and ``many[u]`` the v with r >= 2 at which
+  counting or parity can still act.  With d = deg(v) - r colored
+  neighbors, counting needs d >= 2r - 1: it acts when e = r, and the even
+  classes then hold at least 2r of them, or when e = r - 1 and an odd
+  class, whose color it forbids, holds one more.  Parity needs at most one
+  color absent around v outside tc(v), or besides v's own, while at least
+  k - d colors are absent and tc(v) holds at most s(v), the size of v's
+  class, so it needs k <= d + 1 + s(v).  An entry that meets neither bound
+  is left out, and since k only grows in a scan, it stays out.
 
 It prunes on seven rules:
 
@@ -98,13 +108,21 @@ lists those third members per vertex once per graph, one per class of
 twins, within the time budget, and ``options`` kills the colors present
 around them.
 
+``options`` first makes tried final: the twin order and, from ``ones``,
+forcing and exclusion.  Every later step (twin parity in u's class, the
+look-ahead from ``twos``, dependence, then counting and parity from
+``many``) only narrows the viable colors, so it returns as soon as none is
+left, with the same masks as if it had gone on.
+
 When v has r = 2, ``options`` also applies forcing and exclusion one step
 early, at w, the neighbor of v still uncolored after u: w must keep a
 color, the even class u leaves or, with none left, one absent around v, and
 not one beside w.  Unused colors are absent everywhere, so this needs no
 test for all k colors being in use.  It is checked once, when u is colored;
 a color that appears beside w later is caught at w's own step by the r = 1
-rule on the tried colors.
+rule on the tried colors.  Each color it keeps leaves v at most one even
+class, so it implies counting at v, and ``many`` lists v with r = 2 only
+for parity.
 
 Every tried color is one search node, counted in ascending order, whether
 the search descends into it or the rules had already killed it; dead colors
@@ -125,6 +143,7 @@ sharing none of the pruning above.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterator, NamedTuple
@@ -302,22 +321,80 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
         cls = [rep.get(s, v) for v, s in enumerate(nbs)]
         tc = [0] * n
         prev = [-1] * n
+        size = [0] * n  # size[cls[v]]: the vertices of v's class
         latest: dict[int, int] = {}
         for v in seq:
             prev[v] = latest.get(cls[v], -1)
             latest[cls[v]] = v
+            size[cls[v]] += 1
         after = [sum(pos[w] > pos[v] for w in a) for v, a in enumerate(adj)]
     # on long sparse graphs the neighborhoods outweigh the search state
     del classes, nbs, rep
-    # near[u] holds (v, r, w) per neighbor v of u: u and the neighbors of v
-    # after it in seq are the r uncolored ones, and w is v's last in seq
-    near: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    # ones[u] lists each neighbor v of u with r = 1, twos[u] holds (v, w,
+    # whether u is beside w) with r = 2, and many[u] holds (t, v, r) with
+    # r >= 2, t being the largest k at which counting or parity can act at
+    # v: n, which k never passes, when d >= 2r - 1 and r > 2 (the look-ahead
+    # implies counting at r = 2), else d + 1 + s(v).  Rows of many leave out
+    # entries with t < k and are sorted by t, highest first, so a larger k
+    # pops their tails.  An empty row is the shared (), so long sparse
+    # graphs keep no empty lists.
+    ones: list = [()] * n
+    twos: list = [()] * n
+    many: list = [()] * n
     for v, a in enumerate(adj):
-        row = sorted(a, key=pos.__getitem__)
-        for i, u in enumerate(row):
-            near[u].append((v, len(row) - i, row[-1]))
+        deg = len(a)
+        if not deg:
+            continue
+        if deg > 2:
+            a = sorted(a, key=pos.__getitem__)
+            u, w = a[-2:]
+        elif deg == 2:
+            u, w = a
+            if pos[u] > pos[w]:
+                u, w = w, u
+        else:
+            w = a[0]
+        if ones[w]:
+            ones[w].append(v)
+        else:
+            ones[w] = [v]
+        if deg == 1:
+            continue
+        aw = adj[w]  # sorted by vertex
+        i = bisect_left(aw, u)
+        x = v, w, i < len(aw) and aw[i] == u
+        if twos[u]:
+            twos[u].append(x)
+        else:
+            twos[u] = [x]
+        s = size[cls[v]] if twins else 1
+        if deg - 1 + s >= k:
+            x = deg - 1 + s, v, 2
+            if many[u]:
+                many[u].append(x)
+            else:
+                many[u] = [x]
+        # past r = 2, d falls and r grows along the row, so both bounds
+        # only get harder
+        for d in range(deg - 3, -1, -1):
+            r = deg - d
+            if d >= 2 * r - 1:
+                t = n
+            elif d + 1 + s >= k:
+                t = d + 1 + s
+            else:
+                break
+            x = t, v, r
+            u = a[d]
+            if many[u]:
+                many[u].append(x)
+            else:
+                many[u] = [x]
+    for row in many:
+        if len(row) > 1:
+            row.sort(reverse=True)
     color = [0] * n
-    cnt = [[0] * (k + 1) for _ in range(n)]
+    cnt = [[0] * n for _ in range(k + 1)]  # cnt[c][v]: v's neighbors colored c
     odd = [0] * n  # colors on an odd number of colored neighbors
     present = [0] * n  # colors on at least one colored neighbor
     full = (2 << k) - 2  # colors 1..k
@@ -328,35 +405,73 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
         changing it.  tried holds the colors allowed by properness, the
         canonical cap, the twin order and the rules of neighbors whose last
         uncolored neighbor is u; viable holds those that also keep every
-        rule true at every neighbor and in u's class once u has them."""
+        rule true at every neighbor and in u's class once u has them.
+
+        tried is final before viable is narrowed, and each later step only
+        narrows viable, so the loops stop once no color is viable."""
         cap = maxused + 1 if maxused < k else k
         tried = ((2 << cap) - 2) & ~present[u]
-        allowed = -1
         if twins and prev[u] >= 0:
             # twin order: no color below the previous twin's
             tried &= -(1 << color[prev[u]])
+        for v in ones[u]:
+            # forcing: u must repair v's one even class; exclusion: with
+            # none, u must avoid every color around v (e <= r always)
+            p = present[v]
+            ev = p & ~odd[v]
+            tried &= ev if ev else ~p
+        viable = tried
+        if twins and prev[u] >= 0:
             # twin parity at u's own class, whose colors u may add to: with
             # r - e odd, one color absent around u must stay out of them
             pu = present[u]
             if (after[u] - (pu & ~odd[u]).bit_count()) & 1:
                 a = full & ~pu & ~tc[cls[u]]
                 if not a & (a - 1):
-                    allowed = ~a
-        for v, r, w in near[u]:
+                    viable &= ~a
+        for v, w, beside in twos[u]:
+            if not viable:
+                return tried, 0
+            # forcing and exclusion at w, v's last uncolored neighbor after
+            # u; free holds the colors around neither v nor w.  Each mask
+            # keeps only colors that leave v at most one even class, so
+            # counting at v holds too.
             p = present[v]
             ev = p & ~odd[v]
-            if r == 1:
-                # forcing: u must repair v's one even class; exclusion: with
-                # none, u must avoid every color around v (e <= r always)
-                tried &= ev if ev else ~p
-                continue
+            pw = present[w]
+            free = full & ~p & ~pw
+            if ev & (ev - 1):
+                # e = 2: u repairs one even class and leaves w the other
+                lo = ev & -ev
+                hi = ev ^ lo
+                viable &= (0 if hi & pw else lo) | (0 if lo & pw else hi)
+            elif ev:
+                # repairing the class leaves w a free color to find; a
+                # color new to v leaves the class to w
+                viable &= (ev if free else 0) | (0 if ev & pw else ~p)
+            else:
+                # a color new to v must leave w another free color; one at
+                # v turns even and is forced on w, which must not see it or u
+                a = 0 if not free else ~p if free & (free - 1) else ~p & ~free
+                viable &= a | (0 if beside else p & ~pw)
+        if third:
+            # dependence: u sees the other two members of each triple of a
+            # listed z, so a color present around z would then be present
+            # around all three
+            for z in third[u]:
+                viable &= ~present[z]
+        for _, v, r in many[u]:
+            if not viable:
+                return tried, 0
+            p = present[v]
+            ev = p & ~odd[v]
             e = ev.bit_count()
             if e == r:
                 # counting: only repairing an even class keeps v alive
-                allowed &= ev
+                viable &= ev
             elif e == r - 1:
                 # counting: an odd color would add an even class
-                allowed &= ~odd[v]
+                viable &= ~odd[v]
             elif not (r - e) & 1:
                 # parity: a color new to v would make r - e odd, which needs
                 # a color absent around v after it and outside the colors of
@@ -369,33 +484,8 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 else:
                     absent &= absent - 1
                 if not absent & (absent - 1):
-                    allowed &= p
-            if r == 2:
-                # forcing and exclusion at w, v's last uncolored neighbor
-                # after u; free holds the colors around neither v nor w
-                pw = present[w]
-                free = full & ~p & ~pw
-                if e == 2:
-                    # u repairs one even class and leaves w the other
-                    lo = ev & -ev
-                    hi = ev ^ lo
-                    allowed &= (0 if hi & pw else lo) | (0 if lo & pw else hi)
-                elif e:
-                    # repairing the class leaves w a free color to find; a
-                    # color new to v leaves the class to w
-                    allowed &= (ev if free else 0) | (0 if ev & pw else ~p)
-                else:
-                    # a color new to v must leave w another free color; one at
-                    # v turns even and is forced on w, which must not see it or u
-                    a = 0 if not free else ~p if free & (free - 1) else ~p & ~free
-                    allowed &= a | (0 if u in adj[w] else p & ~pw)
-        if third:
-            # dependence: u sees the other two members of each triple of a
-            # listed z, so a color present around z would then be present
-            # around all three
-            for z in third[u]:
-                allowed &= ~present[z]
-        return tried, tried & allowed
+                    viable &= p
+        return tried, viable
 
     nodes = 0
     start = 0  # nodes before the current k
@@ -432,10 +522,10 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
         if cb:
             c = cb.bit_length() - 1
             color[u] = c
+            cc = cnt[c]
             for v in adj[u]:
-                cv = cnt[v]
-                x = cv[c]
-                cv[c] = x + 1
+                x = cc[v]
+                cc[v] = x + 1
                 if not x:
                     present[v] |= cb
                 odd[v] ^= cb
@@ -454,10 +544,10 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
             u, tried, viable, maxused = stack.pop()
             c = color[u]
             cb = 1 << c
+            cc = cnt[c]
             for v in adj[u]:
-                cv = cnt[v]
-                x = cv[c] - 1
-                cv[c] = x
+                x = cc[v] - 1
+                cc[v] = x
                 if not x:
                     present[v] ^= cb
                 odd[v] ^= cb
@@ -479,8 +569,12 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 break
             k += 1
             full = (2 << k) - 2
-            for cv in cnt:
-                cv.append(0)
+            cnt.append([0] * n)
+            for x, row in enumerate(many):
+                while row and row[-1][0] < k:
+                    row.pop()
+                    if not row:
+                        many[x] = ()
             tried, viable = options(u, 0)
     elapsed = perf_counter() - t0
     if reason is not None:

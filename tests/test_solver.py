@@ -542,6 +542,44 @@ class TestSearchDigest:
         assert h.hexdigest() == self.DIGEST
 
 
+class TestDensePin:
+    """One sha256 over what the search returns on dense graphs under node
+    budgets, where most neighbors of the vertex being colored still have
+    three or more uncolored neighbors and k is near the number of colored
+    ones, so counting, parity and twin parity decide most of the pruning.
+    The corpus is six G(n, 0.5) with n = 22-28 and two graphs with twin
+    classes of three and four, drawn with random.Random alone."""
+
+    DIGEST = "d3c5c0a06af1ec6d15e7788a02d9229e8403fd5681e328b55601d6a581fa9e27"
+
+    @staticmethod
+    def with_classes(n, p, sizes, rng):
+        """G(n - extra, p) where one vertex per entry of sizes gains twins
+        until its class has that size."""
+        g = random_graph(n - sum(sizes) + len(sizes), p, rng)
+        sources = rng.sample([v for v in range(g.n) if g.adj[v]], len(sizes))
+        extra, new = [], g.n
+        for v, size in zip(sources, sizes):
+            for _ in range(size - 1):
+                extra += [(w, new) for w in g.adj[v]]
+                new += 1
+        return Graph(n, g.edges() + extra)
+
+    def test_digest(self):
+        rng = random.Random(15)
+        graphs = [random_graph(n, 0.5, rng) for n in (22, 23, 24, 26, 27, 28)]
+        graphs += [self.with_classes(20, 0.5, (3, 4), rng), self.with_classes(21, 0.4, (3, 3, 2), rng)]
+        h = hashlib.sha256()
+        for g in graphs:
+            r = chromatic_strong_odd(g, Budget(max_nodes=20_000))
+            out = [(r.status, r.lower, r.nodes)]
+            for k in range(max(1, r.lower - 1), r.lower + 2):
+                d = decide_k(g, k, Budget(max_nodes=10_000))
+                out.append((k, d.answer, d.nodes))
+            h.update(repr(out).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestBudget:
     def test_budget_requires_a_limit(self):
         with pytest.raises(InvalidParameterError):
