@@ -32,7 +32,7 @@ search keeps, per vertex v, over its colored neighbors:
   color absent around v outside tc(v), or besides v's own, while at least
   k - d colors are absent and tc(v) holds at most s(v), the size of v's
   class, so it needs k <= d + 1 + s(v).  An entry that meets neither bound
-  is left out, and since k only grows in a scan, it stays out.
+  is left out, and as k only grows over the searches of a plan, it stays out.
 
 It prunes on seven rules:
 
@@ -131,9 +131,10 @@ frame per colored vertex, so its depth is not limited by Python's recursion
 limit.  Every yes answer is re-checked through the public verifier before
 it is returned.
 
-``chromatic_strong_odd`` makes one scan per graph: the order, the triples,
-the deadline and the state above are set up once, and k, k + 1, ... are
-decided on them, since a refutation leaves the state as it found it.
+``_plan`` sets up the order, the twin classes, the triples and the three
+tables once; ``_search`` decides one k on them from no colored vertex.
+``decide_k`` is one plan and one search, and ``chromatic_strong_odd`` one
+plan searched at k, k + 1, ... within one node budget and one deadline.
 
 ``brute_force_so`` is the independent oracle: it enumerates canonical color
 assignments outright and re-checks each complete one with ``is_strong_odd``,
@@ -167,11 +168,12 @@ class Budget:
     def __post_init__(self):
         if self.max_nodes is None and self.max_seconds is None:
             raise InvalidParameterError("Budget needs max_nodes or max_seconds; use budget=None for unbounded")
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise InvalidParameterError("max_nodes must be >= 1")
+        if self.max_nodes is not None and (type(self.max_nodes) is not int or self.max_nodes < 1):
+            raise InvalidParameterError("max_nodes must be an int >= 1")
         # written so that nan fails too: a nan or inf deadline never trips
-        if self.max_seconds is not None and not 0 < self.max_seconds < math.inf:
-            raise InvalidParameterError("max_seconds must be positive and finite")
+        seconds = self.max_seconds
+        if seconds is not None and not (isinstance(seconds, (int, float)) and 0 < seconds < math.inf):
+            raise InvalidParameterError("max_seconds must be a positive, finite int or float")
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ def _vertex_order(g: Graph, order) -> list[int]:
         # the sort is stable, so ties stay in index order
         return sorted(range(g.n), key=[len(a) for a in g.adj].__getitem__, reverse=True)
     if isinstance(order, (list, tuple)):
-        if sorted(order) != list(range(g.n)):
+        if any(type(v) is not int for v in order) or sorted(order) != list(range(g.n)):
             raise InvalidParameterError("explicit order must be a permutation of the vertices")
         return list(order)
     raise InvalidParameterError(f"unknown vertex order {order!r}")
@@ -286,40 +288,45 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if g.n == 0:
         raise InvalidParameterError("decide_k requires a nonempty graph")
-    # the canonical cap never reaches a color above n, so a larger k would
-    # only make the per-vertex counters longer
-    return next(_scan(g, min(k, g.n), budget, order))
-
-
-def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResult]:
-    """Decide k, k + 1, ... on one search state, one result per k, stopping
-    after the first answer that is not no.
-
-    The order, the triples, the deadline and the state are set up once.  A
-    search that ends in no has undone every assignment, so the next k
-    starts from the same state with one more counter per vertex.  The budget
-    covers the whole scan and the set-up; each result counts the nodes and
-    seconds of its own k, the first one's seconds including the set-up.
-    """
     t0 = perf_counter()
     deadline = t0 + budget.max_seconds if budget and budget.max_seconds else None
+    # the canonical cap never reaches a color above n, so a larger k would
+    # only make the per-vertex counters longer
+    k = min(k, g.n)
+    plan = _plan(g, order, k, deadline)
+    if plan is None:
+        return DecideResult("timeout", None, 0, perf_counter() - t0, "max-seconds")
+    return _search(plan, k, budget.max_nodes if budget else None, deadline, t0)
+
+
+def _plan(g: Graph, order, k: int, deadline: float | None) -> tuple | None:
+    """The search plan for g in the given order, fit for k and every larger
+    k: the tuple (g, seq, cls, prev, after, third, ones, twos, many), or
+    None when the ``perf_counter()`` deadline passes while the triples are
+    listed.
+
+    seq is the vertex order and third the triples per vertex.  With twins,
+    prev[v] is v's twin just before it in seq, or -1, and after[v] counts
+    v's neighbors after it; without, cls, prev and after are None.  ones[u]
+    lists the v with r = 1, twos[u] holds (v, w, whether u is beside w), and
+    many[u] holds (t, v, r), t being the largest k at which counting or
+    parity can act at v: n, which k never passes, when d >= 2r - 1 and r > 2
+    (the look-ahead implies counting at r = 2), else d + 1 + s(v).  Rows of
+    many leave out entries with t < k and are sorted by t, highest first,
+    so a search at a larger k pops their tails.
+    """
     seq = _vertex_order(g, order)
     n = g.n
     adj = g.adj
     classes = _twin_classes(g)
     third = _dependent_triples(g, classes, deadline)
     if third is None:
-        yield DecideResult("timeout", None, 0, perf_counter() - t0, "max-seconds")
-        return
+        return None
     pos = sorted(range(n), key=seq.__getitem__)  # pos[v]: v's index in seq
-    # with twins: cls[v] names v's class by its lowest vertex, tc[cls[v]]
-    # holds the colors on the class's colored members, prev[v] is v's twin
-    # just before it in seq, or -1, and after[v] counts v's neighbors after it
     nbs, rep = classes
-    twins = len(rep) < n - nbs.count(frozenset())
-    if twins:
+    cls = prev = after = None
+    if len(rep) < n - nbs.count(frozenset()):
         cls = [rep.get(s, v) for v, s in enumerate(nbs)]
-        tc = [0] * n
         prev = [-1] * n
         size = [0] * n  # size[cls[v]]: the vertices of v's class
         latest: dict[int, int] = {}
@@ -328,19 +335,20 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
             latest[cls[v]] = v
             size[cls[v]] += 1
         after = [sum(pos[w] > pos[v] for w in a) for v, a in enumerate(adj)]
-    # on long sparse graphs the neighborhoods outweigh the search state
+    # on long sparse graphs the neighborhoods outweigh the tables
     del classes, nbs, rep
-    # ones[u] lists each neighbor v of u with r = 1, twos[u] holds (v, w,
-    # whether u is beside w) with r = 2, and many[u] holds (t, v, r) with
-    # r >= 2, t being the largest k at which counting or parity can act at
-    # v: n, which k never passes, when d >= 2r - 1 and r > 2 (the look-ahead
-    # implies counting at r = 2), else d + 1 + s(v).  Rows of many leave out
-    # entries with t < k and are sorted by t, highest first, so a larger k
-    # pops their tails.  An empty row is the shared (), so long sparse
-    # graphs keep no empty lists.
     ones: list = [()] * n
     twos: list = [()] * n
     many: list = [()] * n
+
+    def put(table: list, u: int, x) -> None:
+        # an empty row is the shared (), so long sparse graphs keep no
+        # empty lists
+        if table[u]:
+            table[u].append(x)
+        else:
+            table[u] = [x]
+
     for v, a in enumerate(adj):
         deg = len(a)
         if not deg:
@@ -354,26 +362,15 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 u, w = w, u
         else:
             w = a[0]
-        if ones[w]:
-            ones[w].append(v)
-        else:
-            ones[w] = [v]
+        put(ones, w, v)
         if deg == 1:
             continue
         aw = adj[w]  # sorted by vertex
         i = bisect_left(aw, u)
-        x = v, w, i < len(aw) and aw[i] == u
-        if twos[u]:
-            twos[u].append(x)
-        else:
-            twos[u] = [x]
-        s = size[cls[v]] if twins else 1
+        put(twos, u, (v, w, i < len(aw) and aw[i] == u))
+        s = size[cls[v]] if cls else 1
         if deg - 1 + s >= k:
-            x = deg - 1 + s, v, 2
-            if many[u]:
-                many[u].append(x)
-            else:
-                many[u] = [x]
+            put(many, u, (deg - 1 + s, v, 2))
         # past r = 2, d falls and r grows along the row, so both bounds
         # only get harder
         for d in range(deg - 3, -1, -1):
@@ -384,21 +381,31 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 t = d + 1 + s
             else:
                 break
-            x = t, v, r
-            u = a[d]
-            if many[u]:
-                many[u].append(x)
-            else:
-                many[u] = [x]
+            put(many, a[d], (t, v, r))
     for row in many:
         if len(row) > 1:
             row.sort(reverse=True)
+    return g, seq, cls, prev, after, third, ones, twos, many
+
+
+def _search(plan: tuple, k: int, max_nodes: int | None, deadline: float | None, t0: float) -> DecideResult:
+    """Decide k on a plan fit for k, from no colored vertex, within max_nodes
+    nodes and the ``perf_counter()`` deadline; the result's seconds run from
+    t0.  Rows of many are first trimmed to k in place, which keeps the plan
+    fit for every larger k."""
+    g, seq, cls, prev, after, third, ones, twos, many = plan
+    n = g.n
+    adj = g.adj
+    twins = cls is not None
+    for row in many:
+        while row and row[-1][0] < k:
+            row.pop()
     color = [0] * n
     cnt = [[0] * n for _ in range(k + 1)]  # cnt[c][v]: v's neighbors colored c
     odd = [0] * n  # colors on an odd number of colored neighbors
     present = [0] * n  # colors on at least one colored neighbor
+    tc = [0] * n  # tc[cls[v]]: the colors on the colored members of v's class
     full = (2 << k) - 2  # colors 1..k
-    max_nodes = budget.max_nodes if budget else None
 
     def options(u: int, maxused: int) -> tuple[int, int]:
         """Masks (tried, viable) of colors for u, read off the state without
@@ -488,7 +495,6 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
         return tried, viable
 
     nodes = 0
-    start = 0  # nodes before the current k
     # node count at which the budget is next looked at: just past max_nodes,
     # or the next multiple of 256 when there is a deadline
     limit = max_nodes + 1 if max_nodes is not None else 1 << 62
@@ -555,35 +561,13 @@ def _scan(g: Graph, k: int, budget: Budget | None, order) -> Iterator[DecideResu
                 tc[cls[u]] ^= cb
             color[u] = 0
         else:
-            # k is refuted and every assignment undone, so u is seq[0] and
-            # maxused 0 again; k + 1 goes on from this state once the
-            # budget, looked at before its first node, allows it
-            yield DecideResult("no", None, nodes - start, perf_counter() - t0)
-            t0 = perf_counter()
-            start = nodes
-            if nodes == max_nodes:
-                reason = "max-nodes"
-                break
-            if deadline is not None and perf_counter() > deadline:
-                reason = "max-seconds"
-                break
-            k += 1
-            full = (2 << k) - 2
-            cnt.append([0] * n)
-            for x, row in enumerate(many):
-                while row and row[-1][0] < k:
-                    row.pop()
-                    if not row:
-                        many[x] = ()
-            tried, viable = options(u, 0)
-    elapsed = perf_counter() - t0
+            return DecideResult("no", None, nodes, perf_counter() - t0)
     if reason is not None:
-        yield DecideResult("timeout", None, nodes - start, elapsed, reason)
-        return
+        return DecideResult("timeout", None, nodes, perf_counter() - t0, reason)
     witness = Coloring(color)
     if not is_strong_odd(g, witness) or len(witness.palette) > k:
         raise InternalError("internal error: search produced an invalid witness")
-    yield DecideResult("yes", witness, nodes - start, elapsed)
+    return DecideResult("yes", witness, nodes, perf_counter() - t0)
 
 
 def _clique_lower_bound(g: Graph) -> int:
@@ -610,28 +594,41 @@ def _clique_lower_bound(g: Graph) -> int:
 def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree") -> SolveResult:
     """Exact strong odd chromatic number with a verified witness.
 
-    Scans k upward from a greedy clique lower bound on one search state, so
-    the exact status always rests on a refutation at value - 1 (or on the
-    lower bound itself).  The trivial all-distinct coloring pins the
-    initial upper bound at |V|; on budget exhaustion the verified bounds
-    found so far are returned, never a guess.
+    Decides k upward from a greedy clique lower bound, on one plan and
+    within one budget, so the exact status always rests on a refutation at
+    value - 1 (or on the lower bound itself).  The trivial all-distinct
+    coloring pins the initial upper bound at |V|; on budget exhaustion the
+    verified bounds found so far are returned, never a guess.
     """
     if g.n == 0:
         raise InvalidParameterError("chromatic_strong_odd requires a nonempty graph")
     t0 = perf_counter()
+    deadline = t0 + budget.max_seconds if budget and budget.max_seconds else None
+    max_nodes = budget.max_nodes if budget else None
     lower = max(1, _clique_lower_bound(g))
+    plan = _plan(g, order, lower, deadline)
     nodes = 0
-    for r in _scan(g, lower, budget, order):
+    reason = "max-seconds"  # kept when the deadline passes during the plan
+    while plan is not None:
+        # the budget is looked at before each k's first node
+        if nodes == max_nodes:
+            reason = "max-nodes"
+            break
+        if deadline is not None and perf_counter() > deadline:
+            break
+        r = _search(plan, lower, None if max_nodes is None else max_nodes - nodes, deadline, t0)
         nodes += r.nodes
-        if r.answer == "no":
-            lower += 1
-    if r.answer == "yes":
-        if len(r.witness.palette) != lower:
-            # cannot happen with a sound lower bound: a smaller witness
-            # would contradict the refutation of lower - 1
-            raise InternalError("internal error: exact witness palette differs from value")
-        return SolveResult("exact", lower, lower, lower, r.witness, nodes, perf_counter() - t0)
-    status = "timeout" if r.reason == "max-seconds" else "bounds"
+        if r.answer == "yes":
+            if len(r.witness.palette) != lower:
+                # cannot happen with a sound lower bound: a smaller witness
+                # would contradict the refutation of lower - 1
+                raise InternalError("internal error: exact witness palette differs from value")
+            return SolveResult("exact", lower, lower, lower, r.witness, nodes, perf_counter() - t0)
+        if r.answer == "timeout":
+            reason = r.reason
+            break
+        lower += 1
+    status = "timeout" if reason == "max-seconds" else "bounds"
     return SolveResult(status, lower, g.n, None, Coloring(range(1, g.n + 1)), nodes, perf_counter() - t0)
 
 

@@ -91,6 +91,11 @@ class TestDecideK:
     def test_bad_order(self):
         with pytest.raises(InvalidParameterError):
             decide_k(build(Cycle(3)), 2, order=[0, 0, 1])
+        # floats equal to 0..n - 1 sort like a permutation but index no list
+        with pytest.raises(InvalidParameterError):
+            decide_k(build(Cycle(5)), 3, order=[0.0, 1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(InvalidParameterError):
+            chromatic_strong_odd(build(Cycle(3)), order=(0, 1, 2.0))
 
 
 class TestNodeCounts:
@@ -122,7 +127,9 @@ class TestNodeCounts:
         ],
     )
     def test_refutation_nodes(self, spec, k, nodes):
-        r = decide_k(build(spec), k)
+        # the budget, above the largest count here, makes a search that a
+        # weakened rule has turned long fail fast
+        r = decide_k(build(spec), k, Budget(max_nodes=20_000))
         assert (r.answer, r.nodes) == ("no", nodes)
 
     @pytest.mark.parametrize(
@@ -400,10 +407,10 @@ class TestChromatic:
     def test_witness_below_the_scanned_k_raises_internal_error(self, monkeypatch):
         # a yes whose palette is smaller than k contradicts the refutation
         # of k - 1, so it can only come from a bug
-        def scan_with_small_witness(g, k, budget, order):
-            yield DecideResult("yes", Coloring([1] * g.n), 1, 0.0)
+        def search_with_small_witness(plan, k, *budget):
+            return DecideResult("yes", Coloring([1] * 5), 1, 0.0)
 
-        monkeypatch.setattr(strongodd.solver, "_scan", scan_with_small_witness)
+        monkeypatch.setattr(strongodd.solver, "_search", search_with_small_witness)
         with pytest.raises(InternalError, match="palette differs"):
             chromatic_strong_odd(build(Cycle(5)))
 
@@ -456,8 +463,9 @@ class TestChromatic:
 
 
 class TestOneScan:
-    """chromatic_strong_odd decides k, k + 1, ... on one search state; that
-    is the same search as one decide_k call per k, with one budget."""
+    """chromatic_strong_odd builds one search plan and searches it at k,
+    k + 1, ..., each time from no colored vertex; that is the same search as
+    one decide_k call per k, with one budget."""
 
     @staticmethod
     def scanned(g, order):
@@ -478,8 +486,8 @@ class TestOneScan:
 
     @pytest.mark.parametrize("spec", [Wheel(14), JoinCycleEmpty(7, 2), BipyramidUnion(3, 4), Cycle(6)], ids=repr)
     def test_budget_spent_exactly_by_the_refutations(self, spec):
-        # the budget is looked at between two k, so the scan stops before
-        # counting a node of the value's own search
+        # the budget is looked at before each k's first node, so the solve
+        # stops before counting a node of the value's own search
         g = build(spec)
         r, calls = self.scanned(g, "degree")
         refuted = r.nodes - calls[-1].nodes
@@ -521,7 +529,7 @@ class TestSearchDigest:
 
     @staticmethod
     def results(g, order):
-        # the scan under a node budget, then decide_k around the value, both
+        # the solve under a node budget, then decide_k around the value, both
         # unbounded and one node short
         r = chromatic_strong_odd(g, Budget(max_nodes=20_000), order)
         out = [(r.status, r.lower, r.upper, r.value, r.nodes, r.witness.colors)]
@@ -596,6 +604,14 @@ class TestBudget:
         # a nan or inf deadline never trips; unbounded is spelled budget=None
         with pytest.raises(InvalidParameterError):
             Budget(max_seconds=seconds)
+
+    @pytest.mark.parametrize(
+        "nodes,seconds", [(2.5, None), (5.0, None), ("5", None), (True, None), (None, "1"), (None, 1j), (5, "1")])
+    def test_budget_rejects_a_limit_of_the_wrong_type(self, nodes, seconds):
+        # max_nodes is an int and not a bool, max_seconds an int or a float;
+        # a fractional node budget would end a search at a fractional count
+        with pytest.raises(InvalidParameterError):
+            Budget(nodes, seconds)
 
     def test_many_twins_enumerate_quickly(self):
         # K_{60,60,60} holds 60**3 dependent triples but only one of twin
