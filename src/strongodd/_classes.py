@@ -1,0 +1,180 @@
+"""Strong odd chromatic number from odd classes.
+
+An odd class is an independent set S such that every vertex sees none, one,
+three, five, ... members of S.  The color classes of a strong odd coloring
+are odd classes, and every partition of V into odd classes colors g strong
+odd, so the strong odd chromatic number is the least number of odd classes
+that partition V: the set-partitioning view of coloring (Mehrotra and Trick,
+INFORMS J. Computing 8, 1996), with "odd" in place of "independent".
+
+``decide_by_classes`` lists the independent sets with bit masks, keeps the
+odd ones of at least two vertices (every singleton is one), bounds the value
+from below and looks for a least partition by branch and bound.  Both steps
+stop early, so it pays only on graphs with few independent sets, such as
+dense ones, where the coloring search is slowest.
+"""
+
+from __future__ import annotations
+
+from time import perf_counter
+
+from .coloring import Coloring, is_strong_odd
+from .errors import InternalError
+from .graphs import Graph
+
+MAX_SETS = 4_096  # independent sets the listing may visit
+MAX_NODES = 1_024  # states the partition search may enter
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
+    """The odd classes of g with at least two vertices, as bit masks, or None
+    when the listing would visit more than MAX_SETS independent sets or the
+    ``perf_counter()`` deadline passes first.
+
+    Each visited set S keeps two masks over its members' neighborhoods: the
+    vertices that see any member and those that see an odd number of them.
+    S is odd when they agree.  A vertex seeing a positive even number of
+    members needs one more, so S is not extended once such a vertex has no
+    neighbor among the candidates.  No singleton is cut off that way, so every
+    independent pair is visited and a graph with more than MAX_SETS vertices
+    and non-edges is given up at once."""
+    n = g.n
+    if n + n * (n - 1) // 2 - g.edge_count > MAX_SETS:
+        return None
+    if deadline is not None and perf_counter() > deadline:
+        return None
+    nb = [sum(1 << w for w in a) for a in g.adj]
+    full = (1 << n) - 1
+    classes = []
+    # (members, seen by any, seen by an odd number, candidates): the
+    # candidates are the vertices above the last member beside none of them
+    stack = [(1 << v, nb[v], nb[v], full & (-2 << v) & ~nb[v]) for v in range(n - 1, -1, -1)]
+    listed = 0
+    while stack:
+        s, seen, odd, cand = stack.pop()
+        listed += 1
+        if listed > MAX_SETS:
+            return None
+        if not listed & 255 and deadline is not None and perf_counter() > deadline:
+            return None
+        even = seen & ~odd
+        if not even:
+            if s & (s - 1):
+                classes.append(s)
+        elif any(not nb[x] & cand for x in _bits(even)):
+            continue
+        for v in reversed(_bits(cand)):
+            stack.append((s | 1 << v, seen | nb[v], odd ^ nb[v], cand & (-2 << v) & ~nb[v]))
+    return classes
+
+
+def _clique(share: list[int], left: int) -> int:
+    """The size of a greedy clique among the vertices of left, two of them
+    joined when no class within left holds both; share[v] is the union of
+    the classes within left that hold v.  The members need distinct parts.
+    From each seed in descending degree, the next member is the candidate
+    of highest degree, then lowest index."""
+    apart = {v: left & ~share[v] for v in _bits(left)}
+    deg = {v: a.bit_count() for v, a in apart.items()}
+    best = 0
+    for seed in sorted(deg, key=deg.__getitem__, reverse=True):
+        if deg[seed] < best:  # no clique through it or a later seed beats best
+            break
+        size, cand = 1, apart[seed]
+        while cand:
+            size += 1
+            cand &= apart[max(_bits(cand), key=deg.__getitem__)]
+        best = max(best, size)
+    return best
+
+
+def least_partition(n: int, classes: list[int], lower: int) -> tuple[int, list[int] | None]:
+    """A lower bound on the parts of any partition of the n vertices into
+    the given classes and singletons, at least lower, and a least such
+    partition as masks, or None when MAX_NODES states do not find one.
+
+    Branch and bound on an explicit stack, so its depth is not limited by
+    Python's recursion limit.  A state is the uncovered vertices, the parts
+    taken and the classes within the uncovered vertices.  It takes every
+    uncovered vertex in none of those classes as a singleton.  The rest
+    need at least as many more parts as a greedy clique of vertices that
+    pairwise share none of them; at the first state, that and the
+    singletons are the pair bound, from the pairs that share no class at
+    all.  A state that cannot beat the best partition found is dropped;
+    otherwise it branches on the uncovered vertex in the fewest classes:
+    those classes, largest first, then the vertex alone.  A partition that
+    meets the bound ends the search."""
+    classes = sorted(classes, key=int.bit_count, reverse=True)
+    members = {c: _bits(c) for c in classes}
+    best = [1 << v for v in range(n)]
+    bound = 0
+    stack: list[list] = []  # [uncovered, parts taken, classes, options, next option]
+    left, taken, usable, nodes = (1 << n) - 1, [], classes, 0
+    while True:
+        nodes += 1
+        if nodes > MAX_NODES:
+            return bound, None
+        share, count = [0] * n, [0] * n
+        for c in usable:
+            for v in members[c]:
+                share[v] |= c
+                count[v] += 1
+        forced, fewest = 0, -1
+        for v in _bits(left):
+            if not count[v]:
+                forced |= 1 << v
+            elif fewest < 0 or count[v] < count[fewest]:
+                fewest = v
+        if forced:
+            left &= ~forced
+            taken = taken + [1 << v for v in _bits(forced)]
+        need = len(taken) + _clique(share, left)
+        if nodes == 1:
+            bound = max(lower, need)
+        if not left:
+            if len(taken) < len(best):
+                best = taken
+                if len(best) <= bound:
+                    return bound, best
+        elif need < len(best):
+            options = [c for c in usable if c >> fewest & 1] + [1 << fewest]
+            stack.append([left, taken, usable, options, 0])
+        while stack and stack[-1][4] == len(stack[-1][3]):
+            stack.pop()
+        if not stack:
+            return bound, best
+        frame = stack[-1]
+        c = frame[3][frame[4]]
+        frame[4] += 1
+        left, taken, usable = frame[0] & ~c, frame[1] + [c], [d for d in frame[2] if not d & c]
+
+
+def decide_by_classes(g: Graph, lower: int, deadline: float | None = None) -> tuple[int, Coloring | None] | None:
+    """The value of g with a verified witness, or (a lower bound, None) when
+    the partition search runs out, or None when the listing does not
+    complete.  lower is a known lower bound, such as the least k the coloring
+    search has not refuted."""
+    classes = odd_classes(g, deadline)
+    if classes is None:
+        return None
+    bound, parts = least_partition(g.n, classes, lower)
+    if parts is None:
+        return bound, None
+    colors = [0] * g.n
+    # colors numbered in the order of their first vertex
+    for i, part in enumerate(sorted(parts, key=lambda p: p & -p), 1):
+        for v in _bits(part):
+            colors[v] = i
+    witness = Coloring(colors)
+    if not is_strong_odd(g, witness):
+        raise InternalError("internal error: odd classes produced an invalid witness")
+    return len(parts), witness

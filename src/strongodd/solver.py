@@ -136,6 +136,21 @@ tables once; ``_search`` decides one k on them from no colored vertex.
 ``decide_k`` is one plan and one search, and ``chromatic_strong_odd`` one
 plan searched at k, k + 1, ... within one node budget and one deadline.
 
+Dense graphs defeat this search: their value is near n, and every k below
+it takes a long refutation.  They have few independent sets, though, so
+once the searches of ``chromatic_strong_odd`` have spent ``_CLASSES_AFTER``
+nodes, ``_classes`` gets one try.  A strong odd coloring is a partition of
+V into odd classes, independent sets that every vertex sees none or an odd
+number of times, so a least such partition is the value.  It lists the odd
+classes, bounds the value from below by the vertex pairs that share no
+class, and searches for a least partition within fixed limits.  Its answer
+is final when the partition meets the bound or its search is exhausted; a
+search that runs out still raises the lower bound, and in every other case
+the interrupted k is searched again.  Graphs the search decides within the
+cut, every small one among them, never reach it.  So an exact value rests
+on a refutation at value - 1, on a lower bound, or on an exhausted
+partition.
+
 ``brute_force_so`` is the independent oracle: it enumerates canonical color
 assignments outright and re-checks each complete one with ``is_strong_odd``,
 sharing none of the pruning above.
@@ -149,9 +164,18 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterator, NamedTuple
 
+# imported as a module: the benchmark's tracer wraps every function a layer
+# module imports from another package module and names the span after that
+# module, and _classes is part of the solver layer, not a layer of its own
+from . import _classes
 from .coloring import Coloring, is_strong_odd
 from .errors import InternalError, InvalidParameterError
 from .graphs import Graph
+
+
+# nodes the searches of chromatic_strong_odd spend before the odd classes
+# get their one try
+_CLASSES_AFTER = 1_000
 
 
 @dataclass(frozen=True)
@@ -284,8 +308,8 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
     Returns yes with a verified witness, no after exhausting the canonical
     search space, or timeout when the budget runs out first.
     """
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
     if g.n == 0:
         raise InvalidParameterError("decide_k requires a nonempty graph")
     t0 = perf_counter()
@@ -581,6 +605,9 @@ def _clique_lower_bound(g: Graph) -> int:
     rank = [len(a) * n + n - 1 - v for v, a in enumerate(adj)]
     best = 1
     for seed in range(n):
+        if len(adj[seed]) < best:
+            # a clique through seed has at most deg + 1 <= best vertices
+            continue
         size = 1
         cand = set(adj[seed])
         while cand:
@@ -595,28 +622,50 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     """Exact strong odd chromatic number with a verified witness.
 
     Decides k upward from a greedy clique lower bound, on one plan and
-    within one budget, so the exact status always rests on a refutation at
-    value - 1 (or on the lower bound itself).  The trivial all-distinct
-    coloring pins the initial upper bound at |V|; on budget exhaustion the
-    verified bounds found so far are returned, never a guess.
+    within one budget.  Once these searches have spent _CLASSES_AFTER nodes,
+    unless the caller's budget stops them first, the odd classes get one
+    try (``_classes.decide_by_classes``): a least partition of V into odd
+    classes is the value, and a listing that completes while the partition
+    search runs out raises the lower bound to its pair bound.  The
+    interrupted k is then searched again, with the rest of the budget.  So
+    an exact status rests on a refutation at value - 1, on a lower bound
+    (the clique or the pair bound), or on an exhausted partition.  The
+    trivial all-distinct coloring pins the initial upper bound at |V|; on
+    budget exhaustion the verified bounds found so far are returned, never
+    a guess.
     """
     if g.n == 0:
         raise InvalidParameterError("chromatic_strong_odd requires a nonempty graph")
     t0 = perf_counter()
     deadline = t0 + budget.max_seconds if budget and budget.max_seconds else None
     max_nodes = budget.max_nodes if budget else None
+    # the node count at which the searches stop: first the point where the
+    # classes get their try, unless the caller's budget comes first
+    cut = max_nodes if max_nodes is not None and max_nodes <= _CLASSES_AFTER else _CLASSES_AFTER
     lower = max(1, _clique_lower_bound(g))
     plan = _plan(g, order, lower, deadline)
     nodes = 0
     reason = "max-seconds"  # kept when the deadline passes during the plan
     while plan is not None:
-        # the budget is looked at before each k's first node
-        if nodes == max_nodes:
-            reason = "max-nodes"
-            break
+        # the budget is looked at before each k's first node: nodes is the
+        # cut after a refutation, and one past it after a search it stopped
+        if cut is not None and nodes >= cut:
+            if cut == max_nodes:
+                reason = "max-nodes"
+                break
+            cut = max_nodes
+            found = _classes.decide_by_classes(g, lower, deadline)
+            if found is not None:
+                value, witness = found
+                if witness is not None:
+                    if value < lower:
+                        raise InternalError("internal error: odd classes beat a refutation")
+                    return SolveResult("exact", value, value, value, witness, nodes, perf_counter() - t0)
+                lower = value
+            continue
         if deadline is not None and perf_counter() > deadline:
             break
-        r = _search(plan, lower, None if max_nodes is None else max_nodes - nodes, deadline, t0)
+        r = _search(plan, lower, None if cut is None else cut - nodes, deadline, t0)
         nodes += r.nodes
         if r.answer == "yes":
             if len(r.witness.palette) != lower:
@@ -624,10 +673,10 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
                 # would contradict the refutation of lower - 1
                 raise InternalError("internal error: exact witness palette differs from value")
             return SolveResult("exact", lower, lower, lower, r.witness, nodes, perf_counter() - t0)
-        if r.answer == "timeout":
-            reason = r.reason
+        if r.answer == "no":
+            lower += 1
+        elif r.reason == "max-seconds":
             break
-        lower += 1
     status = "timeout" if reason == "max-seconds" else "bounds"
     return SolveResult(status, lower, g.n, None, Coloring(range(1, g.n + 1)), nodes, perf_counter() - t0)
 

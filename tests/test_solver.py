@@ -5,8 +5,10 @@ from time import perf_counter
 
 import pytest
 
+import strongodd._classes
 import strongodd.solver
 from helpers import class_sizes_on, cycle_vertices, is_two_distance_on, random_graph, stacked_triangulation
+from strongodd._classes import decide_by_classes, least_partition, odd_classes
 from strongodd.solver import _clique_lower_bound, _dependent_triples, _twin_classes, _vertex_order
 from strongodd import (
     Bipyramid,
@@ -28,6 +30,14 @@ from strongodd import (
     decide_k,
     is_strong_odd,
 )
+
+
+@pytest.fixture
+def search_alone(monkeypatch):
+    """chromatic_strong_odd without the odd classes: the searches never reach
+    the node count at which the classes get their try, so a pin on the
+    search's own node counts keeps pinning the search."""
+    monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
 
 
 def small_corpus(seed=424242, count=40):
@@ -56,6 +66,13 @@ class TestDecideK:
     def test_invalid_k(self):
         with pytest.raises(InvalidParameterError):
             decide_k(build(Cycle(3)), 0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", True, None])
+    def test_k_of_the_wrong_type(self, k):
+        # the search indexes and compares with k, so a non-int would end in
+        # a bare TypeError deep inside it
+        with pytest.raises(InvalidParameterError):
+            decide_k(build(Cycle(5)), k)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -177,6 +194,7 @@ class TestNodeCounts:
             ("gnp", 20, 3, ("exact", 8, 7_991), ("exact", 8, 131_301)),
         ],
     )
+    @pytest.mark.usefixtures("search_alone")
     def test_random_graph_nodes(self, kind, n, seed, degree_order, shuffled_order):
         # planar: a stacked triangulation with 20 % of its edges dropped;
         # gnp: G(n, 0.3); the same rng then draws the shuffled vertex order
@@ -196,6 +214,7 @@ class TestNodeCounts:
         r = decide_k(build(Wheel(17)), 5, Budget(max_nodes=28))
         assert (r.answer, r.nodes, r.reason) == ("timeout", 29, "max-nodes")
 
+    @pytest.mark.usefixtures("search_alone")
     def test_long_cycle_needs_no_deep_recursion(self):
         g = build(Cycle(5000))
         r = chromatic_strong_odd(g)
@@ -462,6 +481,34 @@ class TestChromatic:
         assert values == [6] * 8
 
 
+def greedy_clique_from_every_seed(g):
+    """_clique_lower_bound without skipping seeds: the largest of the
+    cliques grown greedily from each vertex, adding the candidate of highest
+    degree, then lowest index."""
+    best = 0
+    for seed in range(g.n):
+        clique, cand = [seed], set(g.adj[seed])
+        while cand:
+            v = max(cand, key=lambda w: (len(g.adj[w]), -w))
+            clique.append(v)
+            cand &= set(g.adj[v])
+        best = max(best, len(clique))
+    return best
+
+
+class TestCliqueBound:
+    def test_skipping_low_degree_seeds_keeps_the_bound(self):
+        # a seed of degree below the best clique so far grows at most
+        # deg + 1 <= best vertices, so skipping it changes nothing
+        rng = random.Random(21)
+        graphs = [random_graph(rng.randint(1, 40), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), rng) for _ in range(150)]
+        graphs += [stacked_triangulation(rng.randint(3, 40), rng) for _ in range(50)]
+        graphs += [build(s) for s in SMALL_FAMILY_MEMBERS + [Wheel(30), BipyramidUnion(8, 11), Complete(20)]]
+        for g in graphs:
+            assert _clique_lower_bound(g) == greedy_clique_from_every_seed(g)
+
+
+@pytest.mark.usefixtures("search_alone")
 class TestOneScan:
     """chromatic_strong_odd builds one search plan and searches it at k,
     k + 1, ..., each time from no colored vertex; that is the same search as
@@ -499,6 +546,7 @@ class TestOneScan:
         assert (t.status, t.value, t.nodes, t.witness) == ("exact", r.value, r.nodes, r.witness)
 
 
+@pytest.mark.usefixtures("search_alone")
 class TestSearchDigest:
     """One sha256 over everything the search returns on a seeded corpus, in
     degree order and in its reverse: statuses, bounds, answers, node counts,
@@ -550,6 +598,7 @@ class TestSearchDigest:
         assert h.hexdigest() == self.DIGEST
 
 
+@pytest.mark.usefixtures("search_alone")
 class TestDensePin:
     """One sha256 over what the search returns on dense graphs under node
     budgets, where most neighbors of the vertex being colored still have
@@ -585,6 +634,176 @@ class TestDensePin:
                 d = decide_k(g, k, Budget(max_nodes=10_000))
                 out.append((k, d.answer, d.nodes))
             h.update(repr(out).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+def odd_classes_by_definition(g):
+    """odd_classes read off its definition: every independent set of two or
+    more vertices that each vertex sees none or an odd number of times."""
+    out = []
+    for size in range(2, g.n + 1):
+        for s in itertools.combinations(range(g.n), size):
+            if all(not set(g.adj[v]) & set(s) for v in s) and all(
+                    len(set(a) & set(s)) in (0, 1) or len(set(a) & set(s)) % 2 for a in g.adj):
+                out.append(sum(1 << v for v in s))
+    return sorted(out)
+
+
+def dense_graph(n, seed):
+    return random_graph(n, 0.5, random.Random(seed))
+
+
+class TestOddClasses:
+    """The second engine: a least partition of V into odd classes."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(17)
+        graphs = []
+        for i in range(300):
+            n = rng.randint(3, 14)
+            if i % 3 == 0:
+                graphs.append(random_graph(n, rng.choice([0.2, 0.3, 0.4, 0.5, 0.6, 0.7]), rng))
+            elif i % 3 == 1:
+                graphs.append(stacked_triangulation(n, rng))
+            else:
+                graphs.append(planted_twin_graph(max(n, 4), rng.choice([0.3, 0.5]), rng))
+        return graphs
+
+    @pytest.mark.usefixtures("search_alone")
+    def test_agrees_with_the_search_and_the_oracle(self):
+        decided = 0
+        for g in self.corpus():
+            value = chromatic_strong_odd(g).value
+            if g.n <= 9:
+                assert brute_force_so(g).value == value
+            found, witness = decide_by_classes(g, 1)  # every listing here completes
+            if witness is None:
+                assert found <= value
+            else:
+                assert found == value == len(witness.palette) and is_strong_odd(g, witness)
+                decided += 1
+        assert decided >= 295
+
+    def test_listing_matches_definition(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            g = random_graph(rng.randint(2, 10), rng.choice([0.2, 0.4, 0.6]), rng)
+            assert sorted(odd_classes(g)) == odd_classes_by_definition(g)
+
+    @pytest.mark.parametrize("m,n,value", [(6, 8, 15), (7, 7, 15), (7, 8, 16), (8, 8, 17)])
+    def test_special_pairs(self, m, n, value):
+        # the paper's one-point unions that need 15 to 17 colors, proved
+        # sharing no pruning rule with the search
+        g = build(BipyramidUnion(m, n))
+        found, witness = decide_by_classes(g, 1)
+        assert found == value == len(witness.palette) and is_strong_odd(g, witness)
+
+    def test_long_cycle_lists_no_set(self):
+        # its 4,999 singletons and 12.5 M independent pairs are far past the
+        # listing's limit, so it gives up before visiting any
+        t = perf_counter()
+        assert odd_classes(build(Cycle(4999))) is None
+        assert perf_counter() - t < 0.1
+
+    def test_partition_of_many_classes_needs_no_deep_recursion(self):
+        # K_1100 and two isolated vertices a and b: the odd classes are
+        # {a, b} and each vertex v of K_1100 with a, b or both, and a least
+        # partition has 1,100 classes, as many as the pair bound
+        n = 1102
+        a, b = 1 << 1100, 1 << 1101
+        classes = [a | b] + [x | 1 << v for v in range(1100) for x in (a, b, a | b)]
+        bound, parts = least_partition(n, classes, 1)
+        assert bound == len(parts) == 1100 and sum(parts) == (1 << n) - 1
+
+    def test_dense_graphs_decide_at_the_cut(self):
+        # the search spends its first 1,000 nodes, and one more to see it,
+        # then the classes decide: these have none or nearly none
+        for seed, n in enumerate(range(24, 29)):
+            g = dense_graph(n, seed)
+            r = chromatic_strong_odd(g, Budget(max_nodes=50_000))
+            assert (r.status, r.nodes) == ("exact", 1_001) and r.value >= n - 1
+            assert is_strong_odd(g, r.witness) and len(r.witness.palette) == r.value
+
+    def test_a_budget_at_the_cut_keeps_the_search(self):
+        # the classes get their try only when the cut, not the caller's
+        # budget, stops the search
+        g = dense_graph(26, 1)
+        r = chromatic_strong_odd(g, Budget(max_nodes=1_000))
+        assert (r.status, r.nodes) == ("bounds", 1_001)
+        r = chromatic_strong_odd(g, Budget(max_nodes=1_001))
+        assert (r.status, r.nodes) == ("exact", 1_001)
+
+    def test_interrupted_k_is_searched_again(self):
+        # the listing gives Cycle(5000) up at once, so the k that the cut
+        # stopped is searched again: 1,000 nodes above the search alone
+        g = build(Cycle(5000))
+        r = chromatic_strong_odd(g)
+        assert (r.status, r.value, r.nodes) == ("exact", 4, 11_004)
+        assert is_strong_odd(g, r.witness)
+
+    def test_unfinished_partition_raises_the_lower_bound(self, monkeypatch):
+        # the classes of U(8, 11) give the pair bound 12, but the partition
+        # search does not finish; the search alone gets to k = 8 within the
+        # same budget
+        g = build(BipyramidUnion(8, 11))
+        assert decide_by_classes(g, 1) == (12, None)
+        r = chromatic_strong_odd(g, Budget(max_nodes=1_001))
+        assert (r.status, r.lower, r.nodes) == ("bounds", 12, 1_001)
+        monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
+        r = chromatic_strong_odd(g, Budget(max_nodes=1_001))
+        assert (r.status, r.lower) == ("bounds", 8)
+
+    def test_deadline_during_the_listing_ends_in_timeout(self, monkeypatch):
+        # a clock that jumps past the deadline once the listing has looked at
+        # it a second time: the solve times out instead of giving the exact
+        # value late
+        g = dense_graph(28, 3)
+        assert chromatic_strong_odd(g, Budget(max_seconds=10)).status == "exact"
+        now = [0.0]
+        looks = []
+
+        def listing_clock():
+            looks.append(now[0])
+            if len(looks) > 1:
+                now[0] = 1e9
+            return now[0]
+
+        monkeypatch.setattr(strongodd.solver, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(strongodd._classes, "perf_counter", listing_clock)
+        r = chromatic_strong_odd(g, Budget(max_seconds=10))
+        assert (r.status, r.value, r.nodes) == ("timeout", None, 1_001) and len(looks) == 2
+
+    def test_classes_below_a_refutation_raise_internal_error(self, monkeypatch):
+        # a value below the k the search has reached contradicts its
+        # refutations, so it can only come from a bug
+        g = dense_graph(26, 1)
+        monkeypatch.setattr(strongodd._classes, "decide_by_classes", lambda g, lower, deadline: (1, Coloring([1] * g.n)))
+        with pytest.raises(InternalError, match="beat a refutation"):
+            chromatic_strong_odd(g)
+
+
+class TestClassesDigest:
+    """One sha256 over what chromatic_strong_odd returns with the odd classes
+    in play, in degree order and in its reverse, under a node budget:
+    statuses, bounds, node counts and witnesses.  The corpus holds dense
+    graphs that the classes decide, sparser ones that the search decides
+    within the cut or after the classes give up, and family members whose
+    partition search does not finish."""
+
+    DIGEST = "0485b592a4b21077176bf4599812381dcfe6e5e733f5c8d82e4cfd651f5899f8"
+
+    def test_digest(self):
+        rng = random.Random(16)
+        graphs = [random_graph(n, 0.5, rng) for n in (20, 22, 24, 26, 28)]
+        graphs += [random_graph(n, 0.3, rng) for n in (14, 16, 18)]
+        graphs += [stacked_triangulation(n, rng) for n in (14, 16, 18)]
+        graphs += [build(s) for s in (Wheel(14), JoinCycleEmpty(14, 6), BipyramidUnion(8, 11), BipyramidUnion(6, 8))]
+        h = hashlib.sha256()
+        for g in graphs:
+            for order in ("degree", _vertex_order(g, "degree")[::-1]):
+                r = chromatic_strong_odd(g, Budget(max_nodes=20_000), order)
+                h.update(repr((r.status, r.lower, r.upper, r.value, r.nodes, r.witness.colors)).encode())
         assert h.hexdigest() == self.DIGEST
 
 
