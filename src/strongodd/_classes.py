@@ -11,7 +11,9 @@ INFORMS J. Computing 8, 1996), with "odd" in place of "independent".
 odd ones of at least two vertices (every singleton is one), bounds the value
 from below and looks for a least partition by branch and bound.  Both steps
 stop early, so it pays only on graphs with few independent sets, such as
-dense ones, where the coloring search is slowest.
+dense ones, where the coloring search is slowest.  ``listable`` tells at
+once whether the listing can complete, so a caller can leave the classes
+out where they cannot help.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def listable(g: Graph) -> bool:
+    """Whether the listing of odd_classes can complete on g.  It visits every
+    singleton and every independent pair, so not when g has more than
+    MAX_SETS vertices and non-edges."""
+    return g.n + g.n * (g.n - 1) // 2 - g.edge_count <= MAX_SETS
+
+
 def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
     """The odd classes of g with at least two vertices, as bit masks, or None
     when the listing would visit more than MAX_SETS independent sets or the
@@ -45,13 +54,11 @@ def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
     S is odd when they agree.  A vertex seeing a positive even number of
     members needs one more, so S is not extended once such a vertex has no
     neighbor among the candidates.  No singleton is cut off that way, so every
-    independent pair is visited and a graph with more than MAX_SETS vertices
-    and non-edges is given up at once."""
+    independent pair is visited, and a graph that is not ``listable`` is given
+    up at once."""
+    if not listable(g) or deadline is not None and perf_counter() > deadline:
+        return None
     n = g.n
-    if n + n * (n - 1) // 2 - g.edge_count > MAX_SETS:
-        return None
-    if deadline is not None and perf_counter() > deadline:
-        return None
     nb = [sum(1 << w for w in a) for a in g.adj]
     full = (1 << n) - 1
     classes = []
@@ -158,17 +165,23 @@ def least_partition(n: int, classes: list[int], lower: int) -> tuple[int, list[i
         left, taken, usable = frame[0] & ~c, frame[1] + [c], [d for d in frame[2] if not d & c]
 
 
-def decide_by_classes(g: Graph, lower: int, deadline: float | None = None) -> tuple[int, Coloring | None] | None:
-    """The value of g with a verified witness, or (a lower bound, None) when
-    the partition search runs out, or None when the listing does not
-    complete.  lower is a known lower bound, such as the least k the coloring
-    search has not refuted."""
+def decide_by_classes(g: Graph, lower: int, deadline: float | None = None) -> tuple[int, Coloring | None]:
+    """(value, witness) or (lower bound, None) for g, given lower, a known
+    lower bound such as the least k the coloring search has not refuted.
+
+    The pair is the value of g with a verified witness when a least
+    partition is found, the pair bound (at least lower) with None when the
+    partition search runs out, and lower itself with None when the listing
+    does not complete: always so when g is not ``listable``.  A value below
+    lower contradicts the refutations behind it and raises InternalError."""
     classes = odd_classes(g, deadline)
     if classes is None:
-        return None
+        return lower, None
     bound, parts = least_partition(g.n, classes, lower)
     if parts is None:
         return bound, None
+    if len(parts) < lower:
+        raise InternalError("internal error: odd classes beat a refutation")
     colors = [0] * g.n
     # colors numbered in the order of their first vertex
     for i, part in enumerate(sorted(parts, key=lambda p: p & -p), 1):

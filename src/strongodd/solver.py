@@ -147,9 +147,12 @@ class, and searches for a least partition within fixed limits.  Its answer
 is final when the partition meets the bound or its search is exhausted; a
 search that runs out still raises the lower bound, and in every other case
 the interrupted k is searched again.  Graphs the search decides within the
-cut, every small one among them, never reach it.  So an exact value rests
-on a refutation at value - 1, on a lower bound, or on an exhausted
-partition.
+cut, every small one among them, never reach it, and the cut is set only
+where ``_classes.listable`` says the listing can complete: on a graph with
+more than ``_classes.MAX_SETS`` vertices and non-edges, such as a long
+cycle, the searches run on the caller's budget alone and a solve's node
+count is the sum of its searches.  So an exact value rests on a refutation
+at value - 1, on a lower bound, or on an exhausted partition.
 
 ``brute_force_so`` is the independent oracle: it enumerates canonical color
 assignments outright and re-checks each complete one with ``is_strong_odd``,
@@ -612,7 +615,13 @@ def _clique_lower_bound(g: Graph) -> int:
         cand = set(adj[seed])
         while cand:
             size += 1
-            cand.intersection_update(adj[max(cand, key=rank.__getitem__)])
+            row = adj[max(cand, key=rank.__getitem__)]  # sorted by vertex
+            if len(row) > 16 * len(cand):
+                # beside a hub: look the few candidates up in its long row
+                # rather than walk it
+                cand = {v for v in cand if (i := bisect_left(row, v)) < len(row) and row[i] == v}
+            else:
+                cand.intersection_update(row)
         if size > best:
             best = size
     return best
@@ -622,17 +631,19 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     """Exact strong odd chromatic number with a verified witness.
 
     Decides k upward from a greedy clique lower bound, on one plan and
-    within one budget.  Once these searches have spent _CLASSES_AFTER nodes,
-    unless the caller's budget stops them first, the odd classes get one
-    try (``_classes.decide_by_classes``): a least partition of V into odd
-    classes is the value, and a listing that completes while the partition
-    search runs out raises the lower bound to its pair bound.  The
-    interrupted k is then searched again, with the rest of the budget.  So
-    an exact status rests on a refutation at value - 1, on a lower bound
-    (the clique or the pair bound), or on an exhausted partition.  The
-    trivial all-distinct coloring pins the initial upper bound at |V|; on
-    budget exhaustion the verified bounds found so far are returned, never
-    a guess.
+    within one budget.  Where the listing of odd classes can complete
+    (``_classes.listable``), once these searches have spent _CLASSES_AFTER
+    nodes, unless the caller's budget stops them first, the odd classes get
+    one try (``_classes.decide_by_classes``): a least partition of V into
+    odd classes is the value, and a listing that completes while the
+    partition search runs out raises the lower bound to its pair bound.  The
+    interrupted k is then searched again, with the rest of the budget.
+    Elsewhere the searches are never cut, and the node count is the sum of
+    the searches at each k.  So an exact status rests on a refutation at
+    value - 1, on a lower bound (the clique or the pair bound), or on an
+    exhausted partition.  The trivial all-distinct coloring pins the initial
+    upper bound at |V|; on budget exhaustion the verified bounds found so
+    far are returned, never a guess.
     """
     if g.n == 0:
         raise InvalidParameterError("chromatic_strong_odd requires a nonempty graph")
@@ -640,8 +651,10 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     deadline = t0 + budget.max_seconds if budget and budget.max_seconds else None
     max_nodes = budget.max_nodes if budget else None
     # the node count at which the searches stop: first the point where the
-    # classes get their try, unless the caller's budget comes first
-    cut = max_nodes if max_nodes is not None and max_nodes <= _CLASSES_AFTER else _CLASSES_AFTER
+    # classes get their try, when their listing can complete and the
+    # caller's budget does not come first
+    try_classes = (max_nodes is None or max_nodes > _CLASSES_AFTER) and _classes.listable(g)
+    cut = _CLASSES_AFTER if try_classes else max_nodes
     lower = max(1, _clique_lower_bound(g))
     plan = _plan(g, order, lower, deadline)
     nodes = 0
@@ -654,14 +667,9 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
                 reason = "max-nodes"
                 break
             cut = max_nodes
-            found = _classes.decide_by_classes(g, lower, deadline)
-            if found is not None:
-                value, witness = found
-                if witness is not None:
-                    if value < lower:
-                        raise InternalError("internal error: odd classes beat a refutation")
-                    return SolveResult("exact", value, value, value, witness, nodes, perf_counter() - t0)
-                lower = value
+            lower, witness = _classes.decide_by_classes(g, lower, deadline)
+            if witness is not None:
+                return SolveResult("exact", lower, lower, lower, witness, nodes, perf_counter() - t0)
             continue
         if deadline is not None and perf_counter() > deadline:
             break

@@ -8,7 +8,7 @@ import pytest
 import strongodd._classes
 import strongodd.solver
 from helpers import class_sizes_on, cycle_vertices, is_two_distance_on, random_graph, stacked_triangulation
-from strongodd._classes import decide_by_classes, least_partition, odd_classes
+from strongodd._classes import decide_by_classes, least_partition, listable, odd_classes
 from strongodd.solver import _clique_lower_bound, _dependent_triples, _twin_classes, _vertex_order
 from strongodd import (
     Bipyramid,
@@ -214,9 +214,11 @@ class TestNodeCounts:
         r = decide_k(build(Wheel(17)), 5, Budget(max_nodes=28))
         assert (r.answer, r.nodes, r.reason) == ("timeout", 29, "max-nodes")
 
-    @pytest.mark.usefixtures("search_alone")
     def test_long_cycle_needs_no_deep_recursion(self):
+        # the listing of odd classes cannot take Cycle(5000), so the
+        # searches are never cut and the count is theirs alone
         g = build(Cycle(5000))
+        assert not listable(g)
         r = chromatic_strong_odd(g)
         assert (r.status, r.value, r.nodes) == ("exact", 4, 10_004)
         assert is_strong_odd(g, r.witness)
@@ -507,6 +509,32 @@ class TestCliqueBound:
         for g in graphs:
             assert _clique_lower_bound(g) == greedy_clique_from_every_seed(g)
 
+    def test_looking_candidates_up_in_a_hub_row_keeps_the_bound(self):
+        # beside a hub the few candidates are looked up in its long row:
+        # all of them lie in it on wheels, not the other hubs on joins, and
+        # a random share on sparse graphs with hubs planted beside 90 % of
+        # the vertices.  First a hub h over a triangle-free Moebius ladder
+        # on 0..59 and a triangle 60, 61, 62: from h the greedy clique takes
+        # a ladder vertex and stops at 3, so only seeds in the triangle,
+        # which look their partners up in h's row, find the clique of 4
+        h = 63
+        edges = [(i, (i + 1) % 60) for i in range(60)] + [(i, i + 30) for i in range(30)]
+        edges += [(60, 61), (60, 62), (61, 62)] + [(v, h) for v in range(h)]
+        ladder = Graph(64, edges)
+        assert _clique_lower_bound(ladder) == greedy_clique_from_every_seed(ladder) == 4
+        specs = [Wheel(n) for n in (50, 101, 300)]
+        specs += [JoinCycleEmpty(n, m) for n, m in ((60, 3), (201, 5), (300, 2))]
+        specs += [BipyramidUnion(m, n) for m, n in ((3, 200), (6, 295), (8, 100))]
+        graphs = [build(s) for s in specs]
+        rng = random.Random(22)
+        for _ in range(20):
+            g = random_graph(rng.randint(40, 200), 0.05, rng)
+            hubs = rng.sample(range(g.n), rng.randint(1, 3))
+            extra = [(min(h, v), max(h, v)) for h in hubs for v in range(g.n) if v != h and rng.random() < 0.9]
+            graphs.append(Graph(g.n, sorted(set(g.edges() + extra))))
+        for g in graphs:
+            assert _clique_lower_bound(g) == greedy_clique_from_every_seed(g)
+
 
 @pytest.mark.usefixtures("search_alone")
 class TestOneScan:
@@ -577,13 +605,14 @@ class TestSearchDigest:
 
     @staticmethod
     def results(g, order):
-        # the solve under a node budget, then decide_k around the value, both
-        # unbounded and one node short
+        # the solve under a node budget, then decide_k around the value, on
+        # a budget above every count here (11,370 at most) and one node
+        # short, so a rule weakened by a bug fails instead of running long
         r = chromatic_strong_odd(g, Budget(max_nodes=20_000), order)
         out = [(r.status, r.lower, r.upper, r.value, r.nodes, r.witness.colors)]
         if r.status == "exact":
             for k in range(max(1, r.value - 1), r.value + 2):
-                d = decide_k(g, k, None, order)
+                d = decide_k(g, k, Budget(max_nodes=20_000), order)
                 out.append((k, d.answer, d.nodes, d.reason, d.witness and d.witness.colors))
                 if d.nodes > 1:
                     d = decide_k(g, k, Budget(max_nodes=d.nodes - 1), order)
@@ -702,9 +731,12 @@ class TestOddClasses:
     def test_long_cycle_lists_no_set(self):
         # its 4,999 singletons and 12.5 M independent pairs are far past the
         # listing's limit, so it gives up before visiting any
+        g = build(Cycle(4999))
         t = perf_counter()
-        assert odd_classes(build(Cycle(4999))) is None
+        assert not listable(g) and odd_classes(g) is None
         assert perf_counter() - t < 0.1
+        # the lower bound it is given comes back unchanged
+        assert decide_by_classes(g, 3) == (3, None)
 
     def test_partition_of_many_classes_needs_no_deep_recursion(self):
         # K_1100 and two isolated vertices a and b: the odd classes are
@@ -734,13 +766,18 @@ class TestOddClasses:
         r = chromatic_strong_odd(g, Budget(max_nodes=1_001))
         assert (r.status, r.nodes) == ("exact", 1_001)
 
-    def test_interrupted_k_is_searched_again(self):
-        # the listing gives Cycle(5000) up at once, so the k that the cut
-        # stopped is searched again: 1,000 nodes above the search alone
-        g = build(Cycle(5000))
+    def test_interrupted_k_is_searched_again(self, monkeypatch):
+        # a planar graph the listing can take but gives up on past MAX_SETS
+        # sets, so the k that the cut stopped is searched again: 932 nodes
+        # above the search alone, for the same value and witness
+        g = stacked_triangulation(32, random.Random(20))
+        assert listable(g) and odd_classes(g) is None
         r = chromatic_strong_odd(g)
-        assert (r.status, r.value, r.nodes) == ("exact", 4, 11_004)
+        assert (r.status, r.value, r.nodes) == ("exact", 6, 4_608)
         assert is_strong_odd(g, r.witness)
+        monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
+        s = chromatic_strong_odd(g)
+        assert (s.status, s.value, s.nodes, s.witness) == ("exact", 6, 3_676, r.witness)
 
     def test_unfinished_partition_raises_the_lower_bound(self, monkeypatch):
         # the classes of U(8, 11) give the pair bound 12, but the partition
@@ -776,9 +813,10 @@ class TestOddClasses:
 
     def test_classes_below_a_refutation_raise_internal_error(self, monkeypatch):
         # a value below the k the search has reached contradicts its
-        # refutations, so it can only come from a bug
+        # refutations, so it can only come from a bug; decide_by_classes
+        # rejects this one-part partition before building a witness
         g = dense_graph(26, 1)
-        monkeypatch.setattr(strongodd._classes, "decide_by_classes", lambda g, lower, deadline: (1, Coloring([1] * g.n)))
+        monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower: (1, [(1 << n) - 1]))
         with pytest.raises(InternalError, match="beat a refutation"):
             chromatic_strong_odd(g)
 
