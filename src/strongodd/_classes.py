@@ -109,24 +109,29 @@ def least_partition(n: int, classes: list[int], lower: int) -> tuple[int, list[i
     the given classes and singletons, at least lower, and a least such
     partition as masks, or None when MAX_NODES states do not find one.
 
-    Branch and bound on an explicit stack, so its depth is not limited by
-    Python's recursion limit.  A state is the uncovered vertices, the parts
-    taken and the classes within the uncovered vertices.  It takes every
-    uncovered vertex in none of those classes as a singleton.  The rest
-    need at least as many more parts as a greedy clique of vertices that
-    pairwise share none of them; at the first state, that and the
-    singletons are the pair bound, from the pairs that share no class at
-    all.  A state that cannot beat the best partition found is dropped;
-    otherwise it branches on the uncovered vertex in the fewest classes:
-    those classes, largest first, then the vertex alone.  A partition that
-    meets the bound ends the search."""
+    Branch and bound on an explicit stack of the states still to enter, so
+    its depth is not limited by Python's recursion limit.  A state is the
+    uncovered vertices, the parts taken and the classes within the
+    uncovered vertices; an entry holds its parent's three and the class the
+    state takes (0 at the first state), and the state is formed when the
+    entry is popped.  It takes every uncovered vertex in none of those
+    classes as a singleton.  The rest need at least as many more parts as a
+    greedy clique of vertices that pairwise share none of them; at the
+    first state, that and the singletons are the pair bound, from the pairs
+    that share no class at all.  A state that cannot beat the best
+    partition found is dropped; otherwise it branches on the uncovered
+    vertex in the fewest classes: those classes, largest first, then the
+    vertex alone, pushed in reverse so they are entered in that order.  A
+    partition that meets the bound ends the search."""
     classes = sorted(classes, key=int.bit_count, reverse=True)
     members = {c: _bits(c) for c in classes}
     best = [1 << v for v in range(n)]
-    bound = 0
-    stack: list[list] = []  # [uncovered, parts taken, classes, options, next option]
-    left, taken, usable, nodes = (1 << n) - 1, [], classes, 0
-    while True:
+    bound = nodes = 0
+    stack = [((1 << n) - 1, [], classes, 0)]  # (uncovered, parts taken, classes, class to take)
+    while stack:
+        left, taken, usable, c = stack.pop()
+        if c:
+            left, taken, usable = left & ~c, taken + [c], [d for d in usable if not d & c]
         nodes += 1
         if nodes > MAX_NODES:
             return bound, None
@@ -154,15 +159,8 @@ def least_partition(n: int, classes: list[int], lower: int) -> tuple[int, list[i
                     return bound, best
         elif need < len(best):
             options = [c for c in usable if c >> fewest & 1] + [1 << fewest]
-            stack.append([left, taken, usable, options, 0])
-        while stack and stack[-1][4] == len(stack[-1][3]):
-            stack.pop()
-        if not stack:
-            return bound, best
-        frame = stack[-1]
-        c = frame[3][frame[4]]
-        frame[4] += 1
-        left, taken, usable = frame[0] & ~c, frame[1] + [c], [d for d in frame[2] if not d & c]
+            stack += [(left, taken, usable, c) for c in reversed(options)]
+    return bound, best
 
 
 def decide_by_classes(g: Graph, lower: int, deadline: float | None = None) -> tuple[int, Coloring | None]:

@@ -133,9 +133,12 @@ def make_union_certificate(m: int, n: int, try_exact_budget: Budget | None = Non
     rot = embed_family(spec)
     emb = verify_embedding(g, rot)
 
+    # a strong odd coloring is proper, so properness is judged again only
+    # when strong oddness fails
+    strong = is_strong_odd(g, col)
     checks = [
-        {"name": "proper", "ok": is_proper(g, col)},
-        {"name": "strong_odd", "ok": is_strong_odd(g, col)},
+        {"name": "proper", "ok": strong or is_proper(g, col)},
+        {"name": "strong_odd", "ok": strong},
         {"name": "palette_count", "ok": len(col.palette) == claimed},
         {"name": "euler", "ok": emb.euler_ok},
     ]
@@ -223,9 +226,10 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
     cert = Certificate.from_json(text)
     g = from_dimacs(cert.graph_dimacs)
     col = parse_coloring(cert.coloring, g.n)
+    strong = is_strong_odd(g, col)
     results = [
-        ("proper", is_proper(g, col)),
-        ("strong_odd", is_strong_odd(g, col)),
+        ("proper", strong or is_proper(g, col)),
+        ("strong_odd", strong),
         ("palette_count", len(col.palette) == cert.claimed_value),
     ]
     try:

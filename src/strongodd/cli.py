@@ -23,6 +23,7 @@ from .certificates import (
 from .coloring import (
     format_coloring,
     is_odd_coloring,
+    is_proper,
     is_strong_odd,
     parity_report,
     parse_coloring,
@@ -140,25 +141,25 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     col = parse_coloring(Path(args.coloring).read_text(encoding="utf-8"), g.n)
+    # the mode's own judge decides; the violations are listed only when it fails
+    if args.mode == "proper" and is_proper(g, col):
+        print("proper: ok")
+        return EXIT_OK
+    if args.mode == "odd" and is_odd_coloring(g, col):
+        print("odd: ok")
+        return EXIT_OK
+    if args.mode == "strong-odd" and is_strong_odd(g, col):
+        print(f"strong-odd: ok ({len(col.palette)} colors)")
+        return EXIT_OK
     bad_edges = proper_violations(g, col)
     if bad_edges:
         print(f"improper: {len(bad_edges)} monochromatic edge(s)")
         for u, v in bad_edges:
             print(f"  edge ({u + 1}, {v + 1}) color {col[u]}")
         return EXIT_VIOLATION
-    if args.mode == "proper":
-        print("proper: ok")
-        return EXIT_OK
     if args.mode == "odd":
-        if is_odd_coloring(g, col):
-            print("odd: ok")
-            return EXIT_OK
         print("odd: violated (some vertex has no odd color in its neighborhood)")
         return EXIT_VIOLATION
-    if is_strong_odd(g, col):
-        print(f"strong-odd: ok ({len(col.palette)} colors)")
-        return EXIT_OK
-    # the per-class report is only needed to list the violations
     violations = parity_report(g, col)
     print(f"strong-odd: violated ({len(violations)} even neighborhood class(es))")
     for e in violations:

@@ -334,7 +334,8 @@ def _plan(g: Graph, order, k: int, deadline: float | None) -> tuple | None:
 
     seq is the vertex order and third the triples per vertex.  With twins,
     prev[v] is v's twin just before it in seq, or -1, and after[v] counts
-    v's neighbors after it; without, cls, prev and after are None.  ones[u]
+    v's neighbors after it; without, cls, prev and after are None.  Each
+    table holds one plain list per vertex, empty where nothing acts: ones[u]
     lists the v with r = 1, twos[u] holds (v, w, whether u is beside w), and
     many[u] holds (t, v, r), t being the largest k at which counting or
     parity can act at v: n, which k never passes, when d >= 2r - 1 and r > 2
@@ -364,18 +365,9 @@ def _plan(g: Graph, order, k: int, deadline: float | None) -> tuple | None:
         after = [sum(pos[w] > pos[v] for w in a) for v, a in enumerate(adj)]
     # on long sparse graphs the neighborhoods outweigh the tables
     del classes, nbs, rep
-    ones: list = [()] * n
-    twos: list = [()] * n
-    many: list = [()] * n
-
-    def put(table: list, u: int, x) -> None:
-        # an empty row is the shared (), so long sparse graphs keep no
-        # empty lists
-        if table[u]:
-            table[u].append(x)
-        else:
-            table[u] = [x]
-
+    ones: list[list[int]] = [[] for _ in range(n)]
+    twos: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+    many: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for v, a in enumerate(adj):
         deg = len(a)
         if not deg:
@@ -389,15 +381,15 @@ def _plan(g: Graph, order, k: int, deadline: float | None) -> tuple | None:
                 u, w = w, u
         else:
             w = a[0]
-        put(ones, w, v)
+        ones[w].append(v)
         if deg == 1:
             continue
         aw = adj[w]  # sorted by vertex
         i = bisect_left(aw, u)
-        put(twos, u, (v, w, i < len(aw) and aw[i] == u))
+        twos[u].append((v, w, i < len(aw) and aw[i] == u))
         s = size[cls[v]] if cls else 1
         if deg - 1 + s >= k:
-            put(many, u, (deg - 1 + s, v, 2))
+            many[u].append((deg - 1 + s, v, 2))
         # past r = 2, d falls and r grows along the row, so both bounds
         # only get harder
         for d in range(deg - 3, -1, -1):
@@ -408,10 +400,9 @@ def _plan(g: Graph, order, k: int, deadline: float | None) -> tuple | None:
                 t = d + 1 + s
             else:
                 break
-            put(many, a[d], (t, v, r))
+            many[a[d]].append((t, v, r))
     for row in many:
-        if len(row) > 1:
-            row.sort(reverse=True)
+        row.sort(reverse=True)
     return g, seq, cls, prev, after, third, ones, twos, many
 
 

@@ -41,6 +41,17 @@ def labeled_graphs(draw):
     return Graph(g.n, g.edges(), labels)
 
 
+@st.composite
+def graph_arguments(draw):
+    """Arguments for Graph, mostly valid: endpoints and label vertices from
+    -1 to n, now and then a float, and any short text as a role."""
+    n = draw(st.integers(0, 6))
+    vertex = st.one_of(st.integers(-1, n), st.integers(0, n).map(float))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    labels = draw(st.dictionaries(vertex, st.text(max_size=4), max_size=4))
+    return n, edges, labels
+
+
 class TestGraphType:
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidParameterError):
@@ -65,6 +76,31 @@ class TestGraphType:
     def test_rejects_label_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             Graph(2, [], labels={5: "x"})
+
+    @pytest.mark.parametrize("edges,labels,message", [
+        # each of these constructed, and to_dimacs wrote a file that
+        # from_dimacs rejects (or, for the float endpoint, a bare TypeError)
+        ([(0, 1)], {0: "a b"}, "vertex 0 must be one token without whitespace, got 'a b'"),
+        ([(0, 1)], {0: "a\nb"}, "vertex 0 must be one token without whitespace"),
+        ([(0, 1)], {1: "a\u2028b"}, "vertex 1 must be one token without whitespace"),
+        ([], {1.0: "x"}, "label on nonexistent vertex 1.0"),
+        ([(0, 1.0)], None, r"edge \(0, 1\.0\) must join two int vertices"),
+        ([("0", 1)], None, r"edge \('0', 1\) must join two int vertices"),
+    ])
+    def test_rejects_what_dimacs_cannot_carry(self, edges, labels, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            Graph(3, edges, labels)
+
+    @pytest.mark.parametrize("edges,message", [
+        # a negative endpoint indexes a row, so the sorted rows catch it
+        ([(0, 1), (2, -1)], r"edge \(-1, 2\) out of range for n=3"),
+        ([(-3, 1)], r"edge \(-3, 1\) out of range for n=3"),
+        ([(0, 3)], r"edge \(0, 3\) out of range for n=3"),
+        ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+    ])
+    def test_range_and_self_loop_named(self, edges, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            Graph(3, edges)
 
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 1)])
@@ -217,6 +253,14 @@ class TestDimacs:
     def test_round_trip_random_labeled(self, g):
         assert from_dimacs(to_dimacs(g)) == g
         assert from_dimacs(to_dimacs(g, include_labels=False)) == Graph(g.n, g.edges())
+
+    @given(graph_arguments())
+    def test_every_graph_that_constructs_round_trips(self, args):
+        try:
+            g = Graph(*args)
+        except InvalidParameterError:
+            return
+        assert from_dimacs(to_dimacs(g)) == g
 
     def test_out_of_range_endpoint(self):
         with pytest.raises(ParseError) as e:

@@ -9,7 +9,7 @@ import strongodd._classes
 import strongodd.solver
 from helpers import class_sizes_on, cycle_vertices, is_two_distance_on, random_graph, stacked_triangulation
 from strongodd._classes import decide_by_classes, least_partition, listable, odd_classes
-from strongodd.solver import _clique_lower_bound, _dependent_triples, _twin_classes, _vertex_order
+from strongodd.solver import _clique_lower_bound, _dependent_triples, _plan, _twin_classes, _vertex_order
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
@@ -842,6 +842,55 @@ class TestClassesDigest:
             for order in ("degree", _vertex_order(g, "degree")[::-1]):
                 r = chromatic_strong_odd(g, Budget(max_nodes=20_000), order)
                 h.update(repr((r.status, r.lower, r.upper, r.value, r.nodes, r.witness.colors)).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestPlanDigest:
+    """One sha256 over the three tables of _plan (ones, twos and many) on a
+    seeded corpus, the paper's family members and a long cycle, at k = the
+    clique bound and k + 2.  Rows are compared as lists, so how an empty row
+    is stored does not matter; what each row holds, and in what order, does."""
+
+    DIGEST = "eddd38b5c22d7bc3ee43425647fd09019dee82f85367264c0cae70e0228a9be1"
+
+    def test_digest(self):
+        rng = random.Random(19)
+        graphs = [random_graph(rng.randint(4, 16), rng.choice([0.2, 0.4, 0.6]), rng) for _ in range(20)]
+        graphs += [stacked_triangulation(rng.randint(5, 30), rng) for _ in range(10)]
+        graphs += [planted_twin_graph(rng.randint(6, 16), 0.4, rng) for _ in range(10)]
+        graphs += [build(s) for s in (Wheel(14), JoinCycleEmpty(14, 4), BipyramidUnion(6, 8), Cycle(1258))]
+        h = hashlib.sha256()
+        for g in graphs:
+            lower = _clique_lower_bound(g)
+            for k in (lower, lower + 2):
+                _, _, _, _, _, _, ones, twos, many = _plan(g, "degree", k, None)
+                h.update(repr([[list(row) for row in table] for table in (ones, twos, many)]).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestPartitionDigest:
+    """One sha256 over least_partition(n, odd_classes(g), lower) at lower 1
+    and 3, on the members of a seeded corpus whose listing completes:
+    bounds and partitions, including the searches that run out of states."""
+
+    DIGEST = "2827b3cc1cded3bcd74fd2ea298f7ea968a42f0887a185afcffb3b5397eca64b"
+
+    def test_digest(self):
+        rng = random.Random(20)
+        graphs = [random_graph(rng.randint(5, 24), rng.choice([0.3, 0.5, 0.7]), rng) for _ in range(40)]
+        graphs += [stacked_triangulation(rng.randint(5, 28), rng) for _ in range(30)]
+        graphs += [build(s) for s in (Wheel(14), Wheel(20), JoinCycleEmpty(14, 6), BipyramidUnion(6, 8),
+                                      BipyramidUnion(8, 11))]
+        h = hashlib.sha256()
+        listed = 0
+        for g in graphs:
+            classes = odd_classes(g)
+            if classes is None:
+                continue
+            listed += 1
+            for lower in (1, 3):
+                h.update(repr(least_partition(g.n, classes, lower)).encode())
+        assert listed >= 60
         assert h.hexdigest() == self.DIGEST
 
 
