@@ -7,7 +7,6 @@ objects are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -40,47 +39,35 @@ class Graph:
         if n < 0:
             raise InvalidParameterError(f"vertex count must be >= 0, got {n}")
         neigh: list[list[int]] = [[] for _ in range(n)]
-        u = v = 0  # an item that is no pair leaves two ints here
-        try:
-            for u, v in edges:
+        for u, v in edges:
+            # a float endpoint passes the range test and fails the indexing,
+            # a str endpoint fails the range test
+            try:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise InvalidParameterError(f"self-loop at vertex {u}")
                 neigh[u].append(v)
                 neigh[v].append(u)
-        except IndexError:
-            raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}") from None
-        except TypeError:
-            if isinstance(u, int) and isinstance(v, int):
-                raise
-            raise InvalidParameterError(f"edge ({u!r}, {v!r}) must join two int vertices") from None
+            except TypeError:
+                raise InvalidParameterError(f"edge ({u!r}, {v!r}) must join two int vertices") from None
+        for row in neigh:
+            row.sort()
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, neigh)))
-        # an endpoint from -n to -1 indexes a row too, but sorts first in its
-        # partner's row
-        if min(map(itemgetter(0), filter(None, self.adj)), default=0) < 0:
-            v, row = next((v, row) for v, row in enumerate(self.adj) if row and row[0] < 0)
-            raise InvalidParameterError(f"edge ({row[0]}, {v}) out of range for n={n}")
-        # a self-loop at u repeats u in row u, and a repeated edge repeats a
-        # neighbor; a set of the row drops either
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, neigh))
+        # the one duplicate-edge check: a repeated edge repeats a neighbor,
+        # which a set of the row drops
         if sum(map(len, map(set, self.adj))) != sum(map(len, self.adj)):
             u, row = next((u, row) for u, row in enumerate(self.adj) if len(set(row)) != len(row))
             v = next(a for a, b in zip(row, row[1:]) if a == b)
-            raise InvalidParameterError(f"self-loop at vertex {u}" if u == v else f"duplicate edge ({u}, {v})")
+            raise InvalidParameterError(f"duplicate edge ({u}, {v})")
         lab = dict(labels) if labels else {}
-        # judged in C over all keys and all roles at once, since the families
-        # label about every vertex: int vertices, and roles that are one
-        # DIMACS token each, so that the joined roles hold no whitespace
-        try:
-            keys, joined = sorted(lab), "".join(lab.values())
-            fit = not lab or (set(map(type, keys)) == {int} and 0 <= keys[0] and keys[-1] < n
-                              and all(lab.values()) and joined.split() == [joined])
-        except TypeError:  # keys that do not compare, or a role that is no str
-            fit = False
-        if not fit:
-            for v, role in lab.items():
-                if type(v) is not int or not 0 <= v < n:
-                    raise InvalidParameterError(f"label on nonexistent vertex {v!r}")
-                if not isinstance(role, str) or role.split() != [role]:
-                    raise InvalidParameterError(
-                        f"label for vertex {v} must be one token without whitespace, got {role!r}")
+        for v, role in lab.items():
+            if type(v) is not int or not 0 <= v < n:
+                raise InvalidParameterError(f"label on nonexistent vertex {v!r}")
+            if not isinstance(role, str) or role.split() != [role]:
+                raise InvalidParameterError(
+                    f"label for vertex {v} must be one token without whitespace, got {role!r}")
         self._labels = lab
 
     @property

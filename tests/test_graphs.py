@@ -92,13 +92,18 @@ class TestGraphType:
             Graph(3, edges, labels)
 
     @pytest.mark.parametrize("edges,message", [
-        # a negative endpoint indexes a row, so the sorted rows catch it
-        ([(0, 1), (2, -1)], r"edge \(-1, 2\) out of range for n=3"),
+        # a negative endpoint would index a row from its end
+        ([(0, 1), (2, -1)], r"edge \(2, -1\) out of range for n=3"),
         ([(-3, 1)], r"edge \(-3, 1\) out of range for n=3"),
         ([(0, 3)], r"edge \(0, 3\) out of range for n=3"),
         ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+        # with several faults, the first edge at fault in the given order is
+        # named, and a duplicate only once every edge passed on its own
+        ([(0, 1), (0, 1), (2, 2)], "self-loop at vertex 2"),
+        ([(0, -1), (0, 3)], r"edge \(0, -1\) out of range for n=3"),
+        ([(0, 1), (2, 1), (1, 0), (0, 1.0)], r"edge \(0, 1\.0\) must join two int vertices"),
     ])
-    def test_range_and_self_loop_named(self, edges, message):
+    def test_first_fault_named(self, edges, message):
         with pytest.raises(InvalidParameterError, match=message):
             Graph(3, edges)
 
