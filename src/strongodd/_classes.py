@@ -14,6 +14,13 @@ stop early, so it pays only on graphs with few independent sets, such as
 dense ones, where the coloring search is slowest.  ``listable`` tells at
 once whether the listing can complete, so a caller can leave the classes
 out where they cannot help.
+
+Both steps are bit arithmetic in plain loops, since helper calls, not the
+masks, cost the most in Python: a set's members and candidates are vertex
+masks walked with ``x & -x`` and ``bit_length``, and the partition search
+holds a set of classes as a mask over their indices, so taking a class,
+counting a vertex's classes and listing its branches are one mask operation
+each.  Both look at a caller's ``perf_counter()`` deadline.
 """
 
 from __future__ import annotations
@@ -55,7 +62,8 @@ def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
     members needs one more, so S is not extended once such a vertex has no
     neighbor among the candidates.  No singleton is cut off that way, so every
     independent pair is visited, and a graph that is not ``listable`` is given
-    up at once."""
+    up at once.  The sets are visited depth first, a set's extensions by its
+    lowest candidate first."""
     if not listable(g) or deadline is not None and perf_counter() > deadline:
         return None
     n = g.n
@@ -77,10 +85,24 @@ def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
         if not even:
             if s & (s - 1):
                 classes.append(s)
-        elif any(not nb[x] & cand for x in _bits(even)):
-            continue
-        for v in reversed(_bits(cand)):
-            stack.append((s | 1 << v, seen | nb[v], odd ^ nb[v], cand & (-2 << v) & ~nb[v]))
+        else:
+            # S ends at a vertex of even with no neighbor among the candidates
+            while even:
+                low = even & -even
+                if not nb[low.bit_length() - 1] & cand:
+                    break
+                even ^= low
+            if even:
+                continue
+        # highest candidate first, so the lowest is on top
+        above = 0
+        while cand:
+            v = cand.bit_length() - 1
+            low = 1 << v
+            cand ^= low
+            a = nb[v]
+            stack.append((s | low, seen | a, odd ^ a, above & ~a))
+            above |= low
     return classes
 
 
@@ -90,8 +112,14 @@ def _clique(share: list[int], left: int) -> int:
     the classes within left that hold v.  The members need distinct parts.
     From each seed in descending degree, the next member is the candidate
     of highest degree, then lowest index."""
-    apart = {v: left & ~share[v] for v in _bits(left)}
-    deg = {v: a.bit_count() for v, a in apart.items()}
+    apart, deg = {}, {}
+    rest = left
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        apart[v] = a = left & ~share[v]
+        deg[v] = a.bit_count()
+        rest ^= low
     best = 0
     for seed in sorted(deg, key=deg.__getitem__, reverse=True):
         if deg[seed] < best:  # no clique through it or a later seed beats best
@@ -99,67 +127,105 @@ def _clique(share: list[int], left: int) -> int:
         size, cand = 1, apart[seed]
         while cand:
             size += 1
-            cand &= apart[max(_bits(cand), key=deg.__getitem__)]
-        best = max(best, size)
+            most, rest = -1, cand
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                if deg[v] > most:
+                    pick, most = v, deg[v]
+                rest ^= low
+            cand &= apart[pick]
+        if size > best:
+            best = size
     return best
 
 
-def least_partition(n: int, classes: list[int], lower: int) -> tuple[int, list[int] | None]:
+def least_partition(
+    n: int, classes: list[int], lower: int, deadline: float | None = None
+) -> tuple[int, list[int] | None]:
     """A lower bound on the parts of any partition of the n vertices into
     the given classes and singletons, at least lower, and a least such
-    partition as masks, or None when MAX_NODES states do not find one.
+    partition as masks, or None when MAX_NODES states do not find one or the
+    ``perf_counter()`` deadline, looked at in every state, passes first.
 
-    Branch and bound on an explicit stack of the states still to enter, so
-    its depth is not limited by Python's recursion limit.  A state is the
-    uncovered vertices, the parts taken and the classes within the
-    uncovered vertices; an entry holds its parent's three and the class the
-    state takes (0 at the first state), and the state is formed when the
-    entry is popped.  It takes every uncovered vertex in none of those
-    classes as a singleton.  The rest need at least as many more parts as a
-    greedy clique of vertices that pairwise share none of them; at the
-    first state, that and the singletons are the pair bound, from the pairs
-    that share no class at all.  A state that cannot beat the best
-    partition found is dropped; otherwise it branches on the uncovered
-    vertex in the fewest classes: those classes, largest first, then the
-    vertex alone, pushed in reverse so they are entered in that order.  A
-    partition that meets the bound ends the search."""
+    The classes are indexed largest first, and a set of them is a mask over
+    their indices: ``holds[v]`` has the classes that hold vertex v,
+    ``meets[i]`` those that meet class i, itself included, and ``pairs[v]``
+    those that hold both v and w, for each w in a class with v.  Branch and
+    bound on an explicit stack of the states still to enter, so its depth is
+    not limited by Python's recursion limit.  A state is the uncovered vertices,
+    the parts taken and the classes within the uncovered vertices; an entry
+    holds the state's classes, its parent's other two and the part the state
+    takes (0 at the first state), and the state is formed when the entry is
+    popped.  It takes every uncovered vertex in none of its classes as a
+    singleton.  The rest need at least as many more parts as a greedy clique
+    of vertices that pairwise share none of them; at the first state, that
+    and the singletons are the pair bound, from the pairs that share no class
+    at all.  A state that cannot beat the best partition found is dropped;
+    otherwise it branches on the uncovered vertex in the fewest classes:
+    those classes, largest first, then the vertex alone, pushed in reverse so
+    they are entered in that order.  A partition that meets the bound ends
+    the search."""
     classes = sorted(classes, key=int.bit_count, reverse=True)
-    members = {c: _bits(c) for c in classes}
+    holds, near = [0] * n, [0] * n  # near[v]: the vertices in a class with v
+    for i, c in enumerate(classes):
+        for v in _bits(c):
+            holds[v] |= 1 << i
+            near[v] |= c
+    meets = []
+    for c in classes:
+        m = 0
+        for v in _bits(c):
+            m |= holds[v]
+        meets.append(m)
+    pairs = [[(1 << w, holds[v] & holds[w]) for w in _bits(near[v] & ~(1 << v))] for v in range(n)]
     best = [1 << v for v in range(n)]
-    bound = nodes = 0
-    stack = [((1 << n) - 1, [], classes, 0)]  # (uncovered, parts taken, classes, class to take)
+    bound, nodes = lower, 0
+    stack = [((1 << n) - 1, [], (1 << len(classes)) - 1, 0)]  # (uncovered, parts taken, classes, part to take)
     while stack:
         left, taken, usable, c = stack.pop()
         if c:
-            left, taken, usable = left & ~c, taken + [c], [d for d in usable if not d & c]
+            left, taken = left & ~c, taken + [c]
         nodes += 1
-        if nodes > MAX_NODES:
+        if nodes > MAX_NODES or deadline is not None and perf_counter() > deadline:
             return bound, None
-        share, count = [0] * n, [0] * n
-        for c in usable:
-            for v in members[c]:
-                share[v] |= c
-                count[v] += 1
-        forced, fewest = 0, -1
-        for v in _bits(left):
-            if not count[v]:
-                forced |= 1 << v
-            elif fewest < 0 or count[v] < count[fewest]:
-                fewest = v
+        share = [0] * n
+        forced = fewest = least = 0
+        rest = left
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            mine = usable & holds[v]
+            if not mine:
+                forced |= low
+                continue
+            count = mine.bit_count()
+            if not least or count < least:
+                fewest, least = v, count
+            union = low
+            for w, both in pairs[v]:
+                if mine & both:
+                    union |= w
+            share[v] = union
         if forced:
             left &= ~forced
             taken = taken + [1 << v for v in _bits(forced)]
         need = len(taken) + _clique(share, left)
         if nodes == 1:
-            bound = max(lower, need)
+            bound = max(bound, need)
         if not left:
             if len(taken) < len(best):
                 best = taken
                 if len(best) <= bound:
                     return bound, best
         elif need < len(best):
-            options = [c for c in usable if c >> fewest & 1] + [1 << fewest]
-            stack += [(left, taken, usable, c) for c in reversed(options)]
+            stack.append((left, taken, usable & ~holds[fewest], 1 << fewest))
+            options = usable & holds[fewest]
+            while options:
+                i = options.bit_length() - 1
+                options ^= 1 << i
+                stack.append((left, taken, usable & ~meets[i], classes[i]))
     return bound, best
 
 
@@ -175,7 +241,7 @@ def decide_by_classes(g: Graph, lower: int, deadline: float | None = None) -> tu
     classes = odd_classes(g, deadline)
     if classes is None:
         return lower, None
-    bound, parts = least_partition(g.n, classes, lower)
+    bound, parts = least_partition(g.n, classes, lower, deadline)
     if parts is None:
         return bound, None
     if len(parts) < lower:

@@ -7,6 +7,7 @@ objects are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -28,7 +29,7 @@ class Graph:
     ``from_dimacs`` leaves duplicates to it.
     """
 
-    __slots__ = ("n", "adj", "_labels")
+    __slots__ = ("n", "adj", "edge_count", "_labels")
 
     def __init__(
         self,
@@ -36,31 +37,40 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         labels: Mapping[int, str] | None = None,
     ):
-        if n < 0:
-            raise InvalidParameterError(f"vertex count must be >= 0, got {n}")
+        if type(n) is not int or n < 0:
+            raise InvalidParameterError(f"vertex count must be an int >= 0, got {n!r}")
         neigh: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            # a float endpoint passes the range test and fails the indexing,
-            # a str endpoint fails the range test
+        for e in edges:
             try:
-                if not (0 <= u < n and 0 <= v < n):
+                u, v = e
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"edge {e!r} must be a pair of vertices") from None
+            # a bool is an int but would be stored as a bool in the rows; an
+            # endpoint at or above n fails the indexing
+            if not (u.__class__ is int is v.__class__ and u >= 0 <= v):
+                if u.__class__ is int is v.__class__:
                     raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
-                if u == v:
-                    raise InvalidParameterError(f"self-loop at vertex {u}")
+                raise InvalidParameterError(f"edge ({u!r}, {v!r}) must join two int vertices")
+            if u == v:
+                raise InvalidParameterError(
+                    f"edge ({u}, {v}) out of range for n={n}" if u >= n else f"self-loop at vertex {u}")
+            try:
                 neigh[u].append(v)
                 neigh[v].append(u)
-            except TypeError:
-                raise InvalidParameterError(f"edge ({u!r}, {v!r}) must join two int vertices") from None
+            except IndexError:
+                raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}") from None
         for row in neigh:
             row.sort()
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, neigh))
         # the one duplicate-edge check: a repeated edge repeats a neighbor,
         # which a set of the row drops
-        if sum(map(len, map(set, self.adj))) != sum(map(len, self.adj)):
+        ends = sum(map(len, self.adj))
+        if sum(map(len, map(set, self.adj))) != ends:
             u, row = next((u, row) for u, row in enumerate(self.adj) if len(set(row)) != len(row))
             v = next(a for a, b in zip(row, row[1:]) if a == b)
             raise InvalidParameterError(f"duplicate edge ({u}, {v})")
+        self.edge_count = ends // 2
         lab = dict(labels) if labels else {}
         for v, role in lab.items():
             if type(v) is not int or not 0 <= v < n:
@@ -73,10 +83,6 @@ class Graph:
     @property
     def labels(self) -> Mapping[int, str]:
         return MappingProxyType(self._labels)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
@@ -97,7 +103,7 @@ class Graph:
 
 def _cycle_edges(n: int, off: int = 0) -> list[tuple[int, int]]:
     """Edges of the n-cycle on the vertices ``off..off+n-1``, in cycle order."""
-    return [(off + i, off + (i + 1) % n) for i in range(n)]
+    return list(zip(range(off, off + n), [*range(off + 1, off + n), off]))
 
 
 def _cycle_labels(n: int, off: int = 0) -> dict[int, str]:
@@ -107,7 +113,7 @@ def _cycle_labels(n: int, off: int = 0) -> dict[int, str]:
 
 def _spokes(n: int, hubs: Iterable[int], off: int = 0) -> list[tuple[int, int]]:
     """Edges joining every vertex ``off..off+n-1`` to every hub."""
-    return [(off + i, h) for h in hubs for i in range(n)]
+    return [e for h in hubs for e in zip(range(off, off + n), repeat(h))]
 
 
 def _cycle_with_hubs(n: int, roles: Sequence[str]) -> Graph:

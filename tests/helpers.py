@@ -3,7 +3,18 @@ colorings and a face tracer that several tests use as oracles."""
 
 import random
 
+from hypothesis import strategies as st
+
 from strongodd import Coloring, Graph, InvalidParameterError
+
+
+@st.composite
+def graphs(draw, min_n=1, max_n=10):
+    """Any graph on min_n to max_n vertices, drawn as a mask over its pairs."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+    return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

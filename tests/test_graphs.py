@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cycle_vertices
+from helpers import cycle_vertices, graphs
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
@@ -20,14 +20,6 @@ from strongodd import (
     one_point_union,
     to_dimacs,
 )
-
-
-@st.composite
-def graphs(draw, min_n=1, max_n=10):
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
-    return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 # label roles are single DIMACS tokens: no whitespace or control characters
@@ -50,6 +42,11 @@ def graph_arguments(draw):
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
     labels = draw(st.dictionaries(vertex, st.text(max_size=4), max_size=4))
     return n, edges, labels
+
+
+# anything an edge item may hold: ints in and out of range, bools, floats,
+# one-character strings and None
+any_vertex = st.one_of(st.integers(-1, 4), st.booleans(), st.floats(0, 4), st.text(max_size=1), st.none())
 
 
 class TestGraphType:
@@ -106,6 +103,33 @@ class TestGraphType:
     def test_first_fault_named(self, edges, message):
         with pytest.raises(InvalidParameterError, match=message):
             Graph(3, edges)
+
+    @pytest.mark.parametrize("n,edges,message", [
+        # each of these ended in a bare TypeError or ValueError, or for the
+        # bools, stored bools in the rows
+        (3, [(0, 1), 5], "edge 5 must be a pair of vertices"),
+        (3, [(0, 1, 2)], r"edge \(0, 1, 2\) must be a pair of vertices"),
+        (2.0, [], "vertex count must be an int >= 0, got 2.0"),
+        (True, [], "vertex count must be an int >= 0, got True"),
+        (2, [(False, True)], r"edge \(False, True\) must join two int vertices"),
+        (3, [(0, True)], r"edge \(0, True\) must join two int vertices"),
+        # past the top a self-loop is out of range
+        (3, [(3, 3)], r"edge \(3, 3\) out of range for n=3"),
+    ])
+    def test_item_at_fault_named(self, n, edges, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            Graph(n, edges)
+
+    @given(st.integers(0, 4), st.lists(st.one_of(
+        st.tuples(any_vertex, any_vertex), st.tuples(any_vertex), st.tuples(any_vertex, any_vertex, any_vertex),
+        any_vertex), max_size=5))
+    def test_any_edge_list_constructs_or_is_rejected(self, n, edges):
+        try:
+            g = Graph(n, edges)
+        except InvalidParameterError:
+            return
+        assert all(type(w) is int for row in g.adj for w in row)
+        assert g.edge_count == len(g.edges()) == len(edges)
 
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 1)])

@@ -4,10 +4,11 @@ import random
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
 
 import strongodd._classes
 import strongodd.solver
-from helpers import class_sizes_on, cycle_vertices, is_two_distance_on, random_graph, stacked_triangulation
+from helpers import class_sizes_on, cycle_vertices, graphs, is_two_distance_on, random_graph, stacked_triangulation
 from strongodd._classes import decide_by_classes, least_partition, listable, odd_classes
 from strongodd.solver import _clique_lower_bound, _dependent_triples, _plan, _twin_classes, _vertex_order
 from strongodd import (
@@ -811,12 +812,55 @@ class TestOddClasses:
         r = chromatic_strong_odd(g, Budget(max_seconds=10))
         assert (r.status, r.value, r.nodes) == ("timeout", None, 1_001) and len(looks) == 2
 
+    def test_partition_search_stops_at_its_deadline(self, monkeypatch):
+        # W14's partition search runs out of states; with a deadline it looks
+        # at the clock in every state and stops at the first look past it,
+        # with the pair bound, or with lower when no state was formed
+        g = build(Wheel(14))
+        classes = odd_classes(g)
+        assert least_partition(g.n, classes, 1) == (4, None)
+        looks = []
+
+        def clock():
+            looks.append(None)
+            return 0.0 if len(looks) <= 5 else 2.0
+
+        monkeypatch.setattr(strongodd._classes, "perf_counter", clock)
+        assert least_partition(g.n, classes, 1, 1.0) == (4, None) and len(looks) == 6
+        looks.clear()
+        assert least_partition(g.n, classes, 3, -1.0) == (3, None) and len(looks) == 1
+
+    def test_deadline_during_the_partition_search_ends_in_timeout(self, monkeypatch):
+        # a clock that jumps past the deadline at the fifth state of the
+        # partition search: the solve times out there instead of running
+        # out the search and deciding late
+        g = build(JoinCycleEmpty(14, 4))
+        listing = []
+        monkeypatch.setattr(strongodd._classes, "perf_counter", lambda: listing.append(None) or 0.0)
+        assert odd_classes(g, 10.0) is not None
+        now = [0.0]
+        looks = []
+
+        def partition_clock():
+            looks.append(now[0])
+            if len(looks) >= len(listing) + 5:
+                now[0] = 1e9
+            return now[0]
+
+        monkeypatch.setattr(strongodd.solver, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(strongodd._classes, "perf_counter", partition_clock)
+        r = chromatic_strong_odd(g, Budget(max_seconds=10))
+        # the search had refuted k = 5 within its first 1,000 nodes, above
+        # the pair bound 4
+        assert (r.status, r.lower, r.value, r.nodes) == ("timeout", 6, None, 1_001)
+        assert len(looks) == len(listing) + 5
+
     def test_classes_below_a_refutation_raise_internal_error(self, monkeypatch):
         # a value below the k the search has reached contradicts its
         # refutations, so it can only come from a bug; decide_by_classes
         # rejects this one-part partition before building a witness
         g = dense_graph(26, 1)
-        monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower: (1, [(1 << n) - 1]))
+        monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower, deadline: (1, [(1 << n) - 1]))
         with pytest.raises(InternalError, match="beat a refutation"):
             chromatic_strong_odd(g)
 
@@ -866,6 +910,41 @@ class TestPlanDigest:
                 _, _, _, _, _, _, ones, twos, many = _plan(g, "degree", k, None)
                 h.update(repr([[list(row) for row in table] for table in (ones, twos, many)]).encode())
         assert h.hexdigest() == self.DIGEST
+
+
+class TestListingDigest:
+    """One sha256 over odd_classes(g) as returned, order included, on seeded
+    G(n, p), stacked triangulations, planted twins and family members: None
+    where the listing gives up past MAX_SETS sets."""
+
+    DIGEST = "01181eb1bcdb6dee9bad900396b85e7c78c27f07ca0f1c47789f4566235e7ba4"
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(21)
+        graphs = [random_graph(n, p, rng) for n in range(5, 25) for p in (0.3, 0.6)]
+        graphs += [stacked_triangulation(rng.randint(5, 32), rng) for _ in range(20)]
+        graphs.append(stacked_triangulation(32, random.Random(20)))
+        graphs += [planted_twin_graph(rng.randint(6, 20), rng.choice([0.3, 0.5]), rng) for _ in range(8)]
+        graphs += [build(s) for s in (Wheel(14), Wheel(17), Wheel(20), Wheel(23), JoinCycleEmpty(19, 4),
+                                      BipyramidUnion(8, 11))]
+        return graphs
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        gave_up = 0
+        for g in self.corpus():
+            classes = odd_classes(g)
+            gave_up += classes is None
+            h.update(repr(classes).encode())
+        assert gave_up >= 1
+        assert h.hexdigest() == self.DIGEST
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10))
+def test_listing_matches_definition_on_any_small_graph(g):
+    assert sorted(odd_classes(g)) == odd_classes_by_definition(g)
 
 
 class TestPartitionDigest:
