@@ -7,13 +7,20 @@ odd, so the strong odd chromatic number is the least number of odd classes
 that partition V: the set-partitioning view of coloring (Mehrotra and Trick,
 INFORMS J. Computing 8, 1996), with "odd" in place of "independent".
 
-``decide_by_classes`` lists the independent sets with bit masks, keeps the
-odd ones of at least two vertices (every singleton is one), bounds the value
-from below and looks for a least partition by branch and bound.  Both steps
-stop early, so it pays only on graphs with few independent sets, such as
-dense ones, where the coloring search is slowest.  ``listable`` tells at
-once whether the listing can complete, so a caller can leave the classes
-out where they cannot help.
+``odd_classes`` lists the independent sets with bit masks and keeps the odd
+ones of at least two vertices (every singleton is one).  A completed
+listing bounds the value from below in two ways.  ``parity_bound`` reads a
+neighborhood N(x) of d vertices: each color on it meets it in an odd
+number of vertices, at most the largest share s(x) of N(x) that one class
+holds, so N(x) needs at least d / s(x) colors, their number has d's parity,
+and x needs one more.  ``least_partition`` starts from the pair bound, a
+clique of vertices that pairwise share no class, and looks for a least
+partition by branch and bound; ``decide_by_classes`` turns one into a
+verified coloring.  The listing and the partition search stop early, at
+limits a caller may lower, so they pay only on graphs with few independent
+sets, such as dense ones, where the coloring search is slowest.
+``listable`` tells at once whether the listing can complete, so a caller
+can leave the classes out where they cannot help.
 
 Both steps are bit arithmetic in plain loops, since helper calls, not the
 masks, cost the most in Python: a set's members and candidates are vertex
@@ -44,16 +51,16 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def listable(g: Graph) -> bool:
-    """Whether the listing of odd_classes can complete on g.  It visits every
-    singleton and every independent pair, so not when g has more than
-    MAX_SETS vertices and non-edges."""
-    return g.n + g.n * (g.n - 1) // 2 - g.edge_count <= MAX_SETS
+def listable(g: Graph, max_sets: int = MAX_SETS) -> bool:
+    """Whether the listing of odd_classes can complete on g within max_sets
+    sets.  It visits every singleton and every independent pair, so not when
+    g has more than max_sets vertices and non-edges."""
+    return g.n + g.n * (g.n - 1) // 2 - g.edge_count <= max_sets
 
 
-def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
+def odd_classes(g: Graph, deadline: float | None = None, max_sets: int = MAX_SETS) -> list[int] | None:
     """The odd classes of g with at least two vertices, as bit masks, or None
-    when the listing would visit more than MAX_SETS independent sets or the
+    when the listing would visit more than max_sets independent sets or the
     ``perf_counter()`` deadline passes first.
 
     Each visited set S keeps two masks over its members' neighborhoods: the
@@ -64,7 +71,7 @@ def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
     independent pair is visited, and a graph that is not ``listable`` is given
     up at once.  The sets are visited depth first, a set's extensions by its
     lowest candidate first."""
-    if not listable(g) or deadline is not None and perf_counter() > deadline:
+    if not listable(g, max_sets) or deadline is not None and perf_counter() > deadline:
         return None
     n = g.n
     nb = [sum(1 << w for w in a) for a in g.adj]
@@ -77,7 +84,7 @@ def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
     while stack:
         s, seen, odd, cand = stack.pop()
         listed += 1
-        if listed > MAX_SETS:
+        if listed > max_sets:
             return None
         if not listed & 255 and deadline is not None and perf_counter() > deadline:
             return None
@@ -141,12 +148,12 @@ def _clique(share: list[int], left: int) -> int:
 
 
 def least_partition(
-    n: int, classes: list[int], lower: int, deadline: float | None = None
+    n: int, classes: list[int], lower: int, deadline: float | None = None, max_states: int = MAX_NODES
 ) -> tuple[int, list[int] | None]:
     """A lower bound on the parts of any partition of the n vertices into
     the given classes and singletons, at least lower, and a least such
-    partition as masks, or None when MAX_NODES states do not find one or the
-    ``perf_counter()`` deadline, looked at in every state, passes first.
+    partition as masks, or None when max_states states do not find one or
+    the ``perf_counter()`` deadline, looked at in every state, passes first.
 
     The classes are indexed largest first, and a set of them is a mask over
     their indices: ``holds[v]`` has the classes that hold vertex v,
@@ -187,7 +194,7 @@ def least_partition(
         if c:
             left, taken = left & ~c, taken + [c]
         nodes += 1
-        if nodes > MAX_NODES or deadline is not None and perf_counter() > deadline:
+        if nodes > max_states or deadline is not None and perf_counter() > deadline:
             return bound, None
         share = [0] * n
         forced = fewest = least = 0
@@ -229,19 +236,50 @@ def least_partition(
     return bound, best
 
 
-def decide_by_classes(g: Graph, lower: int, deadline: float | None = None) -> tuple[int, Coloring | None]:
-    """(value, witness) or (lower bound, None) for g, given lower, a known
-    lower bound such as the least k the coloring search has not refuted.
+def parity_bound(g: Graph, classes: list[int]) -> int:
+    """A lower bound on the strong odd chromatic number of g from its odd
+    classes of at least two vertices, as listed by odd_classes.
 
-    The pair is the value of g with a verified witness when a least
-    partition is found, the pair bound (at least lower) with None when the
-    partition search runs out, and lower itself with None when the listing
-    does not complete: always so when g is not ``listable``.  A value below
-    lower contradicts the refutations behind it and raises InternalError."""
-    classes = odd_classes(g, deadline)
+    Take a vertex x of degree d >= 1 and a strong odd coloring.  Each color
+    on N(x) meets it in an odd number of vertices, all in one color class,
+    which is an odd class, so at most s(x) of them: the most vertices of
+    N(x) that a listed class holds, or 1, a singleton's share, when none
+    holds two.  So t, the number of colors on N(x), is at least d / s(x),
+    and as a sum of t odd numbers d has t's parity.  x's own color is not
+    among them, so the coloring has at least t + 1 colors."""
+    best = 1
+    for x, a in enumerate(g.adj):
+        d = len(a)
+        if d < best:  # t + 1 <= d + 1 <= best
+            continue
+        nb = sum(1 << w for w in a)
+        s = 1
+        for c in classes:
+            m = (c & nb).bit_count()
+            if m > s:
+                s = m
+        t = -(-d // s)
+        t += (d - t) & 1
+        if t + 1 > best:
+            best = t + 1
+    return best
+
+
+def decide_by_classes(
+    g: Graph, classes: list[int] | None, lower: int, deadline: float | None = None, max_states: int = MAX_NODES
+) -> tuple[int, Coloring | None]:
+    """(value, witness) or (lower bound, None) for g from its listing of odd
+    classes, given lower, a known lower bound such as the least k the
+    coloring search has not refuted.
+
+    The pair is the value of g with a verified witness when least_partition
+    finds a least partition within max_states states, the pair bound (at
+    least lower) with None when it runs out, and lower itself with None
+    when classes is None, a listing that did not complete.  A value below
+    lower contradicts the bounds behind it and raises InternalError."""
     if classes is None:
         return lower, None
-    bound, parts = least_partition(g.n, classes, lower, deadline)
+    bound, parts = least_partition(g.n, classes, lower, deadline, max_states)
     if parts is None:
         return bound, None
     if len(parts) < lower:

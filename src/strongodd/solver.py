@@ -138,21 +138,28 @@ plan searched at k, k + 1, ... within one node budget and one deadline.
 
 Dense graphs defeat this search: their value is near n, and every k below
 it takes a long refutation.  They have few independent sets, though, so
-once the searches of ``chromatic_strong_odd`` have spent ``_CLASSES_AFTER``
-nodes, ``_classes`` gets one try.  A strong odd coloring is a partition of
-V into odd classes, independent sets that every vertex sees none or an odd
-number of times, so a least such partition is the value.  It lists the odd
-classes, bounds the value from below by the vertex pairs that share no
-class, and searches for a least partition within fixed limits.  Its answer
-is final when the partition meets the bound or its search is exhausted; a
-search that runs out still raises the lower bound, and in every other case
-the interrupted k is searched again.  Graphs the search decides within the
-cut, every small one among them, never reach it, and the cut is set only
-where ``_classes.listable`` says the listing can complete: on a graph with
-more than ``_classes.MAX_SETS`` vertices and non-edges, such as a long
-cycle, the searches run on the caller's budget alone and a solve's node
-count is the sum of its searches.  So an exact value rests on a refutation
-at value - 1, on a lower bound, or on an exhausted partition.
+``_classes`` gets two looks at the searches of ``chromatic_strong_odd``.  A
+strong odd coloring is a partition of V into odd classes, independent sets
+that every vertex sees none or an odd number of times, so a least such
+partition is the value.  ``_classes`` lists the odd classes, bounds the
+value from below in two ways, by the largest share of a neighborhood that
+one class holds (the parity bound) and by the vertex pairs that share no
+class (the pair bound), and searches for a least partition within a limit
+on its states.  The early look comes once the searches have spent a
+quarter of ``_CLASSES_AFTER`` nodes.  Its listing may visit 4 sets per node
+spent and its partition search enter ``_EARLY_STATES`` states; dense graphs,
+whose pair bound is mostly their value, decide there.  The late look comes
+at ``_CLASSES_AFTER`` nodes, lists again only where the early listing gave
+up, and searches with the partition search's own limit.  A look's answer
+is final when the partition meets the bound or its search is exhausted;
+otherwise the bounds still raise k, and the interrupted k is searched again.
+Graphs the search decides within the early cut, every small one among them,
+never reach it, and the cuts are set only where ``_classes.listable`` says
+the listing can complete: on a graph with more than ``_classes.MAX_SETS``
+vertices and non-edges, such as a long cycle, the searches run on the
+caller's budget alone and a solve's node count is the sum of its searches.
+So an exact value rests on a refutation at value - 1, on a lower bound, or
+on an exhausted partition.
 
 ``brute_force_so`` is the independent oracle: it enumerates canonical color
 assignments outright and re-checks each complete one with ``is_strong_odd``,
@@ -177,8 +184,10 @@ from .graphs import Graph
 
 
 # nodes the searches of chromatic_strong_odd spend before the odd classes
-# get their one try
+# get their late look; the early look comes at a quarter of them
 _CLASSES_AFTER = 1_000
+# states the early look's partition search may enter
+_EARLY_STATES = 64
 
 
 @dataclass(frozen=True)
@@ -623,15 +632,21 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
 
     Decides k upward from a greedy clique lower bound, on one plan and
     within one budget.  Where the listing of odd classes can complete
-    (``_classes.listable``), once these searches have spent _CLASSES_AFTER
-    nodes, unless the caller's budget stops them first, the odd classes get
-    one try (``_classes.decide_by_classes``): a least partition of V into
-    odd classes is the value, and a listing that completes while the
-    partition search runs out raises the lower bound to its pair bound.  The
-    interrupted k is then searched again, with the rest of the budget.
+    (``_classes.listable``), the odd classes get two looks, each only when
+    the searches reach its node count before the caller's budget stops
+    them.  The early look, at _CLASSES_AFTER // 4 nodes, lists at most 4
+    sets per node spent; the late one, at _CLASSES_AFTER nodes, reuses a
+    listing that completed and otherwise lists up to ``_classes.MAX_SETS``
+    sets.  A completed listing raises the lower bound to its parity bound
+    (``_classes.parity_bound``), and each look then searches for a least
+    partition (``_classes.decide_by_classes``), within _EARLY_STATES states
+    at the early look and the partition search's own limit at the late one.
+    A least partition is the value; a search that runs out raises the lower
+    bound to its pair bound, and the interrupted k, or the raised bound if
+    that is higher, is then searched with the rest of the budget.
     Elsewhere the searches are never cut, and the node count is the sum of
     the searches at each k.  So an exact status rests on a refutation at
-    value - 1, on a lower bound (the clique or the pair bound), or on an
+    value - 1, on a lower bound (the clique, parity or pair bound), or on an
     exhausted partition.  The trivial all-distinct coloring pins the initial
     upper bound at |V|; on budget exhaustion the verified bounds found so
     far are returned, never a guess.
@@ -641,11 +656,14 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     t0 = perf_counter()
     deadline = t0 + budget.max_seconds if budget and budget.max_seconds else None
     max_nodes = budget.max_nodes if budget else None
-    # the node count at which the searches stop: first the point where the
-    # classes get their try, when their listing can complete and the
-    # caller's budget does not come first
-    try_classes = (max_nodes is None or max_nodes > _CLASSES_AFTER) and _classes.listable(g)
-    cut = _CLASSES_AFTER if try_classes else max_nodes
+    # the node counts at which the searches stop: first the points where the
+    # classes get their looks, when their listing can complete and the
+    # caller's budget does not come first, then the caller's budget
+    early = _CLASSES_AFTER // 4
+    cuts = [c for c in (early, _CLASSES_AFTER) if max_nodes is None or max_nodes > c] if _classes.listable(g) else []
+    cuts.append(max_nodes)
+    cut = cuts.pop(0)
+    classes = None  # the listing, once one completes
     lower = max(1, _clique_lower_bound(g))
     plan = _plan(g, order, lower, deadline)
     nodes = 0
@@ -657,8 +675,15 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
             if cut == max_nodes:
                 reason = "max-nodes"
                 break
-            cut = max_nodes
-            lower, witness = _classes.decide_by_classes(g, lower, deadline)
+            # the early look lists at most 4 sets per node spent; a listing
+            # that completes is kept for the late look
+            sets, states = (4 * early, _EARLY_STATES) if cut == early else (_classes.MAX_SETS, _classes.MAX_NODES)
+            if classes is None:
+                classes = _classes.odd_classes(g, deadline, sets)
+                if classes is not None:
+                    lower = max(lower, _classes.parity_bound(g, classes))
+            cut = cuts.pop(0)
+            lower, witness = _classes.decide_by_classes(g, classes, lower, deadline, states)
             if witness is not None:
                 return SolveResult("exact", lower, lower, lower, witness, nodes, perf_counter() - t0)
             continue

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import strongodd._classes
 import strongodd.solver
 from helpers import class_sizes_on, cycle_vertices, graphs, is_two_distance_on, random_graph, stacked_triangulation
-from strongodd._classes import decide_by_classes, least_partition, listable, odd_classes
+from strongodd._classes import decide_by_classes, least_partition, listable, odd_classes, parity_bound
 from strongodd.solver import _clique_lower_bound, _dependent_triples, _plan, _twin_classes, _vertex_order
 from strongodd import (
     Bipyramid,
@@ -36,8 +36,9 @@ from strongodd import (
 @pytest.fixture
 def search_alone(monkeypatch):
     """chromatic_strong_odd without the odd classes: the searches never reach
-    the node count at which the classes get their try, so a pin on the
-    search's own node counts keeps pinning the search."""
+    the node counts at which the classes get their looks, both read off
+    _CLASSES_AFTER, so a pin on the search's own node counts keeps pinning
+    the search."""
     monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
 
 
@@ -707,7 +708,9 @@ class TestOddClasses:
             value = chromatic_strong_odd(g).value
             if g.n <= 9:
                 assert brute_force_so(g).value == value
-            found, witness = decide_by_classes(g, 1)  # every listing here completes
+            classes = odd_classes(g)  # every listing here completes
+            assert parity_bound(g, classes) <= value
+            found, witness = decide_by_classes(g, classes, 1)
             if witness is None:
                 assert found <= value
             else:
@@ -726,7 +729,7 @@ class TestOddClasses:
         # the paper's one-point unions that need 15 to 17 colors, proved
         # sharing no pruning rule with the search
         g = build(BipyramidUnion(m, n))
-        found, witness = decide_by_classes(g, 1)
+        found, witness = decide_by_classes(g, odd_classes(g), 1)
         assert found == value == len(witness.palette) and is_strong_odd(g, witness)
 
     def test_long_cycle_lists_no_set(self):
@@ -736,8 +739,8 @@ class TestOddClasses:
         t = perf_counter()
         assert not listable(g) and odd_classes(g) is None
         assert perf_counter() - t < 0.1
-        # the lower bound it is given comes back unchanged
-        assert decide_by_classes(g, 3) == (3, None)
+        # without a listing, the lower bound it is given comes back unchanged
+        assert decide_by_classes(g, None, 3) == (3, None)
 
     def test_partition_of_many_classes_needs_no_deep_recursion(self):
         # K_1100 and two isolated vertices a and b: the odd classes are
@@ -750,27 +753,51 @@ class TestOddClasses:
         assert bound == len(parts) == 1100 and sum(parts) == (1 << n) - 1
 
     def test_dense_graphs_decide_at_the_cut(self):
-        # the search spends its first 1,000 nodes, and one more to see it,
-        # then the classes decide: these have none or nearly none
+        # the search spends its first 250 nodes, and one more to see it,
+        # then the early look decides: these have no odd class of two or
+        # more vertices, so the pair bound is n and so is the value
+        early = strongodd.solver._CLASSES_AFTER // 4
         for seed, n in enumerate(range(24, 29)):
             g = dense_graph(n, seed)
             r = chromatic_strong_odd(g, Budget(max_nodes=50_000))
-            assert (r.status, r.nodes) == ("exact", 1_001) and r.value >= n - 1
+            assert (r.status, r.nodes, r.value) == ("exact", early + 1, n)
             assert is_strong_odd(g, r.witness) and len(r.witness.palette) == r.value
 
     def test_a_budget_at_the_cut_keeps_the_search(self):
-        # the classes get their try only when the cut, not the caller's
+        # the classes get their look only when the cut, not the caller's
         # budget, stops the search
         g = dense_graph(26, 1)
-        r = chromatic_strong_odd(g, Budget(max_nodes=1_000))
-        assert (r.status, r.nodes) == ("bounds", 1_001)
-        r = chromatic_strong_odd(g, Budget(max_nodes=1_001))
-        assert (r.status, r.nodes) == ("exact", 1_001)
+        r = chromatic_strong_odd(g, Budget(max_nodes=250))
+        assert (r.status, r.nodes) == ("bounds", 251)
+        r = chromatic_strong_odd(g, Budget(max_nodes=251))
+        assert (r.status, r.nodes) == ("exact", 251)
+
+    def test_parity_bound_decides_the_wheel_early(self):
+        # W14's classes give the pair bound 4, but each holds at most 3 of
+        # the hub's 14 neighbors, so they need 6 colors and the hub a 7th;
+        # with that bound the early look's partition search finds 7, where
+        # the search alone takes 5,718 nodes
+        g = build(Wheel(14))
+        classes = odd_classes(g, None, 4 * (strongodd.solver._CLASSES_AFTER // 4))
+        assert parity_bound(g, classes) == 7 and least_partition(g.n, classes, 1, None, 1) == (4, None)
+        r = chromatic_strong_odd(g)
+        assert (r.status, r.value, r.nodes) == ("exact", 7, 251)
+
+    def test_the_late_look_reuses_the_early_listing(self, monkeypatch):
+        # J(14, 4)'s partition search runs out at both looks, which list its
+        # classes once; the parity bound 7 lifts the search past k = 6
+        g = build(JoinCycleEmpty(14, 4))
+        listings = []
+        listing = strongodd._classes.odd_classes
+        monkeypatch.setattr(strongodd._classes, "odd_classes", lambda *a: listings.append(a[2]) or listing(*a))
+        r = chromatic_strong_odd(g)
+        assert (r.status, r.value) == ("exact", 8) and listings == [1_000]
 
     def test_interrupted_k_is_searched_again(self, monkeypatch):
-        # a planar graph the listing can take but gives up on past MAX_SETS
-        # sets, so the k that the cut stopped is searched again: 932 nodes
-        # above the search alone, for the same value and witness
+        # a planar graph the listing can take but gives up on, past 1,000
+        # sets at the early look and past MAX_SETS at the late one, so the k
+        # that the cuts stopped is searched again: its stopped searches take
+        # 932 nodes above the search alone, for the same value and witness
         g = stacked_triangulation(32, random.Random(20))
         assert listable(g) and odd_classes(g) is None
         r = chromatic_strong_odd(g)
@@ -785,7 +812,7 @@ class TestOddClasses:
         # search does not finish; the search alone gets to k = 8 within the
         # same budget
         g = build(BipyramidUnion(8, 11))
-        assert decide_by_classes(g, 1) == (12, None)
+        assert decide_by_classes(g, odd_classes(g), 1) == (12, None)
         r = chromatic_strong_odd(g, Budget(max_nodes=1_001))
         assert (r.status, r.lower, r.nodes) == ("bounds", 12, 1_001)
         monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
@@ -810,7 +837,7 @@ class TestOddClasses:
         monkeypatch.setattr(strongodd.solver, "perf_counter", lambda: now[0])
         monkeypatch.setattr(strongodd._classes, "perf_counter", listing_clock)
         r = chromatic_strong_odd(g, Budget(max_seconds=10))
-        assert (r.status, r.value, r.nodes) == ("timeout", None, 1_001) and len(looks) == 2
+        assert (r.status, r.value, r.nodes) == ("timeout", None, 251) and len(looks) == 2
 
     def test_partition_search_stops_at_its_deadline(self, monkeypatch):
         # W14's partition search runs out of states; with a deadline it looks
@@ -832,8 +859,8 @@ class TestOddClasses:
 
     def test_deadline_during_the_partition_search_ends_in_timeout(self, monkeypatch):
         # a clock that jumps past the deadline at the fifth state of the
-        # partition search: the solve times out there instead of running
-        # out the search and deciding late
+        # early look's partition search: the solve times out there instead
+        # of running out the search and deciding late
         g = build(JoinCycleEmpty(14, 4))
         listing = []
         monkeypatch.setattr(strongodd._classes, "perf_counter", lambda: listing.append(None) or 0.0)
@@ -850,9 +877,9 @@ class TestOddClasses:
         monkeypatch.setattr(strongodd.solver, "perf_counter", lambda: now[0])
         monkeypatch.setattr(strongodd._classes, "perf_counter", partition_clock)
         r = chromatic_strong_odd(g, Budget(max_seconds=10))
-        # the search had refuted k = 5 within its first 1,000 nodes, above
-        # the pair bound 4
-        assert (r.status, r.lower, r.value, r.nodes) == ("timeout", 6, None, 1_001)
+        # the parity bound 7 is above the pair bound 4 and the k = 6 the
+        # search had reached within its first 250 nodes
+        assert (r.status, r.lower, r.value, r.nodes) == ("timeout", 7, None, 251)
         assert len(looks) == len(listing) + 5
 
     def test_classes_below_a_refutation_raise_internal_error(self, monkeypatch):
@@ -860,7 +887,7 @@ class TestOddClasses:
         # refutations, so it can only come from a bug; decide_by_classes
         # rejects this one-part partition before building a witness
         g = dense_graph(26, 1)
-        monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower, deadline: (1, [(1 << n) - 1]))
+        monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower, deadline, states: (1, [(1 << n) - 1]))
         with pytest.raises(InternalError, match="beat a refutation"):
             chromatic_strong_odd(g)
 
@@ -869,11 +896,12 @@ class TestClassesDigest:
     """One sha256 over what chromatic_strong_odd returns with the odd classes
     in play, in degree order and in its reverse, under a node budget:
     statuses, bounds, node counts and witnesses.  The corpus holds dense
-    graphs that the classes decide, sparser ones that the search decides
-    within the cut or after the classes give up, and family members whose
-    partition search does not finish."""
+    graphs that the early look decides, sparser ones that the search decides
+    within the early cut, that the early look decides or that the search
+    decides after both looks give up, and family members whose partition
+    search does not finish."""
 
-    DIGEST = "0485b592a4b21077176bf4599812381dcfe6e5e733f5c8d82e4cfd651f5899f8"
+    DIGEST = "a6177524ee15a779ce37c9ee7d87c1af22081228b04f18c0256a55c6642681f8"
 
     def test_digest(self):
         rng = random.Random(16)
@@ -945,6 +973,12 @@ class TestListingDigest:
 @given(graphs(max_n=10))
 def test_listing_matches_definition_on_any_small_graph(g):
     assert sorted(odd_classes(g)) == odd_classes_by_definition(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=9))
+def test_parity_bound_is_at_most_the_value_on_any_small_graph(g):
+    assert parity_bound(g, odd_classes(g)) <= brute_force_so(g).value
 
 
 class TestPartitionDigest:
