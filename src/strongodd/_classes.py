@@ -16,9 +16,10 @@ holds, so N(x) needs at least d / s(x) colors, their number has d's parity,
 and x needs one more.  ``least_partition`` starts from the pair bound, a
 clique of vertices that pairwise share no class, and looks for a least
 partition by branch and bound; ``decide_by_classes`` turns one into a
-verified coloring.  The listing and the partition search stop early, at
-limits a caller may lower, so they pay only on graphs with few independent
-sets, such as dense ones, where the coloring search is slowest.
+verified coloring, after raising the bound it is given to the parity
+bound.  The listing and the partition search stop early, at fixed limits,
+so they pay only on graphs with few independent sets, such as dense ones,
+where the coloring search is slowest.
 ``listable`` tells at once whether the listing can complete, so a caller
 can leave the classes out where they cannot help.
 
@@ -51,16 +52,16 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def listable(g: Graph, max_sets: int = MAX_SETS) -> bool:
-    """Whether the listing of odd_classes can complete on g within max_sets
+def listable(g: Graph) -> bool:
+    """Whether the listing of odd_classes can complete on g within MAX_SETS
     sets.  It visits every singleton and every independent pair, so not when
-    g has more than max_sets vertices and non-edges."""
-    return g.n + g.n * (g.n - 1) // 2 - g.edge_count <= max_sets
+    g has more than MAX_SETS vertices and non-edges."""
+    return g.n + g.n * (g.n - 1) // 2 - g.edge_count <= MAX_SETS
 
 
-def odd_classes(g: Graph, deadline: float | None = None, max_sets: int = MAX_SETS) -> list[int] | None:
+def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
     """The odd classes of g with at least two vertices, as bit masks, or None
-    when the listing would visit more than max_sets independent sets or the
+    when the listing would visit more than MAX_SETS independent sets or the
     ``perf_counter()`` deadline passes first.
 
     Each visited set S keeps two masks over its members' neighborhoods: the
@@ -71,7 +72,7 @@ def odd_classes(g: Graph, deadline: float | None = None, max_sets: int = MAX_SET
     independent pair is visited, and a graph that is not ``listable`` is given
     up at once.  The sets are visited depth first, a set's extensions by its
     lowest candidate first."""
-    if not listable(g, max_sets) or deadline is not None and perf_counter() > deadline:
+    if not listable(g) or deadline is not None and perf_counter() > deadline:
         return None
     n = g.n
     nb = [sum(1 << w for w in a) for a in g.adj]
@@ -84,7 +85,7 @@ def odd_classes(g: Graph, deadline: float | None = None, max_sets: int = MAX_SET
     while stack:
         s, seen, odd, cand = stack.pop()
         listed += 1
-        if listed > max_sets:
+        if listed > MAX_SETS:
             return None
         if not listed & 255 and deadline is not None and perf_counter() > deadline:
             return None
@@ -148,11 +149,11 @@ def _clique(share: list[int], left: int) -> int:
 
 
 def least_partition(
-    n: int, classes: list[int], lower: int, deadline: float | None = None, max_states: int = MAX_NODES
+    n: int, classes: list[int], lower: int, deadline: float | None = None
 ) -> tuple[int, list[int] | None]:
     """A lower bound on the parts of any partition of the n vertices into
     the given classes and singletons, at least lower, and a least such
-    partition as masks, or None when max_states states do not find one or
+    partition as masks, or None when MAX_NODES states do not find one or
     the ``perf_counter()`` deadline, looked at in every state, passes first.
 
     The classes are indexed largest first, and a set of them is a mask over
@@ -194,7 +195,7 @@ def least_partition(
         if c:
             left, taken = left & ~c, taken + [c]
         nodes += 1
-        if nodes > max_states or deadline is not None and perf_counter() > deadline:
+        if nodes > MAX_NODES or deadline is not None and perf_counter() > deadline:
             return bound, None
         share = [0] * n
         forced = fewest = least = 0
@@ -266,20 +267,19 @@ def parity_bound(g: Graph, classes: list[int]) -> int:
 
 
 def decide_by_classes(
-    g: Graph, classes: list[int] | None, lower: int, deadline: float | None = None, max_states: int = MAX_NODES
+    g: Graph, classes: list[int], lower: int, deadline: float | None = None
 ) -> tuple[int, Coloring | None]:
-    """(value, witness) or (lower bound, None) for g from its listing of odd
-    classes, given lower, a known lower bound such as the least k the
-    coloring search has not refuted.
+    """(value, witness) or (lower bound, None) for g from its completed
+    listing of odd classes, given lower, a known lower bound such as the
+    least k the coloring search has not refuted.
 
-    The pair is the value of g with a verified witness when least_partition
-    finds a least partition within max_states states, the pair bound (at
-    least lower) with None when it runs out, and lower itself with None
-    when classes is None, a listing that did not complete.  A value below
+    lower is first raised to the parity bound.  The pair is the value of g
+    with a verified witness when least_partition then finds a least
+    partition within MAX_NODES states, and the pair bound (at least the
+    raised lower) with None when it runs out.  A value below the raised
     lower contradicts the bounds behind it and raises InternalError."""
-    if classes is None:
-        return lower, None
-    bound, parts = least_partition(g.n, classes, lower, deadline, max_states)
+    lower = max(lower, parity_bound(g, classes))
+    bound, parts = least_partition(g.n, classes, lower, deadline)
     if parts is None:
         return bound, None
     if len(parts) < lower:

@@ -36,9 +36,8 @@ from strongodd import (
 @pytest.fixture
 def search_alone(monkeypatch):
     """chromatic_strong_odd without the odd classes: the searches never reach
-    the node counts at which the classes get their looks, both read off
-    _CLASSES_AFTER, so a pin on the search's own node counts keeps pinning
-    the search."""
+    _CLASSES_AFTER, the node count at which the classes get their look, so a
+    pin on the search's own node counts keeps pinning the search."""
     monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
 
 
@@ -739,8 +738,6 @@ class TestOddClasses:
         t = perf_counter()
         assert not listable(g) and odd_classes(g) is None
         assert perf_counter() - t < 0.1
-        # without a listing, the lower bound it is given comes back unchanged
-        assert decide_by_classes(g, None, 3) == (3, None)
 
     def test_partition_of_many_classes_needs_no_deep_recursion(self):
         # K_1100 and two isolated vertices a and b: the odd classes are
@@ -754,13 +751,12 @@ class TestOddClasses:
 
     def test_dense_graphs_decide_at_the_cut(self):
         # the search spends its first 250 nodes, and one more to see it,
-        # then the early look decides: these have no odd class of two or
-        # more vertices, so the pair bound is n and so is the value
-        early = strongodd.solver._CLASSES_AFTER // 4
+        # then the classes decide: these have no odd class of two or more
+        # vertices, so the pair bound is n and so is the value
         for seed, n in enumerate(range(24, 29)):
             g = dense_graph(n, seed)
             r = chromatic_strong_odd(g, Budget(max_nodes=50_000))
-            assert (r.status, r.nodes, r.value) == ("exact", early + 1, n)
+            assert (r.status, r.nodes, r.value) == ("exact", strongodd.solver._CLASSES_AFTER + 1, n)
             assert is_strong_odd(g, r.witness) and len(r.witness.palette) == r.value
 
     def test_a_budget_at_the_cut_keeps_the_search(self):
@@ -775,33 +771,37 @@ class TestOddClasses:
     def test_parity_bound_decides_the_wheel_early(self):
         # W14's classes give the pair bound 4, but each holds at most 3 of
         # the hub's 14 neighbors, so they need 6 colors and the hub a 7th;
-        # with that bound the early look's partition search finds 7, where
-        # the search alone takes 5,718 nodes
+        # with that bound the partition search finds 7 at once, where it
+        # runs out from the pair bound and the search alone takes 5,718 nodes
         g = build(Wheel(14))
-        classes = odd_classes(g, None, 4 * (strongodd.solver._CLASSES_AFTER // 4))
-        assert parity_bound(g, classes) == 7 and least_partition(g.n, classes, 1, None, 1) == (4, None)
+        classes = odd_classes(g)
+        assert parity_bound(g, classes) == 7 and least_partition(g.n, classes, 1) == (4, None)
         r = chromatic_strong_odd(g)
         assert (r.status, r.value, r.nodes) == ("exact", 7, 251)
 
-    def test_the_late_look_reuses_the_early_listing(self, monkeypatch):
-        # J(14, 4)'s partition search runs out at both looks, which list its
-        # classes once; the parity bound 7 lifts the search past k = 6
-        g = build(JoinCycleEmpty(14, 4))
+    @pytest.mark.parametrize("g,value", [
+        (build(JoinCycleEmpty(14, 4)), 8),
+        (stacked_triangulation(32, random.Random(20)), 6),
+    ], ids=["J(14,4)", "st32"])
+    def test_one_listing_per_solve(self, monkeypatch, g, value):
+        # J(14, 4)'s listing completes and its partition search runs out;
+        # the stacked triangulation's listing gives up.  Either way the
+        # search goes on to the value without listing the classes again
         listings = []
         listing = strongodd._classes.odd_classes
-        monkeypatch.setattr(strongodd._classes, "odd_classes", lambda *a: listings.append(a[2]) or listing(*a))
+        monkeypatch.setattr(strongodd._classes, "odd_classes", lambda *a: listings.append(a) or listing(*a))
         r = chromatic_strong_odd(g)
-        assert (r.status, r.value) == ("exact", 8) and listings == [1_000]
+        assert (r.status, r.value, len(listings)) == ("exact", value, 1)
 
     def test_interrupted_k_is_searched_again(self, monkeypatch):
-        # a planar graph the listing can take but gives up on, past 1,000
-        # sets at the early look and past MAX_SETS at the late one, so the k
-        # that the cuts stopped is searched again: its stopped searches take
-        # 932 nodes above the search alone, for the same value and witness
+        # a planar graph the listing can take but gives up on, past
+        # MAX_SETS sets, so the k that the cut stopped is searched again: its
+        # stopped search takes 182 nodes above the search alone, for the
+        # same value and witness
         g = stacked_triangulation(32, random.Random(20))
         assert listable(g) and odd_classes(g) is None
         r = chromatic_strong_odd(g)
-        assert (r.status, r.value, r.nodes) == ("exact", 6, 4_608)
+        assert (r.status, r.value, r.nodes) == ("exact", 6, 3_858)
         assert is_strong_odd(g, r.witness)
         monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
         s = chromatic_strong_odd(g)
@@ -809,12 +809,12 @@ class TestOddClasses:
 
     def test_unfinished_partition_raises_the_lower_bound(self, monkeypatch):
         # the classes of U(8, 11) give the pair bound 12, but the partition
-        # search does not finish; the search alone gets to k = 8 within the
-        # same budget
+        # search does not finish; the search goes on from k = 12 and stops
+        # one node past the budget, where the search alone gets to k = 8
         g = build(BipyramidUnion(8, 11))
         assert decide_by_classes(g, odd_classes(g), 1) == (12, None)
         r = chromatic_strong_odd(g, Budget(max_nodes=1_001))
-        assert (r.status, r.lower, r.nodes) == ("bounds", 12, 1_001)
+        assert (r.status, r.lower, r.nodes) == ("bounds", 12, 1_002)
         monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
         r = chromatic_strong_odd(g, Budget(max_nodes=1_001))
         assert (r.status, r.lower) == ("bounds", 8)
@@ -859,7 +859,7 @@ class TestOddClasses:
 
     def test_deadline_during_the_partition_search_ends_in_timeout(self, monkeypatch):
         # a clock that jumps past the deadline at the fifth state of the
-        # early look's partition search: the solve times out there instead
+        # classes' partition search: the solve times out there instead
         # of running out the search and deciding late
         g = build(JoinCycleEmpty(14, 4))
         listing = []
@@ -887,7 +887,7 @@ class TestOddClasses:
         # refutations, so it can only come from a bug; decide_by_classes
         # rejects this one-part partition before building a witness
         g = dense_graph(26, 1)
-        monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower, deadline, states: (1, [(1 << n) - 1]))
+        monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower, deadline: (1, [(1 << n) - 1]))
         with pytest.raises(InternalError, match="beat a refutation"):
             chromatic_strong_odd(g)
 
@@ -896,12 +896,12 @@ class TestClassesDigest:
     """One sha256 over what chromatic_strong_odd returns with the odd classes
     in play, in degree order and in its reverse, under a node budget:
     statuses, bounds, node counts and witnesses.  The corpus holds dense
-    graphs that the early look decides, sparser ones that the search decides
-    within the early cut, that the early look decides or that the search
-    decides after both looks give up, and family members whose partition
-    search does not finish."""
+    graphs that the classes decide, sparser ones that the search decides
+    within the cut, that the classes decide or that the search decides after
+    the classes give up, and family members whose partition search does not
+    finish."""
 
-    DIGEST = "a6177524ee15a779ce37c9ee7d87c1af22081228b04f18c0256a55c6642681f8"
+    DIGEST = "e063ec1d001d0f12e6c998454b5d349b601e33e81b05e9b1ea78189110ee1bc2"
 
     def test_digest(self):
         rng = random.Random(16)
@@ -1025,9 +1025,10 @@ class TestBudget:
             Budget(max_seconds=seconds)
 
     @pytest.mark.parametrize(
-        "nodes,seconds", [(2.5, None), (5.0, None), ("5", None), (True, None), (None, "1"), (None, 1j), (5, "1")])
+        "nodes,seconds",
+        [(2.5, None), (5.0, None), ("5", None), (True, None), (None, "1"), (None, 1j), (5, "1"), (None, True)])
     def test_budget_rejects_a_limit_of_the_wrong_type(self, nodes, seconds):
-        # max_nodes is an int and not a bool, max_seconds an int or a float;
+        # max_nodes is an int, max_seconds an int or a float, and neither a bool;
         # a fractional node budget would end a search at a fractional count
         with pytest.raises(InvalidParameterError):
             Budget(nodes, seconds)
