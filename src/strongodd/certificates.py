@@ -30,6 +30,11 @@ check holds the claim to the bundle's own record: it fails a claim kind
 other than "exact" and "upper-bound", a check log with an entry that is
 not ok, and an "exact" claim with no ok "refutation" entry.
 
+The notes state the claimed value as the count it comes from, with C(n)
+the number of cycle colors of ``families._cycle_colors``: for the union
+(8, 11) the note reads ``closed-form value: C(8) + C(11) + 1 = 8 + 5 + 1
+= 14``.
+
 Claims default to kind "upper-bound": the coloring proves the value is
 attainable.  A claim is upgraded to "exact" only when a refutation search
 at value - 1 completes within an explicitly supplied budget (``--try-exact``
@@ -40,7 +45,8 @@ taking at most 11 ms on a shared 2-vCPU x86-64 machine with CPython 3.11.
 Members of the infinite 14-color family refute the same way when a budget
 is given, at 13 colors in a number of nodes about linear in n: 3,259 at
 n = 11, 32,419 at n = 101 and 1,294,075 at n = 3995 (1.3 s).  Without a
-completed refutation their exactness rests on the structural argument.
+completed refutation their exactness rests on the counting argument
+(``families._cycle_colors``), which no check in the bundle records.
 The node count of a refutation is recorded in the notes, its time is
 not (so the bundle's bytes repeat), and ``reverify_certificate`` does
 not re-run the search.
@@ -60,13 +66,8 @@ from .families import _union_colors, formula
 from .graphs import BipyramidUnion, Graph, build, from_dimacs, to_dimacs
 from .solver import Budget, decide_k
 
-# the glued-bipyramid pairs whose values 15, 16, and 17 are certified
-SPECIAL_PAIRS: dict[tuple[int, int], int] = {
-    (6, 8): 15,
-    (7, 7): 15,
-    (7, 8): 16,
-    (8, 8): 17,
-}
+# the glued-bipyramid pairs certified beside the 14-color family
+SPECIAL_PAIRS: tuple[tuple[int, int], ...] = ((6, 8), (7, 7), (7, 8), (8, 8))
 
 
 @dataclass
@@ -191,10 +192,11 @@ def make_union_certificate(m: int, n: int, try_exact_budget: Budget | None = Non
 def counterexample(n: int, try_exact_budget: Budget | None = None) -> Certificate:
     """Certificate for a member of the infinite 14-color planar family.
 
-    Accepts n > 9 with n = 1 or 5 (mod 6); the certified graph glues the
-    size-8 bipyramid to the size-n one, and its claimed value is 14.
+    Accepts the n > 9 whose union with the size-8 bipyramid has the
+    closed-form value 14, which are n = 1 or 5 (mod 6); the certified graph
+    glues the size-8 bipyramid to the size-n one.
     """
-    if not (n > 9 and n % 6 in (1, 5)):
+    if not (n > 9 and formula(BipyramidUnion(8, n)).value == 14):
         raise InvalidParameterError(
             f"the 14-color family needs n > 9 with n = 1 or 5 (mod 6), got {n}"
         )
@@ -204,12 +206,10 @@ def counterexample(n: int, try_exact_budget: Budget | None = None) -> Certificat
 
 
 def counterexample_pair(m: int, n: int, try_exact_budget: Budget | None = None) -> Certificate:
-    """Certificate for one of the specific pairs with values 15, 16, or 17."""
+    """Certificate for one of the SPECIAL_PAIRS, in either order."""
     key = (m, n) if m <= n else (n, m)
     if key not in SPECIAL_PAIRS:
-        raise InvalidParameterError(
-            f"supported pairs are {sorted(SPECIAL_PAIRS)} (values 15, 16, 17), got ({m}, {n})"
-        )
+        raise InvalidParameterError(f"supported pairs are {list(SPECIAL_PAIRS)}, got ({m}, {n})")
     return make_union_certificate(m, n, try_exact_budget)
 
 

@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="witness coloring file")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("formula", help="closed-form value for wheel, join, or union families")
+    p = sub.add_parser(
+        "formula", help="closed-form value for wheel, join, or union families, as a count of cycle colors C(n)")
     p.add_argument("kind", choices=_FORMULAS)
     p.add_argument("params", type=int, nargs="+")
     p.set_defaults(func=_cmd_formula)

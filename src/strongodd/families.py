@@ -11,21 +11,25 @@ before returning, so a construction bug can never escape silently.  The
 spec has already checked the sizes; any other spec raises
 UnsupportedFamilyError.
 
-The wheel value is piecewise in n:
+Every value is one count.  C(n), the number of cycle colors, is the least
+number of odd classes that cover C_n when each class is independent in
+C_n^2, and:
 
-    n <= 8            ->  n + 1    (distinct colors everywhere)
-    n = 14            ->  7
-    n = 3 (mod 6)     ->  4
-    n = 0,2,4 (mod 6) ->  5        (n > 8, n != 14)
-    n = 1,5 (mod 6)   ->  6        (n > 8)
+    Wheel(n)               ->  1 + C(n)
+    JoinCycleEmpty(n, m)   ->  C(n) + 1 if m is odd, C(n) + 2 if m is even
+    BipyramidUnion(m, n)   ->  C(m) + C(n) + 1
 
-The join value adds 1 to the wheel value exactly when the hub set has even
-size: an odd hub set can share one color (odd in every cycle vertex's
-neighborhood), an even one needs a second color to restore odd counts.  The
-glued-bipyramid value is wheel(m) + wheel(n) - 1: the two cycles must use
-disjoint palettes because the shared apex sees both, each inner apex can
-reuse a color from the opposite cycle, and the shared apex needs one fresh
-color.
+``_cycle_colors`` carries the counting argument for the lower bound, and
+the constructions below attain it (``wheel_cycle_pattern`` uses exactly
+C(n) colors on the cycle).  A hub set shares one color when it is odd (odd
+in every cycle vertex's neighborhood); an even one needs a second color to
+restore odd counts.  In a glued bipyramid the two cycles use disjoint
+palettes because the shared apex sees both, each inner apex reuses a color
+from the opposite cycle, and the shared apex needs one fresh color.
+
+Worked out by residue, C(n) is the paper's piecewise count: n for n <= 8,
+6 for n = 14, and otherwise 3 for n = 3 (mod 6), 4 for n = 0, 2 or 4
+(mod 6) and 5 for n = 1 or 5 (mod 6).
 """
 
 from __future__ import annotations
@@ -44,55 +48,60 @@ class Formula(NamedTuple):
 
 def formula(spec: FamilySpec) -> Formula:
     """Closed-form value of a Wheel, JoinCycleEmpty or BipyramidUnion, with its case."""
+    if isinstance(spec, Wheel):
+        c = _cycle_colors(spec.n)
+        return Formula(1 + c, f"1 + C({spec.n}) = 1 + {c}")
     if isinstance(spec, JoinCycleEmpty):
-        base = formula(Wheel(spec.n)).value
-        return Formula(base, "m odd") if spec.m % 2 == 1 else Formula(base + 1, "m even")
+        c, h = _cycle_colors(spec.n), 2 - spec.m % 2
+        return Formula(c + h, f"C({spec.n}) + {h} = {c} + {h}")
     if isinstance(spec, BipyramidUnion):
-        m, n = spec.m, spec.n
-        a, b = formula(Wheel(m)).value, formula(Wheel(n)).value
-        return Formula(a + b - 1, f"wheel({m}) + wheel({n}) - 1 = {a} + {b} - 1")
-    if not isinstance(spec, Wheel):
-        raise UnsupportedFamilyError(f"no closed form for family {spec!r}")
-    n = spec.n
-    if n <= 8:
-        return Formula(n + 1, "n <= 8")
-    if n == 14:
-        return Formula(7, "n = 14")
-    r = n % 6
-    if r == 3:
-        return Formula(4, "n = 3 (mod 6)")
-    if r in (0, 2, 4):
-        return Formula(5, "n = 0, 2 or 4 (mod 6), n > 8, n != 14")
-    return Formula(6, "n = 1 or 5 (mod 6), n > 8")
+        a, b = _cycle_colors(spec.m), _cycle_colors(spec.n)
+        return Formula(a + b + 1, f"C({spec.m}) + C({spec.n}) + 1 = {a} + {b} + 1")
+    raise UnsupportedFamilyError(f"no closed form for family {spec!r}")
+
+
+def _cycle_colors(n: int) -> int:
+    """C(n): the least number of colors on the cycle of a wheel or join of size n.
+
+    A cycle vertex v sees v - 1, v + 1 and the hubs, whose colors are not on
+    the cycle, so v - 1 and v + 1 differ: every cycle color class is
+    independent in C_n^2 and holds at most floor(n/3) vertices.  The hub
+    sees every cycle vertex, so every class is odd, and holds at most s, the
+    largest odd number <= floor(n/3).  The class sizes are odd and sum to n,
+    so there are at least ceil(n/s) of them, and their number has the
+    parity of n.  C(n) is the least such number, and ``wheel_cycle_pattern``
+    attains it for every n.
+    """
+    s = (n // 3 - 1) | 1
+    t = -(-n // s)
+    return t + (t - n) % 2
 
 
 def wheel_cycle_pattern(n: int) -> tuple[int, ...]:
     """Colors for the cycle vertices of a wheel, in cycle order.
 
-    Uses exactly formula(Wheel(n)).value - 1 colors, every used color class
-    has odd size, and any two cycle vertices at distance <= 2 differ, which
-    together make the wheel coloring strong odd once the hub takes a fresh
-    color.
+    Uses exactly C(n) = formula(Wheel(n)).value - 1 colors, every used color
+    class has odd size, and any two cycle vertices at distance <= 2 differ,
+    which together make the wheel coloring strong odd once the hub takes a
+    fresh color.  Where C(n) < n the pattern is q blocks ``1 2 3`` (q odd),
+    the first b of which (b = 0 or odd, the least that fits) carry a ``4``,
+    and the colors above 4 (above 3 when b = 0) once each, after the last
+    4-block, or at the end when b = 0.  Then C(n) is 3, 4 or 5, or 6 at
+    n = 14, and b = 5 always fits if no smaller b does.
     """
-    if n < 3:
-        raise InvalidParameterError(f"cycle pattern needs n >= 3, got {n}")
-    if n <= 8:
+    if type(n) is not int or n < 3:
+        raise InvalidParameterError(f"cycle pattern needs an int n >= 3, got {n!r}")
+    c = _cycle_colors(n)
+    if c == n:
         return tuple(range(1, n + 1))
-    if n == 14:
-        return (1, 2, 3, 4) * 3 + (5, 6)
-    r = n % 6
-    if r == 3:
-        return (1, 2, 3) * (n // 3)
-    if r == 4:
-        return (1, 2, 3) * (n // 3) + (4,)
-    if r == 5:
-        return (1, 2, 3) * ((n - 2) // 3) + (4, 5)
-    if r == 0:
-        return (1, 2, 3, 4) * 3 + (1, 2, 3) * ((n - 12) // 3)
-    if r == 1:
-        return (1, 2, 3, 4) * 3 + (5,) + (1, 2, 3) * ((n - 13) // 3)
-    # r == 2, n >= 20 here since n = 14 was handled above
-    return (1, 2, 3, 4) * 5 + (1, 2, 3) * ((n - 20) // 3)
+    for b in (0, 1, 3, 5):
+        extra = tuple(range(5 if b else 4, c + 1))
+        q, r = divmod(n - b - len(extra), 3)
+        if r == 0 and q % 2 == 1 and q >= b:
+            if b == 0:
+                return (1, 2, 3) * q + extra
+            return (1, 2, 3, 4) * b + extra + (1, 2, 3) * (q - b)
+    raise InternalError(f"internal error: no cycle pattern with {c} colors for n = {n}")
 
 
 def coloring_for(spec: FamilySpec) -> Coloring:

@@ -163,13 +163,15 @@ def one_point_union(parts: Sequence[tuple[Graph, int]]) -> Graph:
 # ---------------------------------------------------------------------------
 
 class _Spec:
-    """Base of the family specs: field i must be at least ``_least[i]``."""
+    """Base of the family specs: field i must be an int (not a bool) of at least ``_least[i]``."""
 
     _least: tuple[int, ...]
 
     def __post_init__(self):
         for f, least in zip(fields(self), self._least, strict=True):
             value = getattr(self, f.name)
+            if type(value) is not int:
+                raise InvalidParameterError(f"{type(self).__name__} needs an int {f.name}, got {value!r}")
             if value < least:
                 raise InvalidParameterError(f"{type(self).__name__} needs {f.name} >= {least}, got {value}")
 

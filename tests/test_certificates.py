@@ -94,6 +94,13 @@ class TestGeneration:
             counterexample(12)
         with pytest.raises(InvalidParameterError):
             counterexample(9)  # value would be 12, not in the 14-family
+        with pytest.raises(InvalidParameterError):
+            counterexample(11.0)  # the spec refuses a float size
+
+    def test_family_is_n_above_9_at_1_or_5_mod_6(self):
+        # the family is read off the closed form; the paper states it by residue
+        assert {n for n in range(3, 200) if n > 9 and formula(BipyramidUnion(8, n)).value == 14} == {
+            n for n in range(10, 200) if n % 6 in (1, 5)}
 
     @pytest.mark.parametrize("m,n,value", [(6, 8, 15), (7, 7, 15), (7, 8, 16), (8, 8, 17)])
     def test_special_pairs(self, m, n, value):
@@ -157,10 +164,11 @@ class TestSerialization:
         assert counterexample(17).to_json() == counterexample(17).to_json()
 
     # the bytes are part of the certificate format: pin them for two sizes
+    # (named by size, so a re-pinned digest keeps the test's name)
     @pytest.mark.parametrize("n,digest", [
-        (11, "9e62724eb1fdbaa8add948a1a1910d235b241c312a86ea5f0b0e88118fa167b6"),
-        (101, "f0f983b6fd1942afc632c3a221310af28ba8d83177681d2f70a196a1dfb3727f"),
-    ])
+        (11, "140ff0cac2528f687576aa13a62f9f2c8e47accd1d01c7d9472d656dbe551884"),
+        (101, "6569673c875d6cd2a63ce9869064f81e4a06d058eaadd0c9dba8128e465ffb39"),
+    ], ids=["11", "101"])
     def test_pinned_bytes(self, n, digest):
         assert hashlib.sha256(counterexample(n).to_json().encode()).hexdigest() == digest
 

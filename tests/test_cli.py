@@ -275,7 +275,7 @@ class TestFormula:
         code, stdout, _ = run(capsys, "formula", "wheel", "14")
         assert code == 0
         assert stdout.splitlines()[0] == "7"
-        assert "n = 14" in stdout
+        assert "1 + C(14)" in stdout
 
     def test_union_8_8(self, capsys):
         code, stdout, _ = run(capsys, "formula", "union", "8", "8")
@@ -285,7 +285,7 @@ class TestFormula:
         code, stdout, _ = run(capsys, "formula", "join", "9", "2")
         assert code == 0
         assert stdout.splitlines()[0] == "5"
-        assert "m even" in stdout
+        assert "C(9) + 2" in stdout
 
     def test_wrong_arity(self, capsys):
         assert run(capsys, "formula", "wheel", "3", "4")[0] == 1
@@ -294,11 +294,11 @@ class TestFormula:
         assert run(capsys, "formula", "wheel", "2")[0] == 1
 
     @pytest.mark.parametrize("argv,expected", [
-        (["wheel", "14"], (0, "7\ncase: n = 14\n", "")),
-        (["wheel", "9"], (0, "4\ncase: n = 3 (mod 6)\n", "")),
-        (["join", "9", "2"], (0, "5\ncase: m even\n", "")),
-        (["join", "9", "3"], (0, "4\ncase: m odd\n", "")),
-        (["union", "8", "11"], (0, "14\ncase: wheel(8) + wheel(11) - 1 = 9 + 6 - 1\n", "")),
+        (["wheel", "14"], (0, "7\ncase: 1 + C(14) = 1 + 6\n", "")),
+        (["wheel", "9"], (0, "4\ncase: 1 + C(9) = 1 + 3\n", "")),
+        (["join", "9", "2"], (0, "5\ncase: C(9) + 2 = 3 + 2\n", "")),
+        (["join", "9", "3"], (0, "4\ncase: C(9) + 1 = 3 + 1\n", "")),
+        (["union", "8", "11"], (0, "14\ncase: C(8) + C(11) + 1 = 8 + 5 + 1\n", "")),
         (["wheel", "3", "4"], (1, "", "error: formula wheel takes one parameter: n\n")),
         (["join", "9"], (1, "", "error: formula join takes two parameters: n m\n")),
         (["join", "9", "2", "1"], (1, "", "error: formula join takes two parameters: n m\n")),
@@ -504,10 +504,12 @@ class TestCertify:
 
     @pytest.mark.parametrize("m,n", sorted(SPECIAL_PAIRS))
     def test_try_exact_refutes_every_pair(self, tmp_path, capsys, m, n):
-        # the dependent-triple rule refutes value - 1 in at most 11,923 nodes
+        # the dependent-triple rule refutes value - 1 in at most 11,923 nodes;
+        # the values are the paper's, kept here apart from the closed form
+        value = {(6, 8): 15, (7, 7): 15, (7, 8): 16, (8, 8): 17}[m, n]
         code, stdout, _ = run(capsys, "certify", "--pair", str(m), str(n), "--try-exact",
                               "--max-nodes", "100000", "-o", str(tmp_path / "p"))
-        assert code == 0 and f"claimed value: {SPECIAL_PAIRS[m, n]} (exact)" in stdout
+        assert code == 0 and f"claimed value: {value} (exact)" in stdout
 
     def test_try_exact_refutes_first_counterexample_member(self, tmp_path, capsys):
         # union(8, 11) at 13 colors: 3,259 nodes with the dependent-triple rule
@@ -570,7 +572,7 @@ class TestParser:
             raise AssertionError("main rebuilt the parser")
 
         monkeypatch.setattr(strongodd.cli, "build_parser", fail)
-        assert run(capsys, "formula", "wheel", "14")[:2] == (0, "7\ncase: n = 14\n")
+        assert run(capsys, "formula", "wheel", "14")[:2] == (0, "7\ncase: 1 + C(14) = 1 + 6\n")
         assert main(["--help"]) == 0
 
     def test_union_value_consistency(self, capsys):

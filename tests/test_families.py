@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 import strongodd.families
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
+    Budget,
     Complete,
     Cycle,
     Empty,
@@ -12,7 +15,9 @@ from strongodd import (
     JoinCycleEmpty,
     UnsupportedFamilyError,
     Wheel,
+    brute_force_so,
     build,
+    chromatic_strong_odd,
     coloring_for,
     formula,
     is_strong_odd,
@@ -31,9 +36,9 @@ class TestWheelFormula:
         assert formula(Wheel(n)).value == value
 
     def test_case_labels(self):
-        assert formula(Wheel(14)) == (7, "n = 14")
-        assert formula(Wheel(8)).case == "n <= 8"
-        assert "mod 6" in formula(Wheel(21)).case
+        assert formula(Wheel(14)) == (7, "1 + C(14) = 1 + 6")
+        assert formula(Wheel(8)).case == "1 + C(8) = 1 + 8"
+        assert formula(Wheel(21)).case == "1 + C(21) = 1 + 3"
 
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
@@ -51,8 +56,8 @@ class TestJoinFormula:
         assert formula(JoinCycleEmpty(8, 3)).value == 9
 
     def test_case(self):
-        assert formula(JoinCycleEmpty(9, 2)).case == "m even"
-        assert formula(JoinCycleEmpty(9, 3)).case == "m odd"
+        assert formula(JoinCycleEmpty(9, 2)).case == "C(9) + 2 = 3 + 2"
+        assert formula(JoinCycleEmpty(9, 3)).case == "C(9) + 1 = 3 + 1"
 
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
@@ -81,8 +86,8 @@ class TestUnionFormula:
             formula(BipyramidUnion(8, 2))
 
     def test_case(self):
-        assert formula(BipyramidUnion(8, 11)) == (14, "wheel(8) + wheel(11) - 1 = 9 + 6 - 1")
-        assert formula(BipyramidUnion(8, 8)) == (17, "wheel(8) + wheel(8) - 1 = 9 + 9 - 1")
+        assert formula(BipyramidUnion(8, 11)) == (14, "C(8) + C(11) + 1 = 8 + 5 + 1")
+        assert formula(BipyramidUnion(8, 8)) == (17, "C(8) + C(8) + 1 = 8 + 8 + 1")
 
 
 class TestWheelColoring:
@@ -173,3 +178,50 @@ def test_other_families_have_no_closed_form(spec):
         formula(spec)
     with pytest.raises(UnsupportedFamilyError, match="no closed form"):
         coloring_for(spec)
+
+
+class TestPinnedOutputs:
+    """Digests of the values and cycle patterns as the paper's residue cases
+    give them; the counting rule must reproduce them."""
+
+    def test_cycle_patterns(self):
+        h = hashlib.sha256()
+        for n in [*range(3, 1001), *range(3990, 4002)]:
+            h.update(repr((n, wheel_cycle_pattern(n))).encode())
+        assert h.hexdigest() == "d1c4fa67072c76ad3eae822bd31dc389e39febdbca7128a0ad558d2ceaeb3dc7"
+
+    def test_values(self):
+        h = hashlib.sha256()
+        for n in range(3, 10001):
+            h.update(repr(("W", n, formula(Wheel(n)).value)).encode())
+        for n in range(3, 301):
+            for m in range(1, 7):
+                h.update(repr(("J", n, m, formula(JoinCycleEmpty(n, m)).value)).encode())
+        for m in range(3, 61):
+            for n in range(3, 61):
+                h.update(repr(("U", m, n, formula(BipyramidUnion(m, n)).value)).encode())
+        assert h.hexdigest() == "63fd1f272e8a9d827449fa1e5d396202f83e76dbf1c5947cef78bfa1c2c0c9b2"
+
+
+# the closed form against both exact engines, wherever each runs quickly
+SOLVED_MEMBERS = (
+    [Wheel(n) for n in range(3, 41)]
+    + [JoinCycleEmpty(n, m) for n in range(3, 25) for m in range(1, 5)]
+    + [BipyramidUnion(m, n) for m in range(3, 9) for n in range(3, 12)]
+)
+SMALL_MEMBERS = (
+    [Wheel(n) for n in range(3, 9)]
+    + [JoinCycleEmpty(n, m) for n in range(3, 9) for m in range(1, 10 - n)]
+    + [BipyramidUnion(3, 3)]
+)
+
+
+@pytest.mark.parametrize("spec", SOLVED_MEMBERS, ids=repr)
+def test_formula_is_the_solved_value(spec):
+    r = chromatic_strong_odd(build(spec), Budget(max_nodes=200_000))
+    assert r.status == "exact" and r.value == formula(spec).value
+
+
+@pytest.mark.parametrize("spec", SMALL_MEMBERS, ids=repr)
+def test_formula_is_the_brute_force_value(spec):
+    assert brute_force_so(build(spec)).value == formula(spec).value

@@ -264,6 +264,15 @@ class TestBuild:
         with pytest.raises(InvalidParameterError):
             BipyramidUnion(2, 5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Wheel(9.5), lambda: Wheel(4.0), lambda: Wheel("a"), lambda: Wheel(True),
+        lambda: JoinCycleEmpty(9, 2.5), lambda: BipyramidUnion(8, 11.0), lambda: Complete(False),
+    ])
+    def test_spec_sizes_must_be_ints(self, make):
+        # a float size would pass the range check and feed // and % nonsense
+        with pytest.raises(InvalidParameterError, match="needs an int"):
+            make()
+
 
 class TestDimacs:
     def test_c3_format(self):
