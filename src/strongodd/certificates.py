@@ -196,9 +196,10 @@ def counterexample(n: int, try_exact_budget: Budget | None = None) -> Certificat
     closed-form value 14, which are n = 1 or 5 (mod 6); the certified graph
     glues the size-8 bipyramid to the size-n one.
     """
-    if not (n > 9 and formula(BipyramidUnion(8, n)).value == 14):
+    # a size that is not an int is refused before it meets a comparison
+    if type(n) is not int or not (n > 9 and formula(BipyramidUnion(8, n)).value == 14):
         raise InvalidParameterError(
-            f"the 14-color family needs n > 9 with n = 1 or 5 (mod 6), got {n}"
+            f"the 14-color family needs n > 9 with n = 1 or 5 (mod 6), got {n!r}"
         )
     cert = make_union_certificate(8, n, try_exact_budget)
     cert.notes.append("member of the infinite family of planar graphs needing 14 colors")
@@ -207,9 +208,9 @@ def counterexample(n: int, try_exact_budget: Budget | None = None) -> Certificat
 
 def counterexample_pair(m: int, n: int, try_exact_budget: Budget | None = None) -> Certificate:
     """Certificate for one of the SPECIAL_PAIRS, in either order."""
-    key = (m, n) if m <= n else (n, m)
-    if key not in SPECIAL_PAIRS:
-        raise InvalidParameterError(f"supported pairs are {list(SPECIAL_PAIRS)}, got ({m}, {n})")
+    # sizes that are not ints are refused before they meet a comparison
+    if type(m) is not int or type(n) is not int or (min(m, n), max(m, n)) not in SPECIAL_PAIRS:
+        raise InvalidParameterError(f"supported pairs are {list(SPECIAL_PAIRS)}, got ({m!r}, {n!r})")
     return make_union_certificate(m, n, try_exact_budget)
 
 

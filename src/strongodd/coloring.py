@@ -23,9 +23,13 @@ class Coloring:
 
     def __init__(self, colors: Iterable[int]):
         tup = tuple(colors)
-        for c in tup:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise InvalidColoringError(f"colors must be positive integers, got {c!r}")
+        # the common case in C: exact ints, the least at least 1; anything
+        # else is walked for the first color at fault, and an int subclass
+        # other than bool passes there
+        if not (set(map(type, tup)) <= {int} and min(tup, default=1) >= 1):
+            for c in tup:
+                if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+                    raise InvalidColoringError(f"colors must be positive integers, got {c!r}")
         self.colors = tup
 
     @property
@@ -157,12 +161,12 @@ def format_coloring(c: ColoringLike) -> str:
 
 
 def parse_coloring(text: str, n: int) -> Coloring:
-    assigned: dict[int, int] = {}
+    # colors[v] is 0 until vertex v + 1 is colored; every color read is >= 1
+    colors = [0] * n
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"expected '<vertex> <color>', got {raw!r}", lineno)
         try:
@@ -173,10 +177,10 @@ def parse_coloring(text: str, n: int) -> Coloring:
             raise ParseError(f"vertex {v} out of range 1..{n}", lineno)
         if color < 1:
             raise ParseError(f"color {color} must be positive", lineno)
-        if v - 1 in assigned:
+        if colors[v - 1]:
             raise ParseError(f"vertex {v} colored twice", lineno)
-        assigned[v - 1] = color
-    missing = [v + 1 for v in range(n) if v not in assigned]
-    if missing:
+        colors[v - 1] = color
+    if 0 in colors:
+        missing = [v + 1 for v, c in enumerate(colors) if not c]
         raise ParseError(f"vertices {missing} have no color")
-    return Coloring(assigned[v] for v in range(n))
+    return Coloring(colors)

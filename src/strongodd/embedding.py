@@ -10,8 +10,11 @@ each dart to the next and traces every face by popping darts from the map,
 so it runs in time linear in the number of edges.  A dart (u, v) is keyed by
 the integer u * n + v rather than by a tuple: once every row is known to be
 a permutation of its vertex's neighbors, that integer names one dart, and
-integers are cheaper to build and hash.  The traced embedding has genus 0
-exactly when V - E + F = 2, which is the verdict it reports.
+integers are cheaper to build and hash.  The map is filled in one walk of
+each row of v that carries the key of the previous dart into v, starting
+from the row's last neighbor, so no rotated copy of the row is made.  The
+traced embedding has genus 0 exactly when V - E + F = 2, which is the
+verdict it reports.
 """
 
 from __future__ import annotations
@@ -41,10 +44,15 @@ def verify_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> EmbeddingCh
     for v, row in enumerate(rotation):
         if tuple(sorted(row)) != g.adj[v]:
             raise InvalidRotationError(f"rotation at vertex {v} is not a permutation of its neighbors")
-        # the row holds neighbors of v only, so every dart (u, v) has its own key
-        vn = v * n
-        for u, w in zip(row, row[1:] + row[:1]):
-            nxt[u * n + v] = vn + w
+        # the row holds neighbors of v only, so every dart (u, v) has its own
+        # key; the dart into v from the row's last neighbor goes on to the
+        # first, and each later one from the neighbor before it
+        if row:
+            vn = v * n
+            dart = row[-1] * n + v
+            for w in row:
+                nxt[dart] = vn + w
+                dart = w * n + v
     faces = 0
     while nxt:
         start, dart = nxt.popitem()

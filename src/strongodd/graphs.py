@@ -2,12 +2,19 @@
 
 Vertices are 0-based integers in memory and 1-based on the wire.  All graph
 objects are immutable after construction and safe to share between threads.
+
+Each check runs once, where its data enters.  ``Graph(n, edges, labels)``
+checks every edge and label it is given; ``from_dimacs`` checks each line
+as it reads it; ``build`` takes its sizes from a spec that has checked
+them.  The last two fill per-vertex neighbor rows directly, and all three
+end in the same construction tail, whose duplicate-edge check every graph
+passes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, fields
-from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -24,9 +31,12 @@ class Graph:
 
     Vertex ids, in edges and labels alike, are ints, and a role is one
     token without whitespace, so every graph that constructs reads back
-    from its ``to_dimacs`` text as an equal graph.  The constructor rejects
-    anything else, out-of-range endpoints, self-loops and duplicate edges;
-    ``from_dimacs`` leaves duplicates to it.
+    from its ``to_dimacs`` text as an equal graph.  The constructor checks
+    each edge (a pair of int endpoints in range, no self-loop) and each
+    label (an int vertex in range, a one-token role).  ``from_dimacs`` and
+    ``build`` bound their edges and labels themselves and hand per-vertex
+    neighbor rows to ``_from_rows``.  All three end in ``_freeze``, which
+    runs the one duplicate-edge check every graph passes.
     """
 
     __slots__ = ("n", "adj", "edge_count", "_labels")
@@ -59,26 +69,43 @@ class Graph:
                 neigh[v].append(u)
             except IndexError:
                 raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}") from None
-        for row in neigh:
-            row.sort()
-        self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, neigh))
-        # the one duplicate-edge check: a repeated edge repeats a neighbor,
-        # which a set of the row drops
-        ends = sum(map(len, self.adj))
-        if sum(map(len, map(set, self.adj))) != ends:
-            u, row = next((u, row) for u, row in enumerate(self.adj) if len(set(row)) != len(row))
-            v = next(a for a, b in zip(row, row[1:]) if a == b)
-            raise InvalidParameterError(f"duplicate edge ({u}, {v})")
-        self.edge_count = ends // 2
         lab = dict(labels) if labels else {}
+        # a duplicate edge is named before a bad label
+        self._freeze(neigh, lab)
         for v, role in lab.items():
             if type(v) is not int or not 0 <= v < n:
                 raise InvalidParameterError(f"label on nonexistent vertex {v!r}")
             if not isinstance(role, str) or role.split() != [role]:
                 raise InvalidParameterError(
                     f"label for vertex {v} must be one token without whitespace, got {role!r}")
-        self._labels = lab
+
+    @classmethod
+    def _from_rows(cls, rows: list[list[int]], labels: dict[int, str]) -> "Graph":
+        """The graph whose vertex v has the neighbors ``rows[v]``, which the
+        caller has bounded: ints in ``0..len(rows)-1``, each edge in both
+        rows, no self-loop.  The labels are stored as given, unchecked."""
+        g = cls.__new__(cls)
+        g._freeze(rows, labels)
+        return g
+
+    def _freeze(self, rows: list[list[int]], labels: dict[int, str]) -> None:
+        """The construction tail: sort and freeze the rows, check them for
+        duplicate edges, and set the edge count and the labels.  The rows
+        are sorted in place."""
+        for row in rows:
+            row.sort()
+        adj = tuple(map(tuple, rows))
+        # the one duplicate-edge check: a repeated edge repeats a neighbor,
+        # which a set of the row drops
+        ends = sum(map(len, adj))
+        if sum(map(len, map(set, adj))) != ends:
+            u, row = next((u, row) for u, row in enumerate(adj) if len(set(row)) != len(row))
+            v = next(a for a, b in zip(row, row[1:]) if a == b)
+            raise InvalidParameterError(f"duplicate edge ({u}, {v})")
+        self.n = len(adj)
+        self.adj: tuple[tuple[int, ...], ...] = adj
+        self.edge_count = ends // 2
+        self._labels = labels
 
     @property
     def labels(self) -> Mapping[int, str]:
@@ -101,9 +128,11 @@ class Graph:
 # Family constructors
 # ---------------------------------------------------------------------------
 
-def _cycle_edges(n: int, off: int = 0) -> list[tuple[int, int]]:
-    """Edges of the n-cycle on the vertices ``off..off+n-1``, in cycle order."""
-    return list(zip(range(off, off + n), [*range(off + 1, off + n), off]))
+def _cycle_rows(n: int, hubs: Sequence[int] = (), off: int = 0) -> list[list[int]]:
+    """Neighbor rows, unsorted, of the n-cycle on the vertices
+    ``off..off+n-1``, each vertex also joined to every hub."""
+    last = off + n - 1
+    return [[u, w, *hubs] for u, w in zip([last, *range(off, last)], [*range(off + 1, off + n), off])]
 
 
 def _cycle_labels(n: int, off: int = 0) -> dict[int, str]:
@@ -111,17 +140,12 @@ def _cycle_labels(n: int, off: int = 0) -> dict[int, str]:
     return {off + i: f"cycle:{i}" for i in range(n)}
 
 
-def _spokes(n: int, hubs: Iterable[int], off: int = 0) -> list[tuple[int, int]]:
-    """Edges joining every vertex ``off..off+n-1`` to every hub."""
-    return [e for h in hubs for e in zip(range(off, off + n), repeat(h))]
-
-
 def _cycle_with_hubs(n: int, roles: Sequence[str]) -> Graph:
     """The n-cycle joined with pairwise nonadjacent hubs ``n, n+1, ...``,
     one per role, each labeled with its role."""
     hubs = range(n, n + len(roles))
     labels = _cycle_labels(n) | dict(zip(hubs, roles))
-    return Graph(n + len(roles), _cycle_edges(n) + _spokes(n, hubs), labels)
+    return Graph._from_rows(_cycle_rows(n, hubs) + [list(range(n)) for _ in hubs], labels)
 
 
 def one_point_union(parts: Sequence[tuple[Graph, int]]) -> Graph:
@@ -234,9 +258,11 @@ FamilySpec = Union[Cycle, Empty, Complete, Wheel, JoinCycleEmpty, Bipyramid, Bip
 def build(spec: FamilySpec) -> Graph:
     """Construct the graph described by a family spec.
 
-    Every spec is built as one ``Graph`` from its own edge list and label
-    map, with no intermediate graphs; the tests pin the result by digests
-    of its DIMACS text.
+    Every spec is built as one ``Graph`` from its own neighbor rows and
+    label map, with no intermediate graphs or edge lists; the spec has
+    already bounded its sizes, so only the duplicate-edge check runs.  The
+    tests pin the result by digests of its DIMACS text and against
+    ``Graph(n, edges, labels)``, which checks every edge and label.
 
     Index layout is deterministic: cycle vertices come first in cycle order,
     then hub/apex vertices.  For BipyramidUnion(m, n) the first bipyramid
@@ -244,12 +270,12 @@ def build(spec: FamilySpec) -> Graph:
     m+2..m+n+1, and its x apex is the last vertex.
     """
     if isinstance(spec, Cycle):
-        return Graph(spec.n, _cycle_edges(spec.n), _cycle_labels(spec.n))
+        return Graph._from_rows(_cycle_rows(spec.n), _cycle_labels(spec.n))
     if isinstance(spec, Empty):
         return Graph(spec.m)
     if isinstance(spec, Complete):
         k = spec.k
-        return Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
+        return Graph._from_rows([[*range(u), *range(u + 1, k)] for u in range(k)], {})
     if isinstance(spec, Wheel):
         return _cycle_with_hubs(spec.n, ["hub"])
     if isinstance(spec, JoinCycleEmpty):
@@ -259,9 +285,11 @@ def build(spec: FamilySpec) -> Graph:
     if isinstance(spec, BipyramidUnion):
         m, n = spec.m, spec.n
         x1, y, x2 = m, m + 1, m + n + 2
-        edges = _cycle_edges(m) + _spokes(m, (x1, y)) + _cycle_edges(n, m + 2) + _spokes(n, (y, x2), m + 2)
+        second = range(m + 2, m + n + 2)
+        rows = [*_cycle_rows(m, (x1, y)), list(range(m)), [*range(m), *second],
+                *_cycle_rows(n, (y, x2), m + 2), list(second)]
         labels = _cycle_labels(m) | _cycle_labels(n, m + 2) | {x1: "x", y: "y", x2: "x"}
-        return Graph(m + n + 3, edges, labels)
+        return Graph._from_rows(rows, labels)
     raise InvalidParameterError(f"unknown family spec {spec!r}")
 
 
@@ -275,25 +303,37 @@ def build(spec: FamilySpec) -> Graph:
 
 def to_dimacs(g: Graph, include_labels: bool = True) -> str:
     lines = [f"p edge {g.n} {g.edge_count}"]
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
+    # each edge once, from the row of its lower end (a sorted row's
+    # neighbors above u are its tail), with every vertex's 1-based name
+    # formatted once
+    names = list(map(str, range(1, g.n + 1)))
+    for u, row in enumerate(g.adj):
+        head = f"e {names[u]} "
+        lines += [head + names[v] for v in row[bisect(row, u):]]
     if include_labels:
-        for v in sorted(g.labels):
-            lines.append(f"l {v + 1} {g.labels[v]}")
+        labels = g._labels
+        lines += [f"l {names[v]} {labels[v]}" for v in sorted(labels)]
     return "\n".join(lines) + "\n"
 
 
 def from_dimacs(text: str) -> Graph:
     """Parse the format above, raising ParseError on anything else.
 
-    Duplicate edges are left to ``Graph``; only once it has found one are
-    the lines read again for the line of the second occurrence, so a
-    malformed line anywhere in the file is reported before a duplicate.
+    Each line is checked where it is read.  An edge line is bounded by
+    ``1 <= u < v <= V`` and appended straight to the neighbor rows; a label
+    line's vertex is bounded and unique, and its role is one token by
+    construction.  The rows go to ``Graph._from_rows``, whose duplicate-edge
+    check is the one check run on the whole graph.  Only once it has found
+    a duplicate are the lines read again for the line of the second
+    occurrence, so a malformed line anywhere in the file is reported before
+    a duplicate.  The header allocates the rows, so a vertex count too
+    large to allocate ends in MemoryError there, before later lines are
+    read.
     """
     n = -1
     expected_edges = -1
     header_line = 0
-    edges: list[tuple[int, int]] = []
+    rows: list[list[int]] = []
     labels: dict[int, str] = {}
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -311,7 +351,8 @@ def from_dimacs(text: str) -> Graph:
                 raise ParseError(f"malformed edge line {raw.strip()!r}", lineno) from None
             if not (1 <= u < v <= n):
                 raise ParseError(f"edge endpoints ({u}, {v}) must satisfy 1 <= u < v <= {n}", lineno)
-            edges.append((u - 1, v - 1))
+            rows[u - 1].append(v - 1)
+            rows[v - 1].append(u - 1)
         elif kind == "p":
             if n >= 0:
                 raise ParseError("duplicate problem header", lineno)
@@ -324,6 +365,7 @@ def from_dimacs(text: str) -> Graph:
             if n < 0 or expected_edges < 0:
                 raise ParseError("header counts must be nonnegative", lineno)
             header_line = lineno
+            rows = [[] for _ in range(n)]
         elif kind == "l":
             if n < 0:
                 raise ParseError("label before problem header", lineno)
@@ -343,9 +385,9 @@ def from_dimacs(text: str) -> Graph:
     if n < 0:
         raise ParseError("missing problem header")
     try:
-        g = Graph(n, edges, labels)
+        g = Graph._from_rows(rows, labels)
     except InvalidParameterError:
-        # every line is well formed, so the one thing Graph can reject is a
+        # every line is well formed, so the one thing left to reject is a
         # duplicate edge
         seen: set[tuple[int, int]] = set()
         for lineno, raw in enumerate(lines, start=1):
@@ -356,8 +398,9 @@ def from_dimacs(text: str) -> Graph:
                     raise ParseError(f"duplicate edge {edge}", lineno) from None
                 seen.add(edge)
         raise
-    if len(edges) != expected_edges:
+    # with no duplicate, the graph has one edge per edge line
+    if g.edge_count != expected_edges:
         raise ParseError(
-            f"header announced {expected_edges} edges but {len(edges)} were given", header_line
+            f"header announced {expected_edges} edges but {g.edge_count} were given", header_line
         )
     return g

@@ -95,7 +95,13 @@ class TestGeneration:
         with pytest.raises(InvalidParameterError):
             counterexample(9)  # value would be 12, not in the 14-family
         with pytest.raises(InvalidParameterError):
-            counterexample(11.0)  # the spec refuses a float size
+            counterexample(11.0)  # a float size is refused before any comparison
+
+    @pytest.mark.parametrize("n", ["a", None, [11]])
+    def test_family_refuses_a_size_that_is_not_an_int(self, n):
+        # comparing such a size with 9 ended in a bare TypeError
+        with pytest.raises(InvalidParameterError, match="the 14-color family needs n > 9"):
+            counterexample(n)
 
     def test_family_is_n_above_9_at_1_or_5_mod_6(self):
         # the family is read off the closed form; the paper states it by residue
@@ -123,6 +129,12 @@ class TestGeneration:
     def test_unlisted_pair_rejected(self):
         with pytest.raises(InvalidParameterError):
             counterexample_pair(5, 5)
+
+    @pytest.mark.parametrize("m,n", [("a", 8), (8, "a"), (6.0, 8), (None, None)])
+    def test_pair_refuses_sizes_that_are_not_ints(self, m, n):
+        # ordering ("a", 8) ended in a bare TypeError
+        with pytest.raises(InvalidParameterError, match="supported pairs are"):
+            counterexample_pair(m, n)
 
     def test_exact_upgrade_with_budget(self):
         cert = make_union_certificate(3, 3, try_exact_budget=Budget(max_nodes=2_000_000))

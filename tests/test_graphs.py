@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import cycle_vertices, graphs
@@ -10,6 +10,7 @@ from strongodd import (
     BipyramidUnion,
     Complete,
     Cycle,
+    Empty,
     Graph,
     InvalidParameterError,
     JoinCycleEmpty,
@@ -42,6 +43,18 @@ def graph_arguments(draw):
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
     labels = draw(st.dictionaries(vertex, st.text(max_size=4), max_size=4))
     return n, edges, labels
+
+
+# every family spec, with sizes up to 60
+family_specs = st.one_of(
+    st.builds(Cycle, st.integers(3, 60)),
+    st.builds(Empty, st.integers(1, 60)),
+    st.builds(Complete, st.integers(1, 60)),
+    st.builds(Wheel, st.integers(3, 60)),
+    st.builds(JoinCycleEmpty, st.integers(3, 60), st.integers(1, 60)),
+    st.builds(Bipyramid, st.integers(3, 60)),
+    st.builds(BipyramidUnion, st.integers(3, 60), st.integers(3, 60)),
+)
 
 
 # anything an edge item may hold: ints in and out of range, bools, floats,
@@ -232,6 +245,23 @@ class TestBuild:
         specs, digest = COMPOSED_GRID[family]
         text = "".join(to_dimacs(build(spec)) for spec in specs)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @given(family_specs)
+    # the least sizes, where a cycle's two neighbors or a hub row are
+    # closest to meeting
+    @example(Cycle(3))
+    @example(Complete(1))
+    @example(Complete(2))
+    @example(JoinCycleEmpty(3, 1))
+    @example(Bipyramid(3))
+    @example(BipyramidUnion(3, 3))
+    def test_rows_build_what_the_checking_constructor_builds(self, spec):
+        # build hands its own rows to the construction tail, skipping the
+        # per-edge and per-label checks that Graph(n, edges, labels) runs
+        g = build(spec)
+        checked = Graph(g.n, g.edges(), dict(g.labels))
+        assert g == checked
+        assert g.edge_count == checked.edge_count
 
     def test_wheel_14(self):
         g = build(Wheel(14))
