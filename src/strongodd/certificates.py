@@ -28,7 +28,8 @@ graph's fails that check before anything is built.  The "euler" check also
 holds ``faces`` and ``euler_ok`` to the traced embedding, and the "record"
 check holds the claim to the bundle's own record: it fails a claim kind
 other than "exact" and "upper-bound", a check log with an entry that is
-not ok, and an "exact" claim with no ok "refutation" entry.
+not ok, and an "exact" claim with no ok "refutation" entry or with a value
+other than ``formula`` gives the family, whose check must have passed.
 
 The notes state the claimed value as the count it comes from, with C(n)
 the number of cycle colors of ``families._cycle_colors``: for the union
@@ -48,8 +49,9 @@ n = 11, 32,419 at n = 101 and 1,294,075 at n = 3995 (1.3 s).  Without a
 completed refutation their exactness rests on the counting argument
 (``families._cycle_colors``), which no check in the bundle records.
 The node count of a refutation is recorded in the notes, its time is
-not (so the bundle's bytes repeat), and ``reverify_certificate`` does
-not re-run the search.
+not (so the bundle's bytes repeat).  ``reverify_certificate`` does not
+re-run the search, but holds an "exact" claim to the closed form, so a
+forged "refutation" entry backs no other value.
 """
 
 from __future__ import annotations
@@ -222,7 +224,8 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
     ``labels`` describe that graph; nothing from generation time is
     trusted; see the module docstring for what each check compares.  A
     recorded refutation is a search transcript summary and is not
-    re-executed here.
+    re-executed here, but an "exact" claim must equal the closed form of
+    the bundled family.
     """
     cert = Certificate.from_json(text)
     g = from_dimacs(cert.graph_dimacs)
@@ -238,9 +241,12 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
         results.append(("euler", emb.euler_ok and emb == (cert.faces, cert.euler_ok)))
     except InvalidRotationError:
         results.append(("euler", False))
-    results.append(("family", _family_matches(cert, g)))
+    family_ok = _family_matches(cert, g)
+    results.append(("family", family_ok))
     passed = [c.get("name") for c in cert.checks if type(c) is dict and c.get("ok") is True]
-    claim_backed = cert.claim_kind == "upper-bound" or cert.claim_kind == "exact" and "refutation" in passed
+    exact_backed = "refutation" in passed and family_ok and (
+        cert.claimed_value == formula(BipyramidUnion(cert.family["m"], cert.family["n"])).value)
+    claim_backed = cert.claim_kind == "upper-bound" or cert.claim_kind == "exact" and exact_backed
     results.append(("record", len(passed) == len(cert.checks) and claim_backed))
     return all(ok for _, ok in results), results
 

@@ -2,8 +2,9 @@
 
 A rotation system is a sequence of rows, one per vertex: row v lists the
 neighbors of v in cyclic order.  Rows are plain lists or tuples of vertex ids
-(``embed_family`` returns a tuple of tuples; a certificate read back from
-JSON holds lists).  Face tracing follows the standard next-dart rule: after
+(``embed_family`` returns, as a tuple of tuples, the rows that
+``graphs.build`` fills in rotation order; a certificate read back from JSON
+holds lists).  Face tracing follows the standard next-dart rule: after
 traversing the dart (u, v), continue with (v, w) where w is the successor of
 u in the row of v.  ``verify_embedding`` builds that rule once as a map from
 each dart to the next and traces every face by popping darts from the map,
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidRotationError, UnsupportedFamilyError
-from .graphs import Bipyramid, BipyramidUnion, Cycle, FamilySpec, Graph, Wheel
+from .graphs import _EMBEDDED, FamilySpec, Graph, _layout
 
 
 class EmbeddingCheck(NamedTuple):
@@ -63,41 +64,10 @@ def verify_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> EmbeddingCh
 
 
 def embed_family(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
-    """A concrete genus-0 rotation system for a supported family spec.
-
-    Supported: Cycle, Wheel, Bipyramid, BipyramidUnion.  The layout puts the
-    cycle on a circle with the first apex inside and the second (when there
-    is one) outside; for BipyramidUnion the glued apex lists the first cycle
-    in reverse order followed by the second cycle in forward order.
-    """
-    if isinstance(spec, Cycle):
-        n = spec.n
-        rows = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
-    elif isinstance(spec, Wheel):
-        n = spec.n
-        hub = n
-        rows = [[(i + 1) % n, hub, (i - 1) % n] for i in range(n)]
-        rows.append(list(range(n)))
-    elif isinstance(spec, Bipyramid):
-        n = spec.n
-        x, y = n, n + 1
-        rows = [[(i + 1) % n, x, (i - 1) % n, y] for i in range(n)]
-        rows.append(list(range(n)))
-        rows.append(list(range(n - 1, -1, -1)))
-    elif isinstance(spec, BipyramidUnion):
-        m, n = spec.m, spec.n
-        x1, y = m, m + 1
-        c2 = [m + 2 + t for t in range(n)]
-        x2 = m + n + 2
-        rows = []
-        for i in range(m):
-            rows.append([(i + 1) % m, x1, (i - 1) % m, y])
-        rows.append(list(range(m)))
-        rows.append(list(range(m - 1, -1, -1)) + c2)
-        # second bipyramid mirrored so that its boundary runs forward at y
-        for t in range(n):
-            rows.append([c2[(t - 1) % n], x2, c2[(t + 1) % n], y])
-        rows.append(list(reversed(c2)))
-    else:
+    """The genus-0 rotation system of a Cycle, Wheel, Bipyramid or
+    BipyramidUnion spec: the neighbor rows ``build`` makes its graph from,
+    before sorting (``graphs._layout``).  Other specs raise
+    UnsupportedFamilyError."""
+    if not isinstance(spec, _EMBEDDED):
         raise UnsupportedFamilyError(f"no embedding constructor for family {spec!r}")
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, _layout(spec)[0]))

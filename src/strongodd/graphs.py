@@ -8,13 +8,16 @@ checks every edge and label it is given; ``from_dimacs`` checks each line
 as it reads it; ``build`` takes its sizes from a spec that has checked
 them.  The last two fill per-vertex neighbor rows directly, and all three
 end in the same construction tail, whose duplicate-edge check every graph
-passes.
+passes.  The rows ``build`` fills for Cycle, Wheel, Bipyramid and
+BipyramidUnion come in the cyclic order of a planar embedding, the
+rotation system that ``embedding.embed_family`` returns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, fields
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -128,24 +131,17 @@ class Graph:
 # Family constructors
 # ---------------------------------------------------------------------------
 
-def _cycle_rows(n: int, hubs: Sequence[int] = (), off: int = 0) -> list[list[int]]:
-    """Neighbor rows, unsorted, of the n-cycle on the vertices
-    ``off..off+n-1``, each vertex also joined to every hub."""
-    last = off + n - 1
-    return [[u, w, *hubs] for u, w in zip([last, *range(off, last)], [*range(off + 1, off + n), off])]
-
-
-def _cycle_labels(n: int, off: int = 0) -> dict[int, str]:
-    """Roles "cycle:i" for the n-cycle on the vertices ``off..off+n-1``."""
-    return {off + i: f"cycle:{i}" for i in range(n)}
-
-
-def _cycle_with_hubs(n: int, roles: Sequence[str]) -> Graph:
-    """The n-cycle joined with pairwise nonadjacent hubs ``n, n+1, ...``,
-    one per role, each labeled with its role."""
-    hubs = range(n, n + len(roles))
-    labels = _cycle_labels(n) | dict(zip(hubs, roles))
-    return Graph._from_rows(_cycle_rows(n, hubs) + [list(range(n)) for _ in hubs], labels)
+def _cone(n: int, hubs: Sequence[int] = (), off: int = 0, step: int = 1) -> list[list[int]]:
+    """Neighbor rows of the n-cycle on the vertices ``off..off+n-1`` joined
+    with the hubs, then one row per hub, in rotation order.  A cycle vertex
+    lists the vertex ``step`` ahead, the first hub, the vertex ``step``
+    behind and the other hubs; the first hub's row runs along the cycle, the
+    others' against it."""
+    cycle = range(off, off + n)
+    ahead, behind = [*cycle[step:], *cycle[:step]], [*cycle[-step:], *cycle[:-step]]
+    spokes = list(map(repeat, hubs))
+    return [*map(list, zip(ahead, *spokes[:1], behind, *spokes[1:])),
+            *(list(cycle[::step]) for _ in hubs[:1]), *(list(cycle[::-step]) for _ in hubs[1:])]
 
 
 def one_point_union(parts: Sequence[tuple[Graph, int]]) -> Graph:
@@ -253,44 +249,69 @@ class BipyramidUnion(_Spec):
 
 
 FamilySpec = Union[Cycle, Empty, Complete, Wheel, JoinCycleEmpty, Bipyramid, BipyramidUnion]
+# the specs whose rows ``_layout`` lists in rotation order
+_EMBEDDED = (Cycle, Wheel, Bipyramid, BipyramidUnion)
+
+
+def _layout(spec: FamilySpec) -> tuple[list[list[int]], list[tuple[int, int]], dict[int, str]]:
+    """The neighbor rows of a family spec, its cycles as (length, first
+    vertex) pairs, and the roles of its other vertices.
+
+    The rows of the ``_EMBEDDED`` specs (Cycle, Wheel, Bipyramid and
+    BipyramidUnion) list each vertex's neighbors in the cyclic order of a
+    planar embedding: a cycle on a circle, its first hub inside and its
+    second outside.  Cycle and the second cycle of BipyramidUnion run
+    backwards, so the glued apex y lists the first cycle in reverse and
+    then the second forward.
+    """
+    if isinstance(spec, Cycle):
+        return _cone(spec.n, step=-1), [(spec.n, 0)], {}
+    if isinstance(spec, Empty):
+        return [[] for _ in range(spec.m)], [], {}
+    if isinstance(spec, Complete):
+        k = spec.k
+        return [[*range(u), *range(u + 1, k)] for u in range(k)], [], {}
+    if isinstance(spec, Wheel):
+        n = spec.n
+        return _cone(n, [n]), [(n, 0)], {n: "hub"}
+    if isinstance(spec, JoinCycleEmpty):
+        n, m = spec.n, spec.m
+        return _cone(n, range(n, n + m)), [(n, 0)], {n + j: f"hub:{j}" for j in range(m)}
+    if isinstance(spec, Bipyramid):
+        n = spec.n
+        return _cone(n, [n, n + 1]), [(n, 0)], {n: "x", n + 1: "y"}
+    if isinstance(spec, BipyramidUnion):
+        m, n = spec.m, spec.n
+        x1, y, x2 = m, m + 1, m + n + 2
+        rows, second = _cone(m, [x1, y]), _cone(n, [x2, y], m + 2, -1)
+        # y's row in the second bipyramid runs along the second cycle and
+        # follows its row in the first
+        rows[y] += second.pop()
+        return rows + second, [(m, 0), (n, m + 2)], {x1: "x", y: "y", x2: "x"}
+    raise InvalidParameterError(f"unknown family spec {spec!r}")
 
 
 def build(spec: FamilySpec) -> Graph:
     """Construct the graph described by a family spec.
 
-    Every spec is built as one ``Graph`` from its own neighbor rows and
-    label map, with no intermediate graphs or edge lists; the spec has
-    already bounded its sizes, so only the duplicate-edge check runs.  The
-    tests pin the result by digests of its DIMACS text and against
-    ``Graph(n, edges, labels)``, which checks every edge and label.
+    Every spec is built as one ``Graph`` from the neighbor rows of
+    ``_layout`` and its label map, with no intermediate graphs or edge
+    lists; the spec has already bounded its sizes, so only the
+    duplicate-edge check runs.  For Cycle, Wheel, Bipyramid and
+    BipyramidUnion the rows come in the rotation order that
+    ``embed_family`` returns.  The tests pin the result by digests of its
+    DIMACS text and against ``Graph(n, edges, labels)``, which checks
+    every edge and label.
 
     Index layout is deterministic: cycle vertices come first in cycle order,
     then hub/apex vertices.  For BipyramidUnion(m, n) the first bipyramid
     occupies 0..m+1 (x at m, glued y at m+1), the second cycle occupies
     m+2..m+n+1, and its x apex is the last vertex.
     """
-    if isinstance(spec, Cycle):
-        return Graph._from_rows(_cycle_rows(spec.n), _cycle_labels(spec.n))
-    if isinstance(spec, Empty):
-        return Graph(spec.m)
-    if isinstance(spec, Complete):
-        k = spec.k
-        return Graph._from_rows([[*range(u), *range(u + 1, k)] for u in range(k)], {})
-    if isinstance(spec, Wheel):
-        return _cycle_with_hubs(spec.n, ["hub"])
-    if isinstance(spec, JoinCycleEmpty):
-        return _cycle_with_hubs(spec.n, [f"hub:{j}" for j in range(spec.m)])
-    if isinstance(spec, Bipyramid):
-        return _cycle_with_hubs(spec.n, ["x", "y"])
-    if isinstance(spec, BipyramidUnion):
-        m, n = spec.m, spec.n
-        x1, y, x2 = m, m + 1, m + n + 2
-        second = range(m + 2, m + n + 2)
-        rows = [*_cycle_rows(m, (x1, y)), list(range(m)), [*range(m), *second],
-                *_cycle_rows(n, (y, x2), m + 2), list(second)]
-        labels = _cycle_labels(m) | _cycle_labels(n, m + 2) | {x1: "x", y: "y", x2: "x"}
-        return Graph._from_rows(rows, labels)
-    raise InvalidParameterError(f"unknown family spec {spec!r}")
+    rows, cycles, roles = _layout(spec)
+    labels = {off + i: f"cycle:{i}" for n, off in cycles for i in range(n)}
+    labels.update(roles)
+    return Graph._from_rows(rows, labels)
 
 
 # ---------------------------------------------------------------------------

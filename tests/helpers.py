@@ -1,11 +1,12 @@
 """Shared test utilities: seeded random graphs, structural checks on
 colorings and a face tracer that several tests use as oracles."""
 
+import json
 import random
 
 from hypothesis import strategies as st
 
-from strongodd import Coloring, Graph, InvalidParameterError
+from strongodd import Coloring, Graph, InvalidParameterError, counterexample
 
 
 @st.composite
@@ -98,3 +99,15 @@ def stacked_triangulation(n: int, rng: random.Random) -> Graph:
         edges |= {(a, v), (b, v), (c, v)}
         faces += [(a, b, v), (a, c, v), (b, c, v)]
     return Graph(n, [e for e in sorted(edges) if rng.random() >= 0.2])
+
+
+def forged_exact_15():
+    """The n = 11 bundle with a fresh colour 15 on its last vertex (the second
+    x apex), relabelled an exact claim of 15 with an ok refutation entry."""
+    data = json.loads(counterexample(11).to_json())
+    lines = data["coloring"].splitlines()
+    lines[-1] = lines[-1].split()[0] + " 15"
+    data["coloring"] = "\n".join(lines) + "\n"
+    data.update(claimed_value=15, claim_kind="exact")
+    data["checks"].append({"name": "refutation", "ok": True})
+    return data

@@ -22,6 +22,9 @@ from strongodd import (
     parse_coloring,
     reverify_certificate,
 )
+from strongodd.certificates import SPECIAL_PAIRS
+
+from helpers import forged_exact_15
 
 # one wrong JSON type per certificate field; bools are not integers
 WRONG_TYPES = [
@@ -247,6 +250,18 @@ class TestReverify:
         data["checks"] += checks
         ok, results = reverify_certificate(json.dumps(data))
         assert not ok and [name for name, good in results if not good] == ["record"]
+
+    def test_detects_exact_claim_off_the_closed_form(self):
+        # a fresh colour on the last vertex keeps the colouring strong odd, so
+        # only the record can tell that 15 is not the value 14 of U(8, 11)
+        ok, results = reverify_certificate(json.dumps(forged_exact_15()))
+        assert not ok and [name for name, good in results if not good] == ["record"]
+
+    @pytest.mark.parametrize("m,n", SPECIAL_PAIRS)
+    def test_exact_special_pairs_pass(self, m, n):
+        cert = make_union_certificate(m, n, try_exact_budget=Budget(max_nodes=100_000))
+        assert cert.claim_kind == "exact" and cert.claimed_value == formula(BipyramidUnion(m, n)).value
+        assert reverify_certificate(cert.to_json())[0]
 
     def test_exact_claim_with_its_refutation_passes(self):
         cert = make_union_certificate(3, 3, try_exact_budget=Budget(max_nodes=2_000_000))

@@ -26,6 +26,8 @@ from strongodd import (
 from strongodd.certificates import SPECIAL_PAIRS
 from strongodd.cli import main
 
+from helpers import forged_exact_15
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -410,6 +412,16 @@ class TestCertify:
         code, stdout, _ = run(capsys, "certify", "--recheck", str(bad))
         failed = [line.split(":")[0] for line in stdout.splitlines() if line.endswith("FAILED")]
         assert code == 4 and failed == [row, "certificate"]
+
+    def test_recheck_refuses_exact_claim_off_the_closed_form(self, tmp_path, capsys):
+        bad = tmp_path / "forged.json"
+        bad.write_text(json.dumps(forged_exact_15()))
+        code, stdout, _ = run(capsys, "certify", "--recheck", str(bad))
+        assert code == 4
+        assert [line.split(":")[0] for line in stdout.splitlines()] == [
+            "proper", "strong_odd", "palette_count", "euler", "family", "record", "certificate"]
+        failed = [line.split(":")[0] for line in stdout.splitlines() if line.endswith("FAILED")]
+        assert failed == ["record", "certificate"]
 
     def test_try_exact_on_small_instance(self, tmp_path, capsys):
         # (3, 3) is small enough to refute value-1 within a desk budget;

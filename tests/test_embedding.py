@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -10,8 +12,10 @@ from strongodd import (
     BipyramidUnion,
     Complete,
     Cycle,
+    Empty,
     Graph,
     InvalidRotationError,
+    JoinCycleEmpty,
     UnsupportedFamilyError,
     Wheel,
     build,
@@ -97,8 +101,18 @@ class TestEmbedFamily:
         assert rot[y] == (3, 2, 1, 0, 6, 7, 8, 9, 10)
 
     def test_unsupported_family(self):
-        with pytest.raises(UnsupportedFamilyError):
-            embed_family(Complete(4))
+        # the wheel and bipyramid joins are planar too, but get no rotation
+        for spec in (Complete(4), Empty(3), *(JoinCycleEmpty(5, m) for m in (1, 2, 3)), "wheel", None):
+            with pytest.raises(UnsupportedFamilyError):
+                embed_family(spec)
+
+    def test_pinned_rotation_bytes(self):
+        # recorded before the rows came from build; also pins the gen --embed
+        # rotation file, which is json.dumps of the same rows
+        specs = [*(family(n) for family in (Cycle, Wheel, Bipyramid) for n in range(3, 40)),
+                 *(BipyramidUnion(m, n) for m in range(3, 20) for n in range(3, 20))]
+        digest = hashlib.sha256(b"".join(json.dumps(embed_family(s)).encode() for s in specs)).hexdigest()
+        assert digest == "4768fb2b09a7a5c97e327825f6560ef59720ecaeadcf26e799b035666ee10975"
 
 
 def planar_rotations(seed: int, count: int):
