@@ -14,22 +14,21 @@ lists of flat rows, take one C encoder call each (``_rows_json``).
 
 ``Certificate.from_json`` raises ParseError on text that is not JSON, nests
 too deeply to parse or holds an integer longer than Python's int-string
-limit, on a document that is not an object or lacks a field, and on a field
-of the wrong JSON type: each field must have exactly the type its
-annotation names (so ``true`` is not an integer), and ``rotation`` must be
-a list of lists of integers.  A document that passes is well typed, so
-``reverify_certificate`` only has to judge its content: an unparsable
-graph or coloring text raises the parser's error, a rotation that does not
-match the graph (InvalidRotationError) fails the "euler" check instead of
-raising, and the "family" check rebuilds the named BipyramidUnion(m, n)
-and compares it with the bundled graph and ``labels``.  A family of
-another kind, with non-integer sizes, or of a size other than the bundled
-graph's fails that check before anything is built.  The "euler" check also
-holds ``faces`` and ``euler_ok`` to the traced embedding, and the "record"
-check holds the claim to the bundle's own record: it fails a claim kind
-other than "exact" and "upper-bound", a check log with an entry that is
-not ok, and an "exact" claim with no ok "refutation" entry or with a value
-other than ``formula`` gives the family, whose check must have passed.
+limit, on a document that is not an object or whose fields are not exactly
+the dataclass's (a field no check reads would be a claim nothing checks),
+and on a field whose JSON type is not exactly its annotation's (so ``true``
+is not an integer; ``rotation`` must be a list of lists of integers).
+
+``_judge`` writes the "proper", "strong_odd", "palette_count" and "euler"
+rows once, for certify's log and for recheck's result.  On recheck an
+unparsable graph or coloring raises the parser's error, and a rotation that
+does not match the graph, or ``faces`` and ``euler_ok`` that differ from its
+trace, fail "euler".  "family" reads the named BipyramidUnion(m, n) spec
+once and compares its build with the graph and ``labels``; a family of
+another kind, with sizes the spec refuses, or of another vertex count fails
+before anything is built.  "record" fails a claim kind other than "exact"
+and "upper-bound", a logged check that is not ok, and an "exact" claim with
+no ok "refutation" entry or off the ``formula`` value of that same spec.
 
 The notes state the claimed value as the count it comes from, with C(n)
 the number of cycle colors of ``families._cycle_colors``: for the union
@@ -106,9 +105,10 @@ class Certificate:
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"certificate is not valid JSON: {exc}") from None
         required = {f.name for f in fields(cls)}
-        if not isinstance(data, dict) or not required.issubset(data):
-            missing = required - set(data) if isinstance(data, dict) else required
-            raise ParseError(f"certificate document missing fields: {sorted(missing)}")
+        keys = set(data) if isinstance(data, dict) else set()
+        if keys != required:
+            raise ParseError(f"certificate document missing fields: {sorted(required - keys)}, "
+                             f"unknown fields: {sorted(keys - required)}")
         # the annotations are the schema; exact types keep bools out of int fields
         for name, hint in sorted(get_type_hints(cls).items()):
             expected = get_origin(hint) or hint
@@ -119,7 +119,7 @@ class Certificate:
                 )
         if not _is_rows(data["rotation"], {int}):
             raise ParseError("certificate field 'rotation' must be a list of lists of integers")
-        return cls(**{k: data[k] for k in required})
+        return cls(**data)
 
 
 def make_union_certificate(m: int, n: int, try_exact_budget: Budget | None = None) -> Certificate:
@@ -135,16 +135,7 @@ def make_union_certificate(m: int, n: int, try_exact_budget: Budget | None = Non
     claimed, case = formula(spec)
     rot = embed_family(spec)
     emb = verify_embedding(g, rot)
-
-    # a strong odd coloring is proper, so properness is judged again only
-    # when strong oddness fails
-    strong = is_strong_odd(g, col)
-    checks = [
-        {"name": "proper", "ok": strong or is_proper(g, col)},
-        {"name": "strong_odd", "ok": strong},
-        {"name": "palette_count", "ok": len(col.palette) == claimed},
-        {"name": "euler", "ok": emb.euler_ok},
-    ]
+    checks = [{"name": name, "ok": ok} for name, ok in _judge(g, col, claimed, emb.euler_ok)]
     notes = [
         f"glued bipyramids ({m}, {n}): {g.n} vertices, {g.edge_count} edges, planar",
         f"closed-form value: {case} = {claimed}",
@@ -230,48 +221,53 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
     cert = Certificate.from_json(text)
     g = from_dimacs(cert.graph_dimacs)
     col = parse_coloring(cert.coloring, g.n)
-    strong = is_strong_odd(g, col)
-    results = [
-        ("proper", strong or is_proper(g, col)),
-        ("strong_odd", strong),
-        ("palette_count", len(col.palette) == cert.claimed_value),
-    ]
     try:
         emb = verify_embedding(g, cert.rotation)
-        results.append(("euler", emb.euler_ok and emb == (cert.faces, cert.euler_ok)))
+        euler = emb.euler_ok and emb == (cert.faces, cert.euler_ok)
     except InvalidRotationError:
-        results.append(("euler", False))
-    family_ok = _family_matches(cert, g)
-    results.append(("family", family_ok))
+        euler = False
+    results = _judge(g, col, cert.claimed_value, euler)
+    spec = _bundled_family(cert, g)
+    results.append(("family", spec is not None))
     passed = [c.get("name") for c in cert.checks if type(c) is dict and c.get("ok") is True]
-    exact_backed = "refutation" in passed and family_ok and (
-        cert.claimed_value == formula(BipyramidUnion(cert.family["m"], cert.family["n"])).value)
+    exact_backed = "refutation" in passed and spec is not None and cert.claimed_value == formula(spec).value
     claim_backed = cert.claim_kind == "upper-bound" or cert.claim_kind == "exact" and exact_backed
     results.append(("record", len(passed) == len(cert.checks) and claim_backed))
     return all(ok for _, ok in results), results
 
 
-def _family_matches(cert: Certificate, g: Graph) -> bool:
-    """True when ``cert.family`` names a BipyramidUnion(m, n) whose build has
-    the adjacency of ``g`` and the labels of ``cert.labels``."""
+def _judge(g: Graph, col: Coloring, claimed: int, euler_ok: bool) -> list[tuple[str, bool]]:
+    """The check rows of every bundle, for certify's log and recheck's result alike."""
+    # a strong odd coloring is proper, so properness is judged again only
+    # when strong oddness fails
+    strong = is_strong_odd(g, col)
+    return [
+        ("proper", strong or is_proper(g, col)),
+        ("strong_odd", strong),
+        ("palette_count", len(col.palette) == claimed),
+        ("euler", euler_ok),
+    ]
+
+
+def _bundled_family(cert: Certificate, g: Graph) -> BipyramidUnion | None:
+    """The BipyramidUnion that ``cert.family`` names, when its build has the
+    adjacency of ``g`` and the labels of ``cert.labels``; otherwise None."""
     fam = cert.family
-    m, n = fam.get("m"), fam.get("n")
-    if fam.get("kind") != "bipyramid-union" or type(m) is not int or type(n) is not int:
-        return False
-    # the vertex count first, so a forged family never builds a graph larger
-    # than g; the spec judges the least sizes
-    if m + n + 3 != g.n:
-        return False
     try:
-        spec = BipyramidUnion(m, n)
-    except InvalidParameterError:
-        return False
+        spec = BipyramidUnion(fam.get("m"), fam.get("n"))
+    except InvalidParameterError:  # the spec judges the sizes' types and least values
+        return None
+    # the kind and vertex count first, so a forged family never builds a
+    # graph larger than g
+    if fam.get("kind") != "bipyramid-union" or spec.m + spec.n + 3 != g.n:
+        return None
     built = build(spec)
-    return (
+    matches = (
         built.adj == g.adj
         and cert.labels == _label_rows(built)
         and all(type(v) is int for v, _ in cert.labels)  # 1.0 == 1, but is no vertex id
     )
+    return spec if matches else None
 
 
 def _is_rows(value: object, item_types: set[type]) -> bool:

@@ -160,6 +160,13 @@ class TestSerialization:
         with pytest.raises(ParseError):
             Certificate.from_json(json.dumps({"family": {}}))
 
+    def test_unknown_field(self):
+        # a field no check reads would carry a claim that nothing checks
+        data = json.loads(counterexample(11).to_json())
+        data["proved_value"] = 3
+        with pytest.raises(ParseError, match="unknown fields: \\['proved_value'\\]"):
+            Certificate.from_json(json.dumps(data))
+
     def test_not_json(self):
         with pytest.raises(ParseError):
             Certificate.from_json("p edge 3 3")

@@ -167,6 +167,9 @@ class TestVerify:
         c.write_text("1 1\n2 2\n3 1\n4 2\n")
         assert run(capsys, "verify", str(g), str(c), "--mode", "proper")[0] == 0
         assert run(capsys, "verify", str(g), str(c), "--mode", "odd")[0] == 2
+        # four colors: every vertex sees its two neighbor colors once each
+        c.write_text("1 1\n2 2\n3 3\n4 4\n")
+        assert run(capsys, "verify", str(g), str(c), "--mode", "odd") == (0, "odd: ok\n", "")
 
     def test_odd_mode_violation_output(self, tmp_path, capsys):
         # proper, but every vertex sees its one neighbor color twice
@@ -365,6 +368,16 @@ class TestCertify:
         bad.write_text(json.dumps(data))
         code, _, err = run(capsys, "certify", "--recheck", str(bad))
         assert code == 1 and err.startswith("error:") and name in err
+
+    def test_recheck_unknown_field_is_parse_error(self, tmp_path, capsys):
+        outdir = tmp_path / "bundle"
+        run(capsys, "certify", "--family", "counterexample", "--n", "11", "-o", str(outdir))
+        data = json.loads((outdir / "bipyramid_union_8_11.cert.json").read_text())
+        data["proved_value"] = 3
+        bad = tmp_path / "unknown.json"
+        bad.write_text(json.dumps(data))
+        code, stdout, err = run(capsys, "certify", "--recheck", str(bad))
+        assert code == 1 and stdout == "" and err.startswith("error:") and "proved_value" in err
 
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
                              ids=["not-utf8", "deep-nesting"])

@@ -116,6 +116,11 @@ class TestWheelColoring:
         with pytest.raises(InternalError, match="internal error"):
             coloring_for(spec)
 
+    @pytest.mark.parametrize("n", [2, "9", 9.0, True])
+    def test_pattern_refuses_bad_n(self, n):
+        with pytest.raises(InvalidParameterError, match="cycle pattern needs an int n >= 3"):
+            wheel_cycle_pattern(n)
+
     def test_pattern_color_classes_are_odd(self):
         for n in range(3, 61):
             pat = wheel_cycle_pattern(n)

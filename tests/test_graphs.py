@@ -294,6 +294,11 @@ class TestBuild:
         with pytest.raises(InvalidParameterError):
             BipyramidUnion(2, 5)
 
+    @pytest.mark.parametrize("spec", ["wheel", None, Wheel], ids=["name", "none", "class"])
+    def test_unknown_spec_refused(self, spec):
+        with pytest.raises(InvalidParameterError, match="unknown family spec"):
+            build(spec)
+
     @pytest.mark.parametrize("make", [
         lambda: Wheel(9.5), lambda: Wheel(4.0), lambda: Wheel("a"), lambda: Wheel(True),
         lambda: JoinCycleEmpty(9, 2.5), lambda: BipyramidUnion(8, 11.0), lambda: Complete(False),

@@ -114,6 +114,11 @@ class TestDecideK:
             decide_k(build(Cycle(5)), 3, order=[0.0, 1.0, 2.0, 3.0, 4.0])
         with pytest.raises(InvalidParameterError):
             chromatic_strong_odd(build(Cycle(3)), order=(0, 1, 2.0))
+        # "degree" is the one order given by name
+        with pytest.raises(InvalidParameterError, match="unknown vertex order 'random'"):
+            decide_k(build(Cycle(3)), 2, order="random")
+        with pytest.raises(InvalidParameterError, match="unknown vertex order 'random'"):
+            chromatic_strong_odd(build(Cycle(3)), order="random")
 
 
 class TestNodeCounts:
