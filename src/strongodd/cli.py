@@ -138,18 +138,30 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _parity_lines(g, col) -> list[str]:
+    rows = parity_report(g, col)
+    return [f"violated ({len(rows)} even neighborhood class(es))",
+            *(f"  vertex {e.vertex + 1} sees color {e.color} {e.count} times" for e in rows)]
+
+
+# verify mode -> (its judge, its ok line, the lines after "<mode>: " for a
+# proper coloring the judge fails; the proper judge fails none).  Each judge
+# is called through its name in this module, where bench/tracing.py wraps it
+_VERIFY_MODES = {
+    "proper": (lambda g, col: is_proper(g, col), "ok", None),
+    "odd": (lambda g, col: is_odd_coloring(g, col), "ok",
+            lambda g, col: ["violated (some vertex has no odd color in its neighborhood)"]),
+    "strong-odd": (lambda g, col: is_strong_odd(g, col), "ok ({colors} colors)", _parity_lines),
+}
+
+
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     col = parse_coloring(Path(args.coloring).read_text(encoding="utf-8"), g.n)
+    judge, ok, violated = _VERIFY_MODES[args.mode]
     # the mode's own judge decides; the violations are listed only when it fails
-    if args.mode == "proper" and is_proper(g, col):
-        print("proper: ok")
-        return EXIT_OK
-    if args.mode == "odd" and is_odd_coloring(g, col):
-        print("odd: ok")
-        return EXIT_OK
-    if args.mode == "strong-odd" and is_strong_odd(g, col):
-        print(f"strong-odd: ok ({len(col.palette)} colors)")
+    if judge(g, col):
+        print(f"{args.mode}: {ok.format(colors=len(col.palette))}")
         return EXIT_OK
     bad_edges = proper_violations(g, col)
     if bad_edges:
@@ -157,13 +169,7 @@ def _cmd_verify(args) -> int:
         for u, v in bad_edges:
             print(f"  edge ({u + 1}, {v + 1}) color {col[u]}")
         return EXIT_VIOLATION
-    if args.mode == "odd":
-        print("odd: violated (some vertex has no odd color in its neighborhood)")
-        return EXIT_VIOLATION
-    violations = parity_report(g, col)
-    print(f"strong-odd: violated ({len(violations)} even neighborhood class(es))")
-    for e in violations:
-        print(f"  vertex {e.vertex + 1} sees color {e.color} {e.count} times")
+    print(f"{args.mode}: " + "\n".join(violated(g, col)))
     return EXIT_VIOLATION
 
 
@@ -291,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a coloring file against a graph file")
     p.add_argument("graph")
     p.add_argument("coloring")
-    p.add_argument("--mode", choices=["proper", "odd", "strong-odd"], default="strong-odd")
+    p.add_argument("--mode", choices=_VERIFY_MODES, default="strong-odd")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", help="exact value or k-decision for a graph file")

@@ -4,11 +4,22 @@ All checkers are total: they assume nothing about how a coloring was
 produced and recount every neighborhood from scratch.  This keeps them
 usable as independent judges of both the solver and the closed-form
 constructions.
+
+Every verdict reads one scan, ``_faults``, which tallies each vertex's
+neighborhood once and yields the vertices at fault: those that see their
+own color, or see some color an even number of times.  A vertex not at
+fault breaks no rule: no neighbor has its color, every color around it
+appears an odd number of times, and so, unless it is isolated, some color
+does.  So each verdict need only look at the faulty vertices: strong odd
+means there are none, proper that none sees its own color, odd that each
+sees some color oddly and not its own, and the parity report lists their
+even counts.  ``proper_violations`` lists the monochromatic edges
+themselves.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InvalidColoringError, ParseError
 
@@ -81,52 +92,39 @@ def proper_violations(g: "Graph", c: ColoringLike) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.edges() if col.colors[u] == col.colors[v]]
 
 
-def is_proper(g: "Graph", c: ColoringLike) -> bool:
-    col = _total_on(g, as_coloring(c))
-    colors = col.colors
-    for u in range(g.n):
+def _faults(g: "Graph", c: ColoringLike) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """The vertices at fault, by vertex: (u, u's color, color -> count over
+    N(u)) for each u that sees its own color or some color evenly."""
+    colors = _total_on(g, as_coloring(c)).colors
+    for u, nbrs in enumerate(g.adj):
+        counts: dict[int, int] = {}
+        for v in nbrs:
+            cv = colors[v]
+            counts[cv] = counts.get(cv, 0) + 1
         cu = colors[u]
-        for v in g.adj[u]:
-            if colors[v] == cu:
-                return False
-    return True
+        if cu in counts:
+            yield u, cu, counts
+            continue
+        for k in counts.values():
+            if not k & 1:
+                yield u, cu, counts
+                break
+
+
+def is_proper(g: "Graph", c: ColoringLike) -> bool:
+    return all(cu not in counts for _, cu, counts in _faults(g, c))
 
 
 def is_odd_coloring(g: "Graph", c: ColoringLike) -> bool:
     """Proper, and every non-isolated vertex sees some color an odd number of times."""
-    col = _total_on(g, as_coloring(c))
-    colors = col.colors
-    for u in range(g.n):
-        nbrs = g.adj[u]
-        if not nbrs:
-            continue
-        cu = colors[u]
-        counts: dict[int, int] = {}
-        for v in nbrs:
-            cv = colors[v]
-            if cv == cu:
-                return False
-            counts[cv] = counts.get(cv, 0) + 1
-        if not any(k % 2 == 1 for k in counts.values()):
-            return False
-    return True
+    return all(cu not in counts and any(k & 1 for k in counts.values())
+               for _, cu, counts in _faults(g, c))
 
 
 def is_strong_odd(g: "Graph", c: ColoringLike) -> bool:
     """Proper, and every color present in any neighborhood appears there oddly."""
-    col = _total_on(g, as_coloring(c))
-    colors = col.colors
-    for u in range(g.n):
-        cu = colors[u]
-        counts: dict[int, int] = {}
-        for v in g.adj[u]:
-            cv = colors[v]
-            if cv == cu:
-                return False
-            counts[cv] = counts.get(cv, 0) + 1
-        for k in counts.values():
-            if k % 2 == 0:
-                return False
+    for _ in _faults(g, c):
+        return False
     return True
 
 
@@ -136,18 +134,8 @@ def parity_report(g: "Graph", c: ColoringLike) -> list[ParityEntry]:
     Zero counts are never listed: an absent color is not a violation.
     Properness is a separate concern; see ``proper_violations``.
     """
-    col = _total_on(g, as_coloring(c))
-    colors = col.colors
-    violations: list[ParityEntry] = []
-    for u in range(g.n):
-        counts: dict[int, int] = {}
-        for v in g.adj[u]:
-            cv = colors[v]
-            counts[cv] = counts.get(cv, 0) + 1
-        for color in sorted(counts):
-            if counts[color] % 2 == 0:
-                violations.append(ParityEntry(u, color, counts[color]))
-    return violations
+    return [ParityEntry(u, color, k) for u, _, counts in _faults(g, c)
+            for color, k in sorted(counts.items()) if not k & 1]
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,40 @@ class TestVerify:
         assert code == 2 and "improper" in stdout
 
 
+    def test_whole_violation_output(self, tmp_path, capsys):
+        # recorded before the verdicts were rewritten to read one scan
+        g = tmp_path / "c4.col"
+        c = tmp_path / "c4.coloring"
+        run(capsys, "gen", "--family", "cycle", "--n", "4", "-o", str(g))
+        c.write_text("1 1\n2 2\n3 1\n4 2\n")
+        assert run(capsys, "verify", str(g), str(c)) == (2, (
+            "strong-odd: violated (4 even neighborhood class(es))\n"
+            "  vertex 1 sees color 2 2 times\n"
+            "  vertex 2 sees color 1 2 times\n"
+            "  vertex 3 sees color 2 2 times\n"
+            "  vertex 4 sees color 1 2 times\n"), "")
+        c.write_text("1 1\n2 1\n3 2\n4 2\n")
+        for mode in ("proper", "odd", "strong-odd"):
+            assert run(capsys, "verify", str(g), str(c), "--mode", mode) == (2, (
+                "improper: 2 monochromatic edge(s)\n"
+                "  edge (1, 2) color 1\n"
+                "  edge (3, 4) color 2\n"), "")
+
+    def test_each_mode_calls_its_judge_by_name(self, tmp_path, capsys, monkeypatch):
+        # a wrapper put on the judge's name in strongodd.cli sees the call,
+        # as the traced benchmark's call counts need
+        g = tmp_path / "c4.col"
+        c = tmp_path / "c4.coloring"
+        run(capsys, "gen", "--family", "cycle", "--n", "4", "-o", str(g))
+        c.write_text("1 1\n2 2\n3 3\n4 4\n")
+        for mode, name in (("proper", "is_proper"), ("odd", "is_odd_coloring"), ("strong-odd", "is_strong_odd")):
+            calls = []
+            judge = getattr(strongodd.cli, name)
+            monkeypatch.setattr(strongodd.cli, name, lambda *a, judge=judge: calls.append(a) or judge(*a))
+            assert run(capsys, "verify", str(g), str(c), "--mode", mode)[0] == 0
+            assert len(calls) == 1
+
+
 class TestSolve:
     def test_exact_wheel9(self, tmp_path, capsys):
         g = tmp_path / "w9.col"

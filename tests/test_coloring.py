@@ -1,8 +1,11 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import c4_with_pendants, class_sizes_on, is_two_distance_on
+from helpers import c4_with_pendants, class_sizes_on, is_two_distance_on, random_graph
 from strongodd import (
     BipyramidUnion,
     Coloring,
@@ -10,6 +13,7 @@ from strongodd import (
     Graph,
     InvalidColoringError,
     InvalidParameterError,
+    JoinCycleEmpty,
     ParityEntry,
     ParseError,
     Wheel,
@@ -46,6 +50,15 @@ class TestColoringType:
     def test_partial_coloring_rejected(self):
         with pytest.raises(InvalidColoringError):
             is_proper(build(Cycle(3)), Coloring([1, 2]))
+
+    def test_equal_colorings_hash_equal(self):
+        a, b = Coloring([3, 1, 2]), Coloring((3, 1, 2))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b, Coloring([1, 2, 3])}) == 2
+
+    def test_repr(self):
+        assert repr(Coloring((3, 1, 2))) == "Coloring([3, 1, 2])"
+        assert repr(Coloring([])) == "Coloring([])"
 
 
 class TestIsProper:
@@ -137,6 +150,57 @@ class TestParityReport:
         g, c = gc
         if is_proper(g, c):
             assert (parity_report(g, c) == []) == is_strong_odd(g, c)
+
+
+VERDICTS = (is_proper, is_odd_coloring, is_strong_odd, parity_report, proper_violations)
+
+
+def _verdict_corpus():
+    """Seeded graphs with colorings: random G(n, p) with random colorings of
+    1..n colors, and the wheel, join and union members with their own
+    coloring and with one vertex recolored.  It holds colorings of every
+    kind: improper, proper but not odd, odd but not strong odd, and strong
+    odd."""
+    rng = random.Random(28)
+    for n in range(1, 13):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(56):
+                g = random_graph(n, p, rng)
+                k = rng.randint(1, n)
+                yield g, Coloring(rng.randint(1, k) for _ in range(n))
+    specs = ([Wheel(n) for n in range(3, 21)]
+             + [JoinCycleEmpty(n, m) for n in range(3, 13) for m in range(1, 5)]
+             + [BipyramidUnion(m, n) for m in range(3, 10) for n in range(3, 10)])
+    for spec in specs:
+        g, c = build(spec), coloring_for(spec)
+        yield g, c
+        colors = list(c.colors)
+        v = rng.randrange(g.n)
+        colors[v] = rng.choice(sorted(c.palette - {colors[v]}))
+        yield g, colors
+
+
+class TestPinnedVerdicts:
+    """Digests of every verdict on a seeded corpus, recorded before the
+    verdicts were rewritten to read one scan; they must reproduce them."""
+
+    def test_verdicts(self):
+        h = hashlib.sha256()
+        count = 0
+        for g, c in _verdict_corpus():
+            h.update(repr([judge(g, c) for judge in VERDICTS]).encode())
+            count += 1
+        assert count == 2016 + 18 * 2 + 40 * 2 + 49 * 2
+        assert h.hexdigest() == "f19077bfb4d343c0536bbc0603f75c8cf732a7bae39a9105e4c4e7ea637badb8"
+
+    def test_short_coloring_refusals(self):
+        h = hashlib.sha256()
+        for g, c in _verdict_corpus():
+            for judge in VERDICTS:
+                with pytest.raises(InvalidColoringError) as e:
+                    judge(g, c[:-1] if isinstance(c, list) else Coloring(c.colors[:-1]))
+                h.update(repr(e.value).encode())
+        assert h.hexdigest() == "749d774164427b1f91b4099ffcdddc8c59caf7682b900d592ccb0d583a8f3611"
 
 
 class TestTwoDistance:

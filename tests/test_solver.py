@@ -1072,6 +1072,65 @@ class TestBudget:
         assert r.answer == "no" and r.nodes < 10 and r.seconds > 0.5 * (perf_counter() - t)
 
 
+class TestFakeClockExits:
+    """The three wall-clock exits of the search, each driven by a clock that
+    stands still until a chosen moment and then jumps past every deadline."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(strongodd.solver, "perf_counter", lambda: now[0])
+        return now
+
+    def jump_when_searching(self, monkeypatch, clock, k):
+        """Make the search at k start past the deadline; returns the list
+        of (k, answer, reason, nodes) of every search."""
+        search = strongodd.solver._search
+        searches = []
+
+        def late_search(plan, at, *budget):
+            if at == k:
+                clock[0] = 1e9
+            r = search(plan, at, *budget)
+            searches.append((at, r.answer, r.reason, r.nodes))
+            return r
+
+        monkeypatch.setattr(strongodd.solver, "_search", late_search)
+        return searches
+
+    def test_search_stops_at_its_deadline(self, monkeypatch, clock):
+        # J(14, 4) is refuted at 7 in 5,447 nodes; the deadline is looked at
+        # every 256 nodes, so the search stops at the first look
+        searches = self.jump_when_searching(monkeypatch, clock, 7)
+        r = decide_k(build(JoinCycleEmpty(14, 4)), 7, Budget(max_seconds=10))
+        assert (r.answer, r.reason, r.nodes, r.witness) == ("timeout", "max-seconds", 256, None)
+        assert searches == [(7, "timeout", "max-seconds", 256)]
+
+    def test_solve_ends_on_a_search_out_of_time(self, monkeypatch, clock):
+        # C600 is not listable, so its searches are never cut for the odd
+        # classes: 2 is refuted in one node, and the search at 3, which
+        # needs hundreds, runs out of time at its first look at the clock
+        searches = self.jump_when_searching(monkeypatch, clock, 3)
+        r = chromatic_strong_odd(build(Cycle(600)), Budget(max_seconds=10))
+        assert (r.status, r.lower, r.upper, r.value, r.nodes) == ("timeout", 3, 600, None, 257)
+        assert searches == [(2, "no", None, 1), (3, "timeout", "max-seconds", 256)]
+
+    def test_deadline_while_listing_the_triples(self, monkeypatch, clock):
+        # the clock jumps after decide_k has read its start, so the listing
+        # of the triples meets the deadline at its first look and no node is
+        # searched
+        reads = []
+
+        def clock_after_the_start():
+            reads.append(clock[0])
+            return 0.0 if len(reads) == 1 else 1e9
+
+        monkeypatch.setattr(strongodd.solver, "perf_counter", clock_after_the_start)
+        r = decide_k(build(Wheel(9)), 4, Budget(max_seconds=10))
+        assert (r.answer, r.reason, r.nodes, r.witness) == ("timeout", "max-seconds", 0, None)
+        assert len(reads) == 3  # the start, the listing's first look, the seconds
+
+
 class TestColorsAboveN:
     """A graph never needs more than n colors, so decide_k treats k > n as n."""
 
@@ -1109,6 +1168,10 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(InvalidParameterError):
             brute_force_so(build(Wheel(10)))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            brute_force_so(Graph(0))
 
     def test_witness_verifies(self):
         g = random_graph(8, 0.5, random.Random(3))
