@@ -1,17 +1,16 @@
 """Self-contained certificates for the planar glued-bipyramid constructions.
 
-A certificate bundles the graph (DIMACS text), the coloring (coloring file
-text), the claimed chromatic value, a rotation system witnessing planarity,
-and a log of every check that was run.  Everything needed to re-verify the
-claim travels inside the document, so ``reverify_certificate`` can audit a
-bundle read back from disk with no other state.
+A certificate bundles the graph (DIMACS text with its label lines, the
+bytes of the bundle's ``.col`` file), the coloring (coloring file text),
+the claimed chromatic value, a rotation system witnessing planarity, and a
+log of every check that was run.  Everything needed to re-verify the claim
+travels inside the document, and each fact is stored once: recheck works
+out the faces and Euler's formula again from ``rotation``, and reads the
+labels from the graph text, so ``reverify_certificate`` can audit a bundle
+read back from disk with no other state.
 
-``Certificate.to_json`` writes the bytes of ``json.dumps(fields, indent=2,
-sort_keys=True)`` plus a newline without json's indenting encoder, which
-is pure Python, where the unindented encoder is in C.  Each field is
-encoded on its own and indented one level; ``rotation`` and ``labels``,
-lists of flat rows, take one C encoder call each (``_rows_json``).
-
+``Certificate.to_json`` writes one member a line, in sorted order, each
+value encoded by json's C encoder with sorted keys.
 ``Certificate.from_json`` raises ParseError on text that is not JSON, nests
 too deeply to parse or holds an integer longer than Python's int-string
 limit, on a document that is not an object or whose fields are not exactly
@@ -22,13 +21,13 @@ is not an integer; ``rotation`` must be a list of lists of integers).
 ``_judge`` writes the "proper", "strong_odd", "palette_count" and "euler"
 rows once, for certify's log and for recheck's result.  On recheck an
 unparsable graph or coloring raises the parser's error, and a rotation that
-does not match the graph, or ``faces`` and ``euler_ok`` that differ from its
-trace, fail "euler".  "family" reads the named BipyramidUnion(m, n) spec
-once and compares its build with the graph and ``labels``; a family of
-another kind, with sizes the spec refuses, or of another vertex count fails
-before anything is built.  "record" fails a claim kind other than "exact"
-and "upper-bound", a logged check that is not ok, and an "exact" claim with
-no ok "refutation" entry or off the ``formula`` value of that same spec.
+does not match the graph, or whose faces break Euler's formula, fails
+"euler".  "family" reads the named BipyramidUnion(m, n) spec once and
+compares its build, labels included, with the graph; a family of another
+kind, with sizes the spec refuses, or of another vertex count fails before
+anything is built.  "record" fails a claim kind other than "exact" and
+"upper-bound", a logged check that is not ok, and an "exact" claim with no
+ok "refutation" entry or off the ``formula`` value of that same spec.
 
 The notes state the claimed value as the count it comes from, with C(n)
 the number of cycle colors of ``families._cycle_colors``: for the union
@@ -75,26 +74,17 @@ SPECIAL_PAIRS: tuple[tuple[int, int], ...] = ((6, 8), (7, 7), (7, 8), (8, 8))
 class Certificate:
     family: dict
     graph_dimacs: str
-    labels: list[list]
     coloring: str
     claimed_value: int
     claim_kind: str  # "exact" | "upper-bound"
     rotation: list[list[int]]
-    faces: int
-    euler_ok: bool
     checks: list[dict]
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        members = []
-        for name in sorted(f.name for f in fields(self)):
-            value = getattr(self, name)
-            if _is_rows(value, {int, str}):
-                text = _rows_json(value)
-            else:
-                text = json.dumps(value, indent=2, sort_keys=True)
-            # a raw newline in JSON text is layout, never string content
-            members.append(f'  "{name}": ' + text.replace("\n", "\n  "))
+        # field names need no escaping; the C encoder writes each value on one line
+        members = [f'  "{name}": ' + json.dumps(getattr(self, name), sort_keys=True)
+                   for name in sorted(f.name for f in fields(self))]
         return "{\n" + ",\n".join(members) + "\n}\n"
 
     @classmethod
@@ -107,8 +97,9 @@ class Certificate:
         required = {f.name for f in fields(cls)}
         keys = set(data) if isinstance(data, dict) else set()
         if keys != required:
-            raise ParseError(f"certificate document missing fields: {sorted(required - keys)}, "
-                             f"unknown fields: {sorted(keys - required)}")
+            wrong = [f"{side} fields: {sorted(names)}"
+                     for side, names in (("missing", required - keys), ("unknown", keys - required)) if names]
+            raise ParseError("certificate document " + ", ".join(wrong))
         # the annotations are the schema; exact types keep bools out of int fields
         for name, hint in sorted(get_type_hints(cls).items()):
             expected = get_origin(hint) or hint
@@ -117,7 +108,8 @@ class Certificate:
                     f"certificate field {name!r} must be {expected.__name__}, "
                     f"got {type(data[name]).__name__}"
                 )
-        if not _is_rows(data["rotation"], {int}):
+        rows = data["rotation"]  # a list, as its annotation says
+        if not set(map(type, rows)) <= {list} or not set(map(type, chain.from_iterable(rows))) <= {int}:
             raise ParseError("certificate field 'rotation' must be a list of lists of integers")
         return cls(**data)
 
@@ -134,8 +126,8 @@ def make_union_certificate(m: int, n: int, try_exact_budget: Budget | None = Non
     col = Coloring(_union_colors(m, n))
     claimed, case = formula(spec)
     rot = embed_family(spec)
-    emb = verify_embedding(g, rot)
-    checks = [{"name": name, "ok": ok} for name, ok in _judge(g, col, claimed, emb.euler_ok)]
+    euler_ok = verify_embedding(g, rot).euler_ok
+    checks = [{"name": name, "ok": ok} for name, ok in _judge(g, col, claimed, euler_ok)]
     notes = [
         f"glued bipyramids ({m}, {n}): {g.n} vertices, {g.edge_count} edges, planar",
         f"closed-form value: {case} = {claimed}",
@@ -169,14 +161,11 @@ def make_union_certificate(m: int, n: int, try_exact_budget: Budget | None = Non
         raise CertificationError(f"certificate checks failed: {failed}")
     return Certificate(
         family={"kind": "bipyramid-union", "m": m, "n": n},
-        graph_dimacs=to_dimacs(g, include_labels=False),
-        labels=_label_rows(g),
+        graph_dimacs=to_dimacs(g),
         coloring=format_coloring(col),
         claimed_value=claimed,
         claim_kind=claim_kind,
         rotation=[list(row) for row in rot],
-        faces=emb.faces,
-        euler_ok=emb.euler_ok,
         checks=checks,
         notes=notes,
     )
@@ -211,8 +200,8 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
     """Re-run every certificate check from the serialized document alone.
 
     Parses the graph, coloring, and rotation out of the document and judges
-    the claim with the ordinary verifiers, then checks that ``family`` and
-    ``labels`` describe that graph; nothing from generation time is
+    the claim with the ordinary verifiers, then checks that ``family``
+    describes that graph, labels included; nothing from generation time is
     trusted; see the module docstring for what each check compares.  A
     recorded refutation is a search transcript summary and is not
     re-executed here, but an "exact" claim must equal the closed form of
@@ -222,12 +211,11 @@ def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
     g = from_dimacs(cert.graph_dimacs)
     col = parse_coloring(cert.coloring, g.n)
     try:
-        emb = verify_embedding(g, cert.rotation)
-        euler = emb.euler_ok and emb == (cert.faces, cert.euler_ok)
+        euler = verify_embedding(g, cert.rotation).euler_ok
     except InvalidRotationError:
         euler = False
     results = _judge(g, col, cert.claimed_value, euler)
-    spec = _bundled_family(cert, g)
+    spec = _bundled_family(cert.family, g)
     results.append(("family", spec is not None))
     passed = [c.get("name") for c in cert.checks if type(c) is dict and c.get("ok") is True]
     exact_backed = "refutation" in passed and spec is not None and cert.claimed_value == formula(spec).value
@@ -249,10 +237,9 @@ def _judge(g: Graph, col: Coloring, claimed: int, euler_ok: bool) -> list[tuple[
     ]
 
 
-def _bundled_family(cert: Certificate, g: Graph) -> BipyramidUnion | None:
-    """The BipyramidUnion that ``cert.family`` names, when its build has the
-    adjacency of ``g`` and the labels of ``cert.labels``; otherwise None."""
-    fam = cert.family
+def _bundled_family(fam: dict, g: Graph) -> BipyramidUnion | None:
+    """The BipyramidUnion that ``fam`` names, when its build equals ``g``,
+    labels included; otherwise None."""
     try:
         spec = BipyramidUnion(fam.get("m"), fam.get("n"))
     except InvalidParameterError:  # the spec judges the sizes' types and least values
@@ -261,40 +248,4 @@ def _bundled_family(cert: Certificate, g: Graph) -> BipyramidUnion | None:
     # graph larger than g
     if fam.get("kind") != "bipyramid-union" or spec.m + spec.n + 3 != g.n:
         return None
-    built = build(spec)
-    matches = (
-        built.adj == g.adj
-        and cert.labels == _label_rows(built)
-        and all(type(v) is int for v, _ in cert.labels)  # 1.0 == 1, but is no vertex id
-    )
-    return spec if matches else None
-
-
-def _is_rows(value: object, item_types: set[type]) -> bool:
-    """True for a list of lists whose items have exact types in ``item_types``
-    (so a bool is not an int)."""
-    return (
-        type(value) is list
-        and set(map(type, value)) <= {list}
-        and set(map(type, chain.from_iterable(value))) <= item_types
-    )
-
-
-def _rows_json(rows: list[list]) -> str:
-    """``json.dumps(rows, indent=2)``, from one call of the C encoder.
-
-    The encoder puts a raw newline after every comma.  The items are ints
-    and strings, whose JSON never holds a raw newline, so a comma between
-    rows is the only one after ``]`` and before ``[``.  The newlines are
-    indented for items, the row boundaries re-indented, and an empty row,
-    left with a blank line between its brackets, put back as ``[]``.
-    """
-    if not rows:
-        return "[]"
-    body = json.dumps(rows, separators=(",\n", ": "))[2:-2].replace("\n", "\n    ")
-    body = body.replace("],\n    [", "\n  ],\n  [\n    ")
-    return ("[\n  [\n    " + body + "\n  ]\n]").replace("[\n    \n  ]", "[]")
-
-
-def _label_rows(g: Graph) -> list[list]:
-    return [[v, role] for v, role in sorted(g.labels.items())]
+    return spec if build(spec) == g else None

@@ -215,11 +215,8 @@ def _write_bundle(cert, outdir: Path) -> None:
     m, n = cert.family["m"], cert.family["n"]
     stem = f"bipyramid_union_{m}_{n}"
     outdir.mkdir(parents=True, exist_ok=True)
-    # the unlabelled text plus one line per label row (rows are sorted by
-    # vertex): the bytes to_dimacs writes for the labelled graph
-    col_text = cert.graph_dimacs + "".join(f"l {v + 1} {role}\n" for v, role in cert.labels)
     (outdir / f"{stem}.cert.json").write_text(cert.to_json(), encoding="utf-8")
-    (outdir / f"{stem}.col").write_text(col_text, encoding="utf-8")
+    (outdir / f"{stem}.col").write_text(cert.graph_dimacs, encoding="utf-8")
     (outdir / f"{stem}.coloring").write_text(cert.coloring, encoding="utf-8")
     print(f"wrote {outdir / (stem + '.cert.json')}")
     print(f"wrote {outdir / (stem + '.col')}")

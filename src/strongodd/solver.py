@@ -720,18 +720,23 @@ def _canonical_colorings(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def brute_force_so(g: Graph) -> ValueWitness:
     """Oracle: least k admitting a strong odd coloring, by plain enumeration.
 
-    Every complete canonical assignment is re-checked through the public
-    verifier; no solver pruning is reused.  Assignments with fewer than k
-    distinct colors were already covered at a smaller k, so each round
-    enumerates exactly-k assignments.  Refuses graphs with more than 10
-    vertices.
+    Every complete canonical assignment with no monochromatic edge is
+    re-checked through the public verifier; no solver pruning is reused.
+    The verifier rejects every assignment with a monochromatic edge, so
+    skipping those first changes neither the value nor the first witness.
+    Assignments with fewer than k distinct colors were already covered at a
+    smaller k, so each round enumerates exactly-k assignments.  Refuses
+    graphs with more than 10 vertices.
     """
     if g.n == 0:
         raise InvalidParameterError("brute_force_so requires a nonempty graph")
     if g.n > 10:
         raise InvalidParameterError(f"brute_force_so refuses graphs with more than 10 vertices (got {g.n})")
+    edges = g.edges()
     for k in range(1, g.n + 1):
         for assignment in _canonical_colorings(g.n, k):
+            if any(assignment[u] == assignment[v] for u, v in edges):
+                continue
             c = Coloring(assignment)
             if is_strong_odd(g, c):
                 return ValueWitness(k, c)

@@ -163,7 +163,6 @@ def test_criterion_7_counterexample_certificates(tmp_path):
             data = json.loads(document)
             assert all(check["ok"] for check in data["checks"])
             assert {c["name"] for c in data["checks"]} >= {"proper", "strong_odd", "palette_count", "euler"}
-            assert data["euler_ok"]
             ok, results = reverify_certificate(document)
             assert ok, results
             values.append(data["claimed_value"])

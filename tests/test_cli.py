@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -413,6 +414,43 @@ class TestCertify:
         code, stdout, err = run(capsys, "certify", "--recheck", str(bad))
         assert code == 1 and stdout == "" and err.startswith("error:") and "proved_value" in err
 
+    def test_recheck_refuses_the_fields_recheck_derives(self, tmp_path, capsys):
+        # the n = 11 bundle in its earlier layout: label rows apart from an
+        # unlabelled graph text, and the face count and Euler verdict of the
+        # rotation, written by json's indenting encoder; the digest is that
+        # of the bytes certify wrote in that layout
+        outdir = tmp_path / "bundle"
+        run(capsys, "certify", "--family", "counterexample", "--n", "11", "-o", str(outdir))
+        data = json.loads((outdir / "bipyramid_union_8_11.cert.json").read_text())
+        lines = data["graph_dimacs"].splitlines(keepends=True)
+        data["graph_dimacs"] = "".join(line for line in lines if not line.startswith("l "))
+        label_lines = [line.split() for line in lines if line.startswith("l ")]
+        data["labels"] = [[int(v) - 1, role] for _, v, role in label_lines]
+        data.update(faces=37, euler_ok=True)
+        old = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(old.encode()).hexdigest() == (
+            "140ff0cac2528f687576aa13a62f9f2c8e47accd1d01c7d9472d656dbe551884")
+        path = tmp_path / "old.json"
+        path.write_text(old)
+        code, stdout, err = run(capsys, "certify", "--recheck", str(path))
+        assert (code, stdout) == (1, "")
+        assert err == "error: certificate document unknown fields: ['euler_ok', 'faces', 'labels']\n"
+
+    # the .col file is the bundle's graph text; these digests are of the
+    # files certify wrote when it joined label rows onto an unlabelled text
+    @pytest.mark.parametrize("argv,digest", [
+        (["--family", "counterexample", "--n", "11"], "46349bd814bc921ebc2b3591a02feb22887d5c1a2add463905d01f2fd46c17fd"),
+        (["--family", "counterexample", "--n", "101"], "d642f1a3c848ee1ce553498f803ae51088d9e73b014a51faa9152d511e11c459"),
+        (["--pair", "6", "8"], "52a28aac592cdf7ae0caa2d44220f8ee0f4b9e73b3336498e95edbbc403992dc"),
+        (["--pair", "7", "7"], "b48c75150d7b04885c9ef18e300b757f1863957076054f047eb7e1ab8372e05f"),
+        (["--pair", "7", "8"], "a209450d40b67320681ccfdf1b2ffa3a6c7fdcbff88f99f5ade04dd9c3988018"),
+        (["--pair", "8", "8"], "04f923b34deb6fb4220bf0c4560785ee66e541a1c5f06eb8f0c3d8acd87e916f"),
+    ], ids=["11", "101", "6-8", "7-7", "7-8", "8-8"])
+    def test_col_bytes_pinned(self, tmp_path, capsys, argv, digest):
+        assert run(capsys, "certify", *argv, "-o", str(tmp_path))[0] == 0
+        (col,) = tmp_path.glob("*.col")
+        assert hashlib.sha256(col.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
                              ids=["not-utf8", "deep-nesting"])
     def test_recheck_undecodable_is_parse_error(self, tmp_path, capsys, content):
@@ -445,10 +483,9 @@ class TestCertify:
         (lambda d: d.update(claim_kind="banana", checks=d["checks"] + [{"name": "refutation", "ok": True}]),
          "record"),
         (lambda d: d["checks"].__setitem__(0, {"name": "proper", "ok": False}), "record"),
-        (lambda d: d.update(euler_ok=False), "euler"),
         # an upper-bound bundle relabelled exact, with no refutation behind it
         (lambda d: d.update(claim_kind="exact"), "record"),
-    ], ids=["unknown-kind", "failed-check-logged", "euler-ok-false", "exact-without-refutation"])
+    ], ids=["unknown-kind", "failed-check-logged", "exact-without-refutation"])
     def test_recheck_judges_the_bundles_own_record(self, tmp_path, capsys, forge, row):
         outdir = tmp_path / "bundle"
         run(capsys, "certify", "--family", "counterexample", "--n", "11", "-o", str(outdir))
