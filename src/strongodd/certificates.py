@@ -19,15 +19,19 @@ and on a field whose JSON type is not exactly its annotation's (so ``true``
 is not an integer; ``rotation`` must be a list of lists of integers).
 
 ``_judge`` writes the "proper", "strong_odd", "palette_count" and "euler"
-rows once, for certify's log and for recheck's result.  On recheck an
-unparsable graph or coloring raises the parser's error, and a rotation that
-does not match the graph, or whose faces break Euler's formula, fails
-"euler".  "family" reads the named BipyramidUnion(m, n) spec once and
-compares its build, labels included, with the graph; a family of another
-kind, with sizes the spec refuses, or of another vertex count fails before
-anything is built.  "record" fails a claim kind other than "exact" and
-"upper-bound", a logged check that is not ok, and an "exact" claim with no
-ok "refutation" entry or off the ``formula`` value of that same spec.
+rows once, for certify's log and for recheck's result.  On recheck
+"family" reads the named BipyramidUnion(m, n) spec once and passes only
+when ``graph_dimacs`` is byte for byte ``to_dimacs`` of its build, the
+text certify writes; a family of another kind, with sizes the spec
+refuses, or of another vertex count than the graph text's header fails
+before anything is built.  When "family" passes, the other rows judge
+that build, and the graph text is not parsed; otherwise they judge the
+parsed graph text, and an unparsable graph raises the parser's error.  An
+unparsable coloring raises its parser's error, and a rotation that does
+not match the graph, or whose faces break Euler's formula, fails "euler".
+"record" fails a claim kind other than "exact" and "upper-bound", a
+logged check that is not ok, and an "exact" claim with no ok
+"refutation" entry or off the ``formula`` value of that same spec.
 
 The notes state the claimed value as the count it comes from, with C(n)
 the number of cycle colors of ``families._cycle_colors``: for the union
@@ -199,23 +203,26 @@ def counterexample_pair(m: int, n: int, try_exact_budget: Budget | None = None) 
 def reverify_certificate(text: str) -> tuple[bool, list[tuple[str, bool]]]:
     """Re-run every certificate check from the serialized document alone.
 
-    Parses the graph, coloring, and rotation out of the document and judges
-    the claim with the ordinary verifiers, then checks that ``family``
-    describes that graph, labels included; nothing from generation time is
+    The "family" check passes only when the graph text is byte for byte
+    ``to_dimacs`` of the family's build, and then the claim is judged on
+    that build; otherwise the graph text is parsed and judged.  The
+    coloring and rotation are read from the document, the claim is judged
+    with the ordinary verifiers, and nothing from generation time is
     trusted; see the module docstring for what each check compares.  A
     recorded refutation is a search transcript summary and is not
     re-executed here, but an "exact" claim must equal the closed form of
     the bundled family.
     """
     cert = Certificate.from_json(text)
-    g = from_dimacs(cert.graph_dimacs)
+    spec, g = _bundled_family(cert.family, cert.graph_dimacs)
+    if g is None:
+        g = from_dimacs(cert.graph_dimacs)
     col = parse_coloring(cert.coloring, g.n)
     try:
         euler = verify_embedding(g, cert.rotation).euler_ok
     except InvalidRotationError:
         euler = False
     results = _judge(g, col, cert.claimed_value, euler)
-    spec = _bundled_family(cert.family, g)
     results.append(("family", spec is not None))
     passed = [c.get("name") for c in cert.checks if type(c) is dict and c.get("ok") is True]
     exact_backed = "refutation" in passed and spec is not None and cert.claimed_value == formula(spec).value
@@ -237,15 +244,17 @@ def _judge(g: Graph, col: Coloring, claimed: int, euler_ok: bool) -> list[tuple[
     ]
 
 
-def _bundled_family(fam: dict, g: Graph) -> BipyramidUnion | None:
-    """The BipyramidUnion that ``fam`` names, when its build equals ``g``,
-    labels included; otherwise None."""
+def _bundled_family(fam: dict, graph_text: str) -> tuple[BipyramidUnion, Graph] | tuple[None, None]:
+    """The BipyramidUnion that ``fam`` names and its build, when
+    ``graph_text`` is byte for byte that build's ``to_dimacs`` text;
+    otherwise (None, None)."""
     try:
         spec = BipyramidUnion(fam.get("m"), fam.get("n"))
     except InvalidParameterError:  # the spec judges the sizes' types and least values
-        return None
-    # the kind and vertex count first, so a forged family never builds a
-    # graph larger than g
-    if fam.get("kind") != "bipyramid-union" or spec.m + spec.n + 3 != g.n:
-        return None
-    return spec if build(spec) == g else None
+        return None, None
+    # the kind and the header's vertex count first, so a forged family never
+    # builds a graph larger than the text announces
+    if fam.get("kind") != "bipyramid-union" or not graph_text.startswith(f"p edge {spec.m + spec.n + 3} "):
+        return None, None
+    g = build(spec)
+    return (spec, g) if to_dimacs(g) == graph_text else (None, None)

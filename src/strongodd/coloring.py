@@ -19,12 +19,11 @@ themselves.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
+import re
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InvalidColoringError, ParseError
-
-if TYPE_CHECKING:
-    from .graphs import Graph
+from .graphs import Graph, _blocks
 
 
 class Coloring:
@@ -149,6 +148,41 @@ def format_coloring(c: ColoringLike) -> str:
 
 
 def parse_coloring(text: str, n: int) -> Coloring:
+    """The coloring of the n vertices in ``text``, raising ParseError on
+    anything else.
+
+    A text laid out exactly as ``format_coloring`` writes it is read in
+    bulk (``_read_layout``); any other text, and any writer-shaped text
+    that fails a check there, is read line by line (``_walk``), which is
+    the one place an error is named, by its line as before.
+    """
+    colors = _read_layout(text, n)
+    return _walk(text, n) if colors is None else Coloring(colors)
+
+
+# the writer's line, single-spaced and ending in LF
+_COLOR_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+
+
+def _read_layout(text: str, n: int) -> list[int] | None:
+    """The colors of a text in the writer's layout, or None: the lines
+    name the vertices "1" to "n" in order, each with a positive color."""
+    names: list[str] = []
+    colors: list[int] = []
+    try:
+        for tokens in _blocks(text, 0, len(text), _COLOR_LINES):
+            names += tokens[0::2]
+            colors += map(int, tokens[1::2])
+    except ValueError:  # a line off the layout, or a color too long to convert
+        return None
+    # the count first, so the names compared are no more than the text holds
+    if len(names) != n or names != list(map(str, range(1, n + 1))) or min(colors, default=1) < 1:
+        return None
+    return colors
+
+
+def _walk(text: str, n: int) -> Coloring:
+    """Read ``text`` line by line, checking each line where it is read."""
     # colors[v] is 0 until vertex v + 1 is colored; every color read is >= 1
     colors = [0] * n
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -4,22 +4,26 @@ Vertices are 0-based integers in memory and 1-based on the wire.  All graph
 objects are immutable after construction and safe to share between threads.
 
 Each check runs once, where its data enters.  ``Graph(n, edges, labels)``
-checks every edge and label it is given; ``from_dimacs`` checks each line
-as it reads it; ``build`` takes its sizes from a spec that has checked
-them.  The last two fill per-vertex neighbor rows directly, and all three
-end in the same construction tail, whose duplicate-edge check every graph
-passes.  The rows ``build`` fills for Cycle, Wheel, Bipyramid and
-BipyramidUnion come in the cyclic order of a planar embedding, the
-rotation system that ``embedding.embed_family`` returns.
+checks every edge and label it is given; ``from_dimacs`` checks the text
+it reads, in bulk when the text is laid out exactly as ``to_dimacs``
+writes it and line by line otherwise; ``build`` takes its sizes from a
+spec that has checked them.  The last two fill per-vertex neighbor rows
+directly, and all three end in the same construction tail, whose
+duplicate-edge check every graph passes.  The rows ``build`` fills for
+Cycle, Wheel, Bipyramid and BipyramidUnion come in the cyclic order of a
+planar embedding, the rotation system that ``embedding.embed_family``
+returns.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect
 from dataclasses import dataclass, fields
 from itertools import repeat
+from operator import lt
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidParameterError, ParseError
 
@@ -83,7 +87,7 @@ class Graph:
                     f"label for vertex {v} must be one token without whitespace, got {role!r}")
 
     @classmethod
-    def _from_rows(cls, rows: list[list[int]], labels: dict[int, str]) -> "Graph":
+    def _from_rows(cls, rows: list, labels: dict[int, str]) -> "Graph":
         """The graph whose vertex v has the neighbors ``rows[v]``, which the
         caller has bounded: ints in ``0..len(rows)-1``, each edge in both
         rows, no self-loop.  The labels are stored as given, unchecked."""
@@ -91,12 +95,14 @@ class Graph:
         g._freeze(rows, labels)
         return g
 
-    def _freeze(self, rows: list[list[int]], labels: dict[int, str]) -> None:
+    def _freeze(self, rows: list, labels: dict[int, str]) -> None:
         """The construction tail: sort and freeze the rows, check them for
         duplicate edges, and set the edge count and the labels.  The rows
-        are sorted in place."""
+        are sorted in place; a vertex with no neighbor may share the empty
+        tuple."""
         for row in rows:
-            row.sort()
+            if row:
+                row.sort()
         adj = tuple(map(tuple, rows))
         # the one duplicate-edge check: a repeated edge repeats a neighbor,
         # which a set of the row drops
@@ -340,21 +346,113 @@ def to_dimacs(g: Graph, include_labels: bool = True) -> str:
 def from_dimacs(text: str) -> Graph:
     """Parse the format above, raising ParseError on anything else.
 
-    Each line is checked where it is read.  An edge line is bounded by
-    ``1 <= u < v <= V`` and appended straight to the neighbor rows; a label
-    line's vertex is bounded and unique, and its role is one token by
-    construction.  The rows go to ``Graph._from_rows``, whose duplicate-edge
-    check is the one check run on the whole graph.  Only once it has found
-    a duplicate are the lines read again for the line of the second
-    occurrence, so a malformed line anywhere in the file is reported before
-    a duplicate.  The header allocates the rows, so a vertex count too
-    large to allocate ends in MemoryError there, before later lines are
-    read.
+    A text laid out exactly as ``to_dimacs`` writes it is read in bulk
+    (``_read_layout``); any other text, and any writer-shaped text that
+    fails a check there, is read line by line (``_walk``), which is the one
+    place an error is named, by its line as before.  Both end in
+    ``Graph._from_rows``, whose duplicate-edge check is the one check run
+    on the whole graph, and both return the same graph for every text the
+    bulk reader takes.
+    """
+    g = _read_layout(text)
+    return _walk(text) if g is None else g
+
+
+# the writer's lines, one kind each: ``\S`` is what str.split keeps, and
+# every line break is whitespace to it, so a matched line has three tokens.
+# A count of at most 18 digits converts without error
+_HEADER = re.compile(r"p edge ([0-9]{1,18}) ([0-9]{1,18})\n")
+_EDGE_LINES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
+_LABEL_LINES = re.compile(r"(?:l [0-9]+ \S+\n)*")
+# the characters of whole lines matched at a time, since one match over a
+# whole text keeps about 180 bytes of matcher state per line
+_BLOCK = 1 << 14
+
+
+def _blocks(text: str, pos: int, end: int, lines: re.Pattern) -> Iterator[list[str]]:
+    """The tokens of ``text[pos:end]``, about 16 KB of whole lines at a
+    time; raises ValueError at the first block that is not all ``lines``."""
+    while pos < end:
+        stop = text.find("\n", pos + _BLOCK, end) + 1 or end
+        if not lines.fullmatch(text, pos, stop):
+            raise ValueError("not the writer's layout")
+        yield text[pos:stop].split()
+        pos = stop
+
+
+def _read_layout(text: str) -> Graph | None:
+    """The graph of a text in the writer's layout, or None.
+
+    The layout is the header, the edge lines, then the label lines, each
+    single-spaced and ending in LF, as ``to_dimacs`` writes them.  A vertex
+    name is looked up in an index of the names "1" to "V", which bounds it
+    and maps it to its vertex at once.  Only a header with V at most the
+    length of the text is taken, so the index is never larger than the
+    text can back.  Every check the walk makes on such a text is made here
+    in bulk, and None stands for any that fails.
+    """
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    n, m = int(head[1]), int(head[2])
+    if n > len(text):
+        return None
+    # the first label line; a label line among the edges fails the blocks
+    labels_at = text.find("\nl ") + 1 or len(text)
+    name = dict(zip(map(str, range(1, n + 1)), range(n))).__getitem__
+    us: list[int] = []
+    vs: list[int] = []
+    ids: list[int] = []
+    roles: list[str] = []
+    try:
+        for tokens in _blocks(text, head.end(), labels_at, _EDGE_LINES):
+            us += map(name, tokens[1::3])
+            vs += map(name, tokens[2::3])
+        for tokens in _blocks(text, labels_at, len(text), _LABEL_LINES):
+            ids += map(name, tokens[1::3])
+            roles += tokens[2::3]
+    except (KeyError, ValueError):  # a name the writer does not write, or a line off the layout
+        return None
+    labels = dict(zip(ids, roles))
+    if len(us) != m or not all(map(lt, us, vs)) or len(labels) != len(ids):
+        return None
+    try:
+        return Graph._from_rows(_rows(n, us, vs), labels)
+    except InvalidParameterError:  # a duplicate edge, which the walk names by its line
+        return None
+
+
+def _rows(n: int, us: list[int], vs: list[int]) -> list[list[int] | tuple[()]]:
+    """The neighbor rows of the edges ``(us[i], vs[i])``.  The n rows are
+    allocated in one request, and a vertex on no edge shares the empty
+    tuple, so a vertex count too large to allocate ends in MemoryError at
+    once."""
+    rows: list[list[int] | tuple[()]] = [()] * n
+    for v in {*us, *vs}:
+        rows[v] = []
+    for u, v in zip(us, vs):
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
+
+
+def _walk(text: str) -> Graph:
+    """Read ``text`` line by line, checking each line where it is read.
+
+    An edge line is bounded by ``1 <= u < v <= V`` and kept; a label line's
+    vertex is bounded and unique, and its role is one token by
+    construction.  The rows are filled once every line is read, for the
+    vertices the edges meet, so a header too large to allocate fails in one
+    request there rather than by growing a row at a time.  Only once
+    ``Graph._from_rows`` has found a duplicate are the lines read again for
+    the line of the second occurrence, so a malformed line anywhere in the
+    file is reported before a duplicate.
     """
     n = -1
     expected_edges = -1
     header_line = 0
-    rows: list[list[int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     labels: dict[int, str] = {}
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -372,8 +470,8 @@ def from_dimacs(text: str) -> Graph:
                 raise ParseError(f"malformed edge line {raw.strip()!r}", lineno) from None
             if not (1 <= u < v <= n):
                 raise ParseError(f"edge endpoints ({u}, {v}) must satisfy 1 <= u < v <= {n}", lineno)
-            rows[u - 1].append(v - 1)
-            rows[v - 1].append(u - 1)
+            us.append(u - 1)
+            vs.append(v - 1)
         elif kind == "p":
             if n >= 0:
                 raise ParseError("duplicate problem header", lineno)
@@ -386,7 +484,6 @@ def from_dimacs(text: str) -> Graph:
             if n < 0 or expected_edges < 0:
                 raise ParseError("header counts must be nonnegative", lineno)
             header_line = lineno
-            rows = [[] for _ in range(n)]
         elif kind == "l":
             if n < 0:
                 raise ParseError("label before problem header", lineno)
@@ -406,7 +503,7 @@ def from_dimacs(text: str) -> Graph:
     if n < 0:
         raise ParseError("missing problem header")
     try:
-        g = Graph._from_rows(rows, labels)
+        g = Graph._from_rows(_rows(n, us, vs), labels)
     except InvalidParameterError:
         # every line is well formed, so the one thing left to reject is a
         # duplicate edge

@@ -6,7 +6,19 @@ import random
 
 from hypothesis import strategies as st
 
-from strongodd import Coloring, Graph, InvalidParameterError, counterexample
+from strongodd import (
+    Bipyramid,
+    BipyramidUnion,
+    Coloring,
+    Complete,
+    Cycle,
+    Empty,
+    Graph,
+    InvalidParameterError,
+    JoinCycleEmpty,
+    Wheel,
+    counterexample,
+)
 
 
 @st.composite
@@ -16,6 +28,29 @@ def graphs(draw, min_n=1, max_n=10):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.integers(0, 2 ** len(pairs) - 1))
     return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+# label roles are single DIMACS tokens: no whitespace or control characters
+roles = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6)
+
+
+@st.composite
+def labeled_graphs(draw):
+    g = draw(graphs(min_n=0, max_n=12))
+    labels = draw(st.dictionaries(st.integers(0, g.n - 1), roles)) if g.n else {}
+    return Graph(g.n, g.edges(), labels)
+
+
+# every family spec, with sizes up to 60
+family_specs = st.one_of(
+    st.builds(Cycle, st.integers(3, 60)),
+    st.builds(Empty, st.integers(1, 60)),
+    st.builds(Complete, st.integers(1, 60)),
+    st.builds(Wheel, st.integers(3, 60)),
+    st.builds(JoinCycleEmpty, st.integers(3, 60), st.integers(1, 60)),
+    st.builds(Bipyramid, st.integers(3, 60)),
+    st.builds(BipyramidUnion, st.integers(3, 60), st.integers(3, 60)),
+)
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -333,6 +333,35 @@ class TestReverify:
         ok, results = reverify_certificate(json.dumps(data))
         assert not ok and dict(results)["family"] is False
 
+    def test_family_bundle_is_judged_on_its_build(self, monkeypatch):
+        # the graph text is the family's to_dimacs text, byte for byte, so
+        # recheck never parses it
+        def no_parse(text):
+            raise AssertionError("recheck parsed the graph text of a family bundle")
+
+        monkeypatch.setattr(strongodd.certificates, "from_dimacs", no_parse)
+        ok, results = reverify_certificate(counterexample(11).to_json())
+        assert ok and len(results) == 6
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\nc a comment\n", 1),
+        lambda text: text.replace("\n", "\r\n"),
+    ], ids=["comment-line", "crlf"])
+    def test_graph_text_off_the_writer_fails_family_only(self, edit, monkeypatch):
+        parsed = []
+
+        def parse(text):
+            parsed.append(text)
+            return from_dimacs(text)
+
+        monkeypatch.setattr(strongodd.certificates, "from_dimacs", parse)
+        data = json.loads(counterexample(11).to_json())
+        data["graph_dimacs"] = edit(data["graph_dimacs"])
+        ok, results = reverify_certificate(json.dumps(data))
+        assert not ok and [name for name, good in results if not good] == ["family"]
+        # the other rows judged the graph parsed from the edited text
+        assert parsed == [data["graph_dimacs"]]
+
     def test_detects_family_below_the_least_sizes(self):
         # m = 2, n = 9 has the vertex count of the bundled (3, 8) member, so
         # only BipyramidUnion's own least sizes reject it

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import cycle_vertices, graphs
+from helpers import cycle_vertices, family_specs, graphs, labeled_graphs
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
     Complete,
     Cycle,
-    Empty,
     Graph,
     InvalidParameterError,
     JoinCycleEmpty,
@@ -23,17 +22,6 @@ from strongodd import (
 )
 
 
-# label roles are single DIMACS tokens: no whitespace or control characters
-roles = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6)
-
-
-@st.composite
-def labeled_graphs(draw):
-    g = draw(graphs(min_n=0, max_n=12))
-    labels = draw(st.dictionaries(st.integers(0, g.n - 1), roles)) if g.n else {}
-    return Graph(g.n, g.edges(), labels)
-
-
 @st.composite
 def graph_arguments(draw):
     """Arguments for Graph, mostly valid: endpoints and label vertices from
@@ -43,18 +31,6 @@ def graph_arguments(draw):
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
     labels = draw(st.dictionaries(vertex, st.text(max_size=4), max_size=4))
     return n, edges, labels
-
-
-# every family spec, with sizes up to 60
-family_specs = st.one_of(
-    st.builds(Cycle, st.integers(3, 60)),
-    st.builds(Empty, st.integers(1, 60)),
-    st.builds(Complete, st.integers(1, 60)),
-    st.builds(Wheel, st.integers(3, 60)),
-    st.builds(JoinCycleEmpty, st.integers(3, 60), st.integers(1, 60)),
-    st.builds(Bipyramid, st.integers(3, 60)),
-    st.builds(BipyramidUnion, st.integers(3, 60), st.integers(3, 60)),
-)
 
 
 # anything an edge item may hold: ints in and out of range, bools, floats,
