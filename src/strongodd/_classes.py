@@ -8,16 +8,20 @@ that partition V: the set-partitioning view of coloring (Mehrotra and Trick,
 INFORMS J. Computing 8, 1996), with "odd" in place of "independent".
 
 ``odd_classes`` lists the independent sets with bit masks and keeps the odd
-ones of at least two vertices (every singleton is one).  A completed
-listing bounds the value from below in two ways.  ``parity_bound`` reads a
-neighborhood N(x) of d vertices: each color on it meets it in an odd
-number of vertices, at most the largest share s(x) of N(x) that one class
-holds, so N(x) needs at least d / s(x) colors, their number has d's parity,
-and x needs one more.  ``least_partition`` starts from the pair bound, a
-clique of vertices that pairwise share no class, and looks for a least
-partition by branch and bound; ``decide_by_classes`` turns one into a
-verified coloring, after raising the bound it is given to the parity
-bound.  The listing and the partition search stop early, at fixed limits,
+ones of at least two vertices (every singleton is one).  With none of
+them, every color class is a singleton and the value is n, so
+``has_odd_class`` asks just that, first by looking for an independent pair
+with no common neighbor, itself an odd class, and then by the listing's own
+walk (``_walk``), stopped at the first class it meets; a walk that
+completes without one decides the value.  A completed listing bounds the
+value from below in two ways.  ``parity_bound`` reads a neighborhood N(x)
+of d vertices: each color on it meets it in an odd number of vertices, at
+most the largest share s(x) of N(x) that one class holds, so N(x) needs at
+least d / s(x) colors, their number has d's parity, and x needs one more.
+``least_partition`` starts from the pair bound, a clique of vertices that
+pairwise share no class, and looks for a least partition by branch and
+bound; ``decide_by_classes`` turns one into a verified coloring, after
+raising the bound it is given to the parity bound.  The listing and the partition search stop early, at fixed limits,
 so they pay only on graphs with few independent sets, such as dense ones,
 where the coloring search is slowest.
 ``listable`` tells at once whether the listing can complete, so a caller
@@ -28,12 +32,14 @@ masks, cost the most in Python: a set's members and candidates are vertex
 masks walked with ``x & -x`` and ``bit_length``, and the partition search
 holds a set of classes as a mask over their indices, so taking a class,
 counting a vertex's classes and listing its branches are one mask operation
-each.  Both look at a caller's ``perf_counter()`` deadline.
+each.  Both look at a caller's ``perf_counter()`` deadline, and so does the
+walk of ``has_odd_class``.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
+from typing import Iterator
 
 from .coloring import Coloring, is_strong_odd
 from .errors import InternalError
@@ -59,10 +65,48 @@ def listable(g: Graph) -> bool:
     return g.n + g.n * (g.n - 1) // 2 - g.edge_count <= MAX_SETS
 
 
+def _odd_pair(g: Graph) -> bool:
+    """Whether g has an odd class of two vertices: an independent pair with
+    no common neighbor, that is a vertex beyond distance two of another.
+    Each vertex's ball of radius two is grown a row at a time, and a row is
+    added only while the ball is short of V."""
+    n = g.n
+    adj = g.adj
+    for u, a in enumerate(adj):
+        near = {u, *a}
+        for w in a:
+            if len(near) == n:
+                break
+            near.update(adj[w])
+        if len(near) < n:
+            return True
+    return False
+
+
+def has_odd_class(g: Graph, deadline: float | None = None) -> bool | None:
+    """Whether g has an odd class of at least two vertices, or None when the
+    walk of odd_classes gives up first, past MAX_SETS sets or the
+    ``perf_counter()`` deadline.  An odd pair answers at once; otherwise the
+    walk runs to the first class it meets, so False is a completed listing
+    with no class in it."""
+    if _odd_pair(g):
+        return True
+    first = next(_walk(g, deadline), 0)
+    return None if first is None else first != 0
+
+
 def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
     """The odd classes of g with at least two vertices, as bit masks, or None
     when the listing would visit more than MAX_SETS independent sets or the
-    ``perf_counter()`` deadline passes first.
+    ``perf_counter()`` deadline passes first: the whole of ``_walk``."""
+    classes = list(_walk(g, deadline))
+    return None if classes and classes[-1] is None else classes
+
+
+def _walk(g: Graph, deadline: float | None) -> Iterator[int | None]:
+    """The listing of odd_classes: each odd class of at least two vertices,
+    as a bit mask, when it is visited, then None, last, if the listing gives
+    up.
 
     Each visited set S keeps two masks over its members' neighborhoods: the
     vertices that see any member and those that see an odd number of them.
@@ -71,13 +115,14 @@ def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
     neighbor among the candidates.  No singleton is cut off that way, so every
     independent pair is visited, and a graph that is not ``listable`` is given
     up at once.  The sets are visited depth first, a set's extensions by its
-    lowest candidate first."""
+    lowest candidate first.  The deadline is looked at before the first set
+    and every 256 sets."""
     if not listable(g) or deadline is not None and perf_counter() > deadline:
-        return None
+        yield None
+        return
     n = g.n
     nb = [sum(1 << w for w in a) for a in g.adj]
     full = (1 << n) - 1
-    classes = []
     # (members, seen by any, seen by an odd number, candidates): the
     # candidates are the vertices above the last member beside none of them
     stack = [(1 << v, nb[v], nb[v], full & (-2 << v) & ~nb[v]) for v in range(n - 1, -1, -1)]
@@ -85,14 +130,13 @@ def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
     while stack:
         s, seen, odd, cand = stack.pop()
         listed += 1
-        if listed > MAX_SETS:
-            return None
-        if not listed & 255 and deadline is not None and perf_counter() > deadline:
-            return None
+        if listed > MAX_SETS or not listed & 255 and deadline is not None and perf_counter() > deadline:
+            yield None
+            return
         even = seen & ~odd
         if not even:
             if s & (s - 1):
-                classes.append(s)
+                yield s
         else:
             # S ends at a vertex of even with no neighbor among the candidates
             while even:
@@ -111,7 +155,6 @@ def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
             a = nb[v]
             stack.append((s | low, seen | a, odd ^ a, above & ~a))
             above |= low
-    return classes
 
 
 def _clique(share: list[int], left: int) -> int:

@@ -13,9 +13,14 @@ the integer u * n + v rather than by a tuple: once every row is known to be
 a permutation of its vertex's neighbors, that integer names one dart, and
 integers are cheaper to build and hash.  The map is filled in one walk of
 each row of v that carries the key of the previous dart into v, starting
-from the row's last neighbor, so no rotated copy of the row is made.  The
-traced embedding has genus 0 exactly when V - E + F = 2, which is the
-verdict it reports.
+from the row's last neighbor, so no rotated copy of the row is made.
+
+Each component with an edge is traced on its own surface, and a component
+of genus 0 has V - E + F = 2 over its own vertices, edges and faces.  An
+isolated vertex has no dart and traces no face, so it adds 1.  So the
+embedding has genus 0 on every component exactly when V - E + F = 2c - i,
+where c counts the components and i the isolated vertices, which is the
+verdict it reports.  On a connected graph with an edge this is V - E + F = 2.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ class EmbeddingCheck(NamedTuple):
 
 
 def verify_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> EmbeddingCheck:
-    """Trace every face of the embedding and test V - E + F = 2.
+    """Trace every face of the embedding and test V - E + F = 2c - i, with c
+    components and i isolated vertices.
 
     Raises InvalidRotationError unless rotation lists, for every vertex,
     each of its neighbors exactly once, in some cyclic order.  That check
@@ -60,7 +66,26 @@ def verify_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> EmbeddingCh
         while dart != start:
             dart = nxt.pop(dart)
         faces += 1
-    return EmbeddingCheck(faces, n - g.edge_count + faces == 2)
+    adj = g.adj
+    isolated = adj.count(())
+    return EmbeddingCheck(faces, n - g.edge_count + faces == 2 * _components(adj) - isolated)
+
+
+def _components(adj: tuple[tuple[int, ...], ...]) -> int:
+    """The number of components, each grown from an unseen vertex one
+    breadth-first layer at a time: a layer's neighbors are gathered by one
+    set union over their rows."""
+    row = adj.__getitem__
+    unseen = set(range(len(adj)))
+    count = 0
+    while unseen:
+        layer = {unseen.pop()}
+        count += 1
+        while layer:
+            layer = set().union(*map(row, layer))
+            layer &= unseen
+            unseen -= layer
+    return count
 
 
 def embed_family(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:

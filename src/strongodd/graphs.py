@@ -56,26 +56,29 @@ class Graph:
     ):
         if type(n) is not int or n < 0:
             raise InvalidParameterError(f"vertex count must be an int >= 0, got {n!r}")
-        neigh: list[list[int]] = [[] for _ in range(n)]
+        # the n rows in one request, so a vertex count too large to allocate
+        # fails at once; a vertex gets its own row at its first edge
+        neigh: list[list[int] | tuple[()]] = [()] * n
         for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
                 raise InvalidParameterError(f"edge {e!r} must be a pair of vertices") from None
-            # a bool is an int but would be stored as a bool in the rows; an
-            # endpoint at or above n fails the indexing
-            if not (u.__class__ is int is v.__class__ and u >= 0 <= v):
-                if u.__class__ is int is v.__class__:
-                    raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
+            # a bool is an int but would be stored as a bool in the rows
+            if not (u.__class__ is int is v.__class__):
                 raise InvalidParameterError(f"edge ({u!r}, {v!r}) must join two int vertices")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
-                raise InvalidParameterError(
-                    f"edge ({u}, {v}) out of range for n={n}" if u >= n else f"self-loop at vertex {u}")
-            try:
-                neigh[u].append(v)
-                neigh[v].append(u)
-            except IndexError:
-                raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}") from None
+                raise InvalidParameterError(f"self-loop at vertex {u}")
+            a = neigh[u]
+            if not a:
+                neigh[u] = a = []
+            a.append(v)
+            b = neigh[v]
+            if not b:
+                neigh[v] = b = []
+            b.append(u)
         lab = dict(labels) if labels else {}
         # a duplicate edge is named before a bad label
         self._freeze(neigh, lab)
@@ -426,13 +429,17 @@ def _rows(n: int, us: list[int], vs: list[int]) -> list[list[int] | tuple[()]]:
     """The neighbor rows of the edges ``(us[i], vs[i])``.  The n rows are
     allocated in one request, and a vertex on no edge shares the empty
     tuple, so a vertex count too large to allocate ends in MemoryError at
-    once."""
+    once.  A vertex gets its own row at its first edge."""
     rows: list[list[int] | tuple[()]] = [()] * n
-    for v in {*us, *vs}:
-        rows[v] = []
     for u, v in zip(us, vs):
-        rows[u].append(v)
-        rows[v].append(u)
+        a = rows[u]
+        if not a:
+            rows[u] = a = []
+        a.append(v)
+        b = rows[v]
+        if not b:
+            rows[v] = b = []
+        b.append(u)
     return rows
 
 

@@ -138,26 +138,31 @@ plan searched at k, k + 1, ... within one node budget and one deadline.
 
 Dense graphs defeat this search: their value is near n, and every k below
 it takes a long refutation.  They have few independent sets, though, so
-``_classes`` gets one look at the searches of ``chromatic_strong_odd``.  A
-strong odd coloring is a partition of V into odd classes, independent sets
-that every vertex sees none or an odd number of times, so a least such
-partition is the value.  ``_classes`` lists the odd classes, bounds the
+``_classes`` gets two chances at ``chromatic_strong_odd``.  A strong odd
+coloring is a partition of V into odd classes, independent sets that every
+vertex sees none or an odd number of times, so a least such partition is
+the value.  Both are taken only where ``_classes.listable`` says the
+listing of odd classes can complete, and where the caller's node budget,
+if any, is above ``_CLASSES_AFTER``.  The first comes before the clique
+bound, the plan and any search: ``_classes.has_odd_class`` asks whether g
+has an odd class of two or more vertices at all.  With none, every color
+class is a singleton, and the value is n with the all-distinct coloring,
+decided in 0 nodes; the walk that shows it looks at the deadline, and a
+walk out of time leaves the solve to end in timeout.  Otherwise the
+searches run, and the second chance is one look once they have spent
+``_CLASSES_AFTER`` nodes.  ``_classes`` lists the odd classes, bounds the
 value from below in two ways, by the largest share of a neighborhood that
 one class holds (the parity bound) and by the vertex pairs that share no
 class (the pair bound), and searches for a least partition within a limit
-on its states.  The look comes once the searches have spent
-``_CLASSES_AFTER`` nodes, lists the classes once and, if the listing
-completes, runs one partition search; dense graphs, whose pair bound is
-mostly their value, decide there.  The look's answer is final when the
-partition meets the bound or its search is exhausted; otherwise the bounds
-still raise k, and the interrupted k is searched again.
-Graphs the search decides within the cut, every small one among them,
-never reach it, and the cut is set only where ``_classes.listable`` says
-the listing can complete: on a graph with more than ``_classes.MAX_SETS``
-vertices and non-edges, such as a long cycle, the searches run on the
-caller's budget alone and a solve's node count is the sum of its searches.
-So an exact value rests on a refutation at value - 1, on a lower bound, or
-on an exhausted partition.
+on its states.  The look's answer is final when the partition meets the
+bound or its search is exhausted; otherwise the bounds still raise k, and
+the interrupted k is searched again.
+Graphs the search decides within the cut never reach the look.  On a graph
+with more than ``_classes.MAX_SETS`` vertices and non-edges, such as a long
+cycle, the searches run on the caller's budget alone and a solve's node
+count is the sum of its searches.  So an exact value rests on a refutation
+at value - 1, on a lower bound, on an exhausted partition, or on a
+completed walk with no odd class of two or more vertices in it.
 
 ``brute_force_so`` is the independent oracle: it enumerates canonical color
 assignments outright and re-checks each complete one with ``is_strong_odd``,
@@ -629,10 +634,14 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
 
     Decides k upward from a greedy clique lower bound, on one plan and
     within one budget.  Where the listing of odd classes can complete
-    (``_classes.listable``), the odd classes get one look, when the
-    searches reach _CLASSES_AFTER nodes before the caller's budget stops
-    them.  The look lists the classes (``_classes.odd_classes``) and, if
-    the listing completes, raises the lower bound to the parity bound and
+    (``_classes.listable``) and the caller's node budget, if any, is above
+    _CLASSES_AFTER, the odd classes come in twice.  First, once the order
+    is validated and before anything else, ``_classes.has_odd_class``
+    looks for an odd class of two or more vertices; when its walk completes
+    without one, the value is n, with 0 nodes and the all-distinct coloring
+    as the witness.  Second, when the searches reach _CLASSES_AFTER nodes,
+    the look lists the classes (``_classes.odd_classes``) and, if the
+    listing completes, raises the lower bound to the parity bound and
     searches for a least partition (``_classes.decide_by_classes``).  A
     least partition is the value; a partition search that runs out raises
     the lower bound to its pair bound.  Either way, or where the listing
@@ -640,8 +649,9 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     then searched with the rest of the budget.
     Elsewhere the searches are never cut, and the node count is the sum of
     the searches at each k.  So an exact status rests on a refutation at
-    value - 1, on a lower bound (the clique, parity or pair bound), or on an
-    exhausted partition.  The trivial all-distinct coloring pins the initial
+    value - 1, on a lower bound (the clique, parity or pair bound), on an
+    exhausted partition, or on a completed walk with no odd class of two or
+    more vertices.  The trivial all-distinct coloring pins the initial
     upper bound at |V|; on budget exhaustion the verified bounds found so
     far are returned, never a guess.
     """
@@ -654,6 +664,15 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     # when their listing can complete and the caller's budget comes later,
     # and then at the caller's budget
     look = _classes.listable(g) and (max_nodes is None or max_nodes > _CLASSES_AFTER)
+    if look:
+        # a bad order is refused before the check can end the solve
+        _vertex_order(g, order)
+        if _classes.has_odd_class(g, deadline) is False:
+            # every color class is an odd class, so each one is a singleton
+            witness = Coloring(range(1, g.n + 1))
+            if not is_strong_odd(g, witness):
+                raise InternalError("internal error: the all-distinct coloring failed its check")
+            return SolveResult("exact", g.n, g.n, g.n, witness, 0, perf_counter() - t0)
     cut = _CLASSES_AFTER if look else max_nodes
     lower = max(1, _clique_lower_bound(g))
     plan = _plan(g, order, lower, deadline)

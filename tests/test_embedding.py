@@ -53,8 +53,23 @@ class TestVerifyEmbedding:
         assert faces == {1: 2340, 3: 4974, 5: 462}
 
     def test_isolated_vertex_empty_row(self):
-        # one vertex, no edges, no darts: V - E + F = 1, so not a sphere
-        assert verify_embedding(Graph(1), ((),)) == (0, False)
+        # one vertex, no edges, no darts: V - E + F = 1 = 2c - i with one
+        # component and one isolated vertex, a point on a sphere
+        assert verify_embedding(Graph(1), ((),)) == (0, True)
+        assert verify_embedding(Graph(3), ((), (), ())) == (0, True)
+
+    def test_toroidal_k5_beside_a_triangle(self):
+        # K5 on a torus has 5 faces and the triangle 2, so V - E + F is
+        # 8 - 13 + 7 = 2, a sphere's count, but two components need 4
+        k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        g = Graph(8, k5 + [(5, 6), (6, 7), (5, 7)])
+        rot = [[1, 2, 3, 4], [0, 2, 3, 4], [0, 1, 4, 3], [0, 2, 1, 4], [0, 3, 1, 2], [6, 7], [5, 7], [5, 6]]
+        assert verify_embedding(g, rot) == (7, False)
+
+    def test_two_disjoint_triangles(self):
+        # each triangle has 2 faces: V - E + F = 6 - 6 + 4 = 4 = 2c
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert verify_embedding(g, [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]) == (4, True)
 
     def test_rotation_mismatch_rejected(self):
         with pytest.raises(InvalidRotationError):
@@ -133,8 +148,14 @@ def planar_rotations(seed: int, count: int):
 
 
 def traced_check(g, rotation):
+    """verify_embedding's result from the tuple-dart tracer and networkx's
+    count of components and isolated vertices."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
     faces = traced_faces(g, rotation)
-    return faces, g.n - g.edge_count + faces == 2
+    sphere = 2 * nx.number_connected_components(nxg) - nx.number_of_isolates(nxg)
+    return faces, g.n - g.edge_count + faces == sphere
 
 
 class TestAgainstTracedFaces:
@@ -144,9 +165,9 @@ class TestAgainstTracedFaces:
     def test_networkx_planar_rotations(self, seed):
         for g, nxg, rot in planar_rotations(seed, 40):
             check = verify_embedding(g, rot)
-            assert check == traced_check(g, rot)
-            # a planar embedding of a connected graph is a sphere
-            assert check.euler_ok == (g.n > 0 and nx.is_connected(nxg) and g.edge_count > 0)
+            # a planar embedding has genus 0 on every component, connected
+            # or not
+            assert check == traced_check(g, rot) and check.euler_ok
 
     @pytest.mark.parametrize("seed", range(5))
     def test_one_row_with_two_entries_swapped(self, seed):
@@ -164,6 +185,36 @@ class TestAgainstTracedFaces:
             assert check == traced_check(g, rot)
             broken += sphere and not check.euler_ok
         assert broken > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_check_planarity(self, seed):
+        # disjoint unions of one to three G(n, p), planar or not, connected
+        # or not: networkx's planar rotation passes, and no rotation of a
+        # non-planar graph does
+        rng = random.Random(seed)
+        kinds = Counter()
+        for _ in range(40):
+            n = 0
+            edges = []
+            for _ in range(rng.randint(1, 3)):
+                part = random_graph(rng.randint(1, 9), rng.choice([0.2, 0.5, 0.9]), rng)
+                edges += [(u + n, v + n) for u, v in part.edges()]
+                n += part.n
+            g = Graph(n, edges)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(edges)
+            planar, emb = nx.check_planarity(nxg)
+            if planar:
+                rot = [list(emb.neighbors_cw_order(v)) for v in range(n)]
+                assert verify_embedding(g, rot) == traced_check(g, rot) and verify_embedding(g, rot).euler_ok
+            for _ in range(5):
+                rot = [rng.sample(row, len(row)) for row in g.adj]
+                check = verify_embedding(g, rot)
+                assert check == traced_check(g, rot)
+                assert planar or not check.euler_ok
+            kinds[planar, nx.is_connected(nxg)] += 1
+        assert len(kinds) == 4
 
     @pytest.mark.parametrize("spec", [
         *(Cycle(n) for n in (3, 4, 9)),

@@ -1,9 +1,15 @@
 import hashlib
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import strongodd.graphs
 from helpers import cycle_vertices, family_specs, graphs, labeled_graphs
 from strongodd import (
     Bipyramid,
@@ -119,6 +125,27 @@ class TestGraphType:
             return
         assert all(type(w) is int for row in g.adj for w in row)
         assert g.edge_count == len(g.edges()) == len(edges)
+
+    def test_huge_vertex_count_fails_at_once(self):
+        """``Graph(10**12)`` asks for its rows in one request and ends in
+        MemoryError without filling memory a row at a time.  It runs under a
+        400 MB address-space limit, in a child process."""
+        limit = 400 * 2 ** 20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(strongodd.graphs.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = "from strongodd import Graph\ntry:\n    Graph(10**12)\nexcept MemoryError:\n    print('MemoryError')\n"
+        with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env, preexec_fn=limit_memory) as child:
+            out, err = child.stdout.read(), child.stderr.read()
+            # this child's own peak, which a row-at-a-time fill grows to the limit
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+        assert (child.returncode, out, err) == (0, b"MemoryError\n", b"")
+        assert usage.ru_maxrss < limit // 2 // 1024  # KB
 
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 1)])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import strongodd._classes
 import strongodd.solver
 from helpers import class_sizes_on, cycle_vertices, graphs, is_two_distance_on, random_graph, stacked_triangulation
-from strongodd._classes import decide_by_classes, least_partition, listable, odd_classes, parity_bound
+from strongodd._classes import decide_by_classes, has_odd_class, least_partition, listable, odd_classes, parity_bound
 from strongodd.solver import _clique_lower_bound, _dependent_triples, _plan, _twin_classes, _vertex_order
 from strongodd import (
     Bipyramid,
@@ -35,9 +35,12 @@ from strongodd import (
 
 @pytest.fixture
 def search_alone(monkeypatch):
-    """chromatic_strong_odd without the odd classes: the searches never reach
-    _CLASSES_AFTER, the node count at which the classes get their look, so a
-    pin on the search's own node counts keeps pinning the search."""
+    """chromatic_strong_odd without the odd classes: the check before the
+    searches is told that every graph has an odd class of two or more
+    vertices, and the searches never reach _CLASSES_AFTER, the node count at
+    which the classes get their look, so a pin on the search's own node
+    counts keeps pinning the search."""
+    monkeypatch.setattr(strongodd._classes, "has_odd_class", lambda g, deadline=None: True)
     monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
 
 
@@ -434,12 +437,13 @@ class TestChromatic:
     def test_witness_below_the_scanned_k_raises_internal_error(self, monkeypatch):
         # a yes whose palette is smaller than k contradicts the refutation
         # of k - 1, so it can only come from a bug
+        # C6 has an odd class, the pair of opposite vertices, so the search runs
         def search_with_small_witness(plan, k, *budget):
-            return DecideResult("yes", Coloring([1] * 5), 1, 0.0)
+            return DecideResult("yes", Coloring([1] * 6), 1, 0.0)
 
         monkeypatch.setattr(strongodd.solver, "_search", search_with_small_witness)
         with pytest.raises(InternalError, match="palette differs"):
-            chromatic_strong_odd(build(Cycle(5)))
+            chromatic_strong_odd(build(Cycle(6)))
 
     def test_node_budget_returns_bounds(self):
         g = build(Wheel(12))
@@ -755,23 +759,23 @@ class TestOddClasses:
         assert bound == len(parts) == 1100 and sum(parts) == (1 << n) - 1
 
     def test_dense_graphs_decide_at_the_cut(self):
-        # the search spends its first 250 nodes, and one more to see it,
-        # then the classes decide: these have no odd class of two or more
-        # vertices, so the pair bound is n and so is the value
+        # these have no odd class of two or more vertices, so every color
+        # class is a singleton and the value is n, decided before any search
         for seed, n in enumerate(range(24, 29)):
             g = dense_graph(n, seed)
+            assert has_odd_class(g) is False
             r = chromatic_strong_odd(g, Budget(max_nodes=50_000))
-            assert (r.status, r.nodes, r.value) == ("exact", strongodd.solver._CLASSES_AFTER + 1, n)
+            assert (r.status, r.nodes, r.value) == ("exact", 0, n)
             assert is_strong_odd(g, r.witness) and len(r.witness.palette) == r.value
 
     def test_a_budget_at_the_cut_keeps_the_search(self):
-        # the classes get their look only when the cut, not the caller's
-        # budget, stops the search
+        # the classes, and the check before the search with them, come in
+        # only when the caller's budget is above the cut
         g = dense_graph(26, 1)
         r = chromatic_strong_odd(g, Budget(max_nodes=250))
         assert (r.status, r.nodes) == ("bounds", 251)
         r = chromatic_strong_odd(g, Budget(max_nodes=251))
-        assert (r.status, r.nodes) == ("exact", 251)
+        assert (r.status, r.nodes) == ("exact", 0)
 
     def test_parity_bound_decides_the_wheel_early(self):
         # W14's classes give the pair bound 4, but each holds at most 3 of
@@ -825,9 +829,9 @@ class TestOddClasses:
         assert (r.status, r.lower) == ("bounds", 8)
 
     def test_deadline_during_the_listing_ends_in_timeout(self, monkeypatch):
-        # a clock that jumps past the deadline once the listing has looked at
-        # it a second time: the solve times out instead of giving the exact
-        # value late
+        # a clock that jumps past the deadline once the walk before the
+        # search has looked at it a second time: the solve times out instead
+        # of giving the exact value late
         g = dense_graph(28, 3)
         assert chromatic_strong_odd(g, Budget(max_seconds=10)).status == "exact"
         now = [0.0]
@@ -842,7 +846,7 @@ class TestOddClasses:
         monkeypatch.setattr(strongodd.solver, "perf_counter", lambda: now[0])
         monkeypatch.setattr(strongodd._classes, "perf_counter", listing_clock)
         r = chromatic_strong_odd(g, Budget(max_seconds=10))
-        assert (r.status, r.value, r.nodes) == ("timeout", None, 251) and len(looks) == 2
+        assert (r.status, r.value, r.nodes) == ("timeout", None, 0) and len(looks) == 2
 
     def test_partition_search_stops_at_its_deadline(self, monkeypatch):
         # W14's partition search runs out of states; with a deadline it looks
@@ -890,8 +894,9 @@ class TestOddClasses:
     def test_classes_below_a_refutation_raise_internal_error(self, monkeypatch):
         # a value below the k the search has reached contradicts its
         # refutations, so it can only come from a bug; decide_by_classes
-        # rejects this one-part partition before building a witness
-        g = dense_graph(26, 1)
+        # rejects this one-part partition before building a witness.  W14
+        # has odd classes, and its search reaches the cut
+        g = build(Wheel(14))
         monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower, deadline: (1, [(1 << n) - 1]))
         with pytest.raises(InternalError, match="beat a refutation"):
             chromatic_strong_odd(g)
@@ -901,12 +906,13 @@ class TestClassesDigest:
     """One sha256 over what chromatic_strong_odd returns with the odd classes
     in play, in degree order and in its reverse, under a node budget:
     statuses, bounds, node counts and witnesses.  The corpus holds dense
-    graphs that the classes decide, sparser ones that the search decides
-    within the cut, that the classes decide or that the search decides after
-    the classes give up, and family members whose partition search does not
-    finish."""
+    graphs, four with no odd class of two or more vertices, decided before
+    any search, and one that the classes decide; sparser ones that the
+    search decides within the cut, that the classes decide or that the
+    search decides after the classes give up; and family members whose
+    partition search does not finish."""
 
-    DIGEST = "e063ec1d001d0f12e6c998454b5d349b601e33e81b05e9b1ea78189110ee1bc2"
+    DIGEST = "ac82170f0d898d695f08518f10277c2a96e3db1e3dc99f64fc837fabaf040d94"
 
     def test_digest(self):
         rng = random.Random(16)
@@ -984,6 +990,72 @@ def test_listing_matches_definition_on_any_small_graph(g):
 @given(graphs(max_n=9))
 def test_parity_bound_is_at_most_the_value_on_any_small_graph(g):
     assert parity_bound(g, odd_classes(g)) <= brute_force_so(g).value
+
+
+class TestNoOddClass:
+    """The check before the search: a graph with no odd class of two or more
+    vertices has only singletons for color classes, so its value is n."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(23)
+        graphs = []
+        for i in range(240):
+            n = rng.randint(1, 9)
+            if i % 3 == 0:
+                graphs.append(random_graph(n, rng.choice([0.3, 0.5, 0.7, 0.8, 0.9]), rng))
+            elif i % 3 == 1:
+                graphs.append(stacked_triangulation(max(n, 3), rng))
+            else:
+                graphs.append(planted_twin_graph(max(n, 4), rng.choice([0.5, 0.7]), rng))
+        return graphs + [build(s) for s in (Cycle(4), Cycle(5), Cycle(7), Complete(6), Wheel(5), Wheel(8))]
+
+    def test_no_class_exactly_when_the_value_is_n(self):
+        seen = {True: 0, False: 0}
+        for g in self.corpus():
+            has = has_odd_class(g)
+            assert (has is False) == (brute_force_so(g).value == g.n)
+            seen[has] += 1
+            r = chromatic_strong_odd(g)
+            if not has:
+                assert (r.status, r.lower, r.upper, r.value, r.nodes) == ("exact", g.n, g.n, g.n, 0)
+                assert r.witness == Coloring(range(1, g.n + 1))
+            else:
+                assert r.status == "exact" and r.value < g.n
+        assert min(seen.values()) >= 40
+
+    def test_quick_exit_and_the_walk_agree(self):
+        # the quick exit finds an odd pair exactly when the listing holds a
+        # class of two vertices, and the check finds a class exactly when
+        # the listing holds one
+        rng = random.Random(24)
+        quick = 0
+        for _ in range(200):
+            g = random_graph(rng.randint(1, 16), rng.choice([0.2, 0.4, 0.6, 0.8]), rng)
+            classes = odd_classes(g)
+            pair = strongodd._classes._odd_pair(g)
+            assert pair == any(c.bit_count() == 2 for c in classes)
+            assert has_odd_class(g) == bool(classes)
+            quick += pair
+        assert 50 <= quick <= 150
+
+    def test_a_deadline_inside_the_walk_gives_up(self, monkeypatch):
+        # no odd pair, so the walk runs, and stops at its first look at a
+        # clock past the deadline; an odd pair answers without the clock
+        g = dense_graph(28, 3)
+        assert not strongodd._classes._odd_pair(g)
+        assert has_odd_class(g, -1.0) is None and has_odd_class(g) is False
+        looks = []
+        monkeypatch.setattr(strongodd._classes, "perf_counter", lambda: looks.append(None) or 1e9)
+        assert has_odd_class(build(Cycle(6)), 1.0) is True and not looks
+
+    def test_a_walk_past_max_sets_leaves_the_solve_to_the_search(self, monkeypatch):
+        g = dense_graph(26, 2)
+        assert has_odd_class(g) is False
+        monkeypatch.setattr(strongodd._classes, "MAX_SETS", 100)
+        assert has_odd_class(g) is None
+        r = chromatic_strong_odd(g, Budget(max_nodes=1_000))
+        assert (r.status, r.nodes) == ("bounds", 1_001)
 
 
 class TestPartitionDigest:
