@@ -1,4 +1,5 @@
-"""Strong odd chromatic number from odd classes.
+"""The bit-mask engine of the odd classes: their listing, the parity and
+pair bounds they give, and least partitions into them.
 
 An odd class is an independent set S such that every vertex sees none, one,
 three, five, ... members of S.  The color classes of a strong odd coloring
@@ -19,13 +20,16 @@ of d vertices: each color on it meets it in an odd number of vertices, at
 most the largest share s(x) of N(x) that one class holds, so N(x) needs at
 least d / s(x) colors, their number has d's parity, and x needs one more.
 ``least_partition`` starts from the pair bound, a clique of vertices that
-pairwise share no class, and looks for a least partition by branch and
-bound; ``decide_by_classes`` turns one into a verified coloring, after
-raising the bound it is given to the parity bound.  The listing and the partition search stop early, at fixed limits,
-so they pay only on graphs with few independent sets, such as dense ones,
-where the coloring search is slowest.
-``listable`` tells at once whether the listing can complete, so a caller
-can leave the classes out where they cannot help.
+pairwise share no class, and from the bound its caller gives it, and looks
+for a least partition by branch and bound; ``part_colors`` colors the
+vertices by one.  The engine returns masks, bounds and colors and checks
+no witness: ``solver.chromatic_strong_odd`` raises its lower bound to the
+parity bound before the partition search, and passes the partition's
+coloring through the solver's one witness check.  The listing and the
+partition search stop early, at fixed limits, so they pay only on graphs
+with few independent sets, such as dense ones, where the coloring search
+is slowest.  ``listable`` tells at once whether the listing can complete,
+so a caller can leave the classes out where they cannot help.
 
 Both steps are bit arithmetic in plain loops, since helper calls, not the
 masks, cost the most in Python: a set's members and candidates are vertex
@@ -41,8 +45,6 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterator
 
-from .coloring import Coloring, is_strong_odd
-from .errors import InternalError
 from .graphs import Graph
 
 MAX_SETS = 4_096  # independent sets the listing may visit
@@ -309,30 +311,11 @@ def parity_bound(g: Graph, classes: list[int]) -> int:
     return best
 
 
-def decide_by_classes(
-    g: Graph, classes: list[int], lower: int, deadline: float | None = None
-) -> tuple[int, Coloring | None]:
-    """(value, witness) or (lower bound, None) for g from its completed
-    listing of odd classes, given lower, a known lower bound such as the
-    least k the coloring search has not refuted.
-
-    lower is first raised to the parity bound.  The pair is the value of g
-    with a verified witness when least_partition then finds a least
-    partition within MAX_NODES states, and the pair bound (at least the
-    raised lower) with None when it runs out.  A value below the raised
-    lower contradicts the bounds behind it and raises InternalError."""
-    lower = max(lower, parity_bound(g, classes))
-    bound, parts = least_partition(g.n, classes, lower, deadline)
-    if parts is None:
-        return bound, None
-    if len(parts) < lower:
-        raise InternalError("internal error: odd classes beat a refutation")
-    colors = [0] * g.n
-    # colors numbered in the order of their first vertex
+def part_colors(n: int, parts: list[int]) -> list[int]:
+    """The colors of the n vertices that a partition, as masks, gives them:
+    1, 2, ... in the order of each part's lowest vertex."""
+    colors = [0] * n
     for i, part in enumerate(sorted(parts, key=lambda p: p & -p), 1):
         for v in _bits(part):
             colors[v] = i
-    witness = Coloring(colors)
-    if not is_strong_odd(g, witness):
-        raise InternalError("internal error: odd classes produced an invalid witness")
-    return len(parts), witness
+    return colors

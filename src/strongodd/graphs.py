@@ -7,9 +7,10 @@ Each check runs once, where its data enters.  ``Graph(n, edges, labels)``
 checks every edge and label it is given; ``from_dimacs`` checks the text
 it reads, in bulk when the text is laid out exactly as ``to_dimacs``
 writes it and line by line otherwise; ``build`` takes its sizes from a
-spec that has checked them.  The last two fill per-vertex neighbor rows
-directly, and all three end in the same construction tail, whose
-duplicate-edge check every graph passes.  The rows ``build`` fills for
+spec that has checked them.  The first two collect their checked edges
+and fill per-vertex neighbor rows from them with ``_rows``, ``build``
+fills its rows directly, and all three end in the same construction tail,
+whose duplicate-edge check every graph passes.  The rows ``build`` fills for
 Cycle, Wheel, Bipyramid and BipyramidUnion come in the cyclic order of a
 planar embedding, the rotation system that ``embedding.embed_family``
 returns.
@@ -40,10 +41,11 @@ class Graph:
     token without whitespace, so every graph that constructs reads back
     from its ``to_dimacs`` text as an equal graph.  The constructor checks
     each edge (a pair of int endpoints in range, no self-loop) and each
-    label (an int vertex in range, a one-token role).  ``from_dimacs`` and
-    ``build`` bound their edges and labels themselves and hand per-vertex
-    neighbor rows to ``_from_rows``.  All three end in ``_freeze``, which
-    runs the one duplicate-edge check every graph passes.
+    label (an int vertex in range, a one-token role), and fills its rows
+    from the checked edges with ``_rows``, as ``from_dimacs`` does.
+    ``from_dimacs`` and ``build`` bound their edges and labels themselves
+    and hand per-vertex neighbor rows to ``_from_rows``.  All three end in
+    ``_freeze``, which runs the one duplicate-edge check every graph passes.
     """
 
     __slots__ = ("n", "adj", "edge_count", "_labels")
@@ -56,9 +58,8 @@ class Graph:
     ):
         if type(n) is not int or n < 0:
             raise InvalidParameterError(f"vertex count must be an int >= 0, got {n!r}")
-        # the n rows in one request, so a vertex count too large to allocate
-        # fails at once; a vertex gets its own row at its first edge
-        neigh: list[list[int] | tuple[()]] = [()] * n
+        us: list[int] = []
+        vs: list[int] = []
         for e in edges:
             try:
                 u, v = e
@@ -71,17 +72,11 @@ class Graph:
                 raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InvalidParameterError(f"self-loop at vertex {u}")
-            a = neigh[u]
-            if not a:
-                neigh[u] = a = []
-            a.append(v)
-            b = neigh[v]
-            if not b:
-                neigh[v] = b = []
-            b.append(u)
+            us.append(u)
+            vs.append(v)
         lab = dict(labels) if labels else {}
         # a duplicate edge is named before a bad label
-        self._freeze(neigh, lab)
+        self._freeze(_rows(n, us, vs), lab)
         for v, role in lab.items():
             if type(v) is not int or not 0 <= v < n:
                 raise InvalidParameterError(f"label on nonexistent vertex {v!r}")

@@ -128,13 +128,15 @@ Every tried color is one search node, counted in ascending order, whether
 the search descends into it or the rules had already killed it; dead colors
 are counted in bulk by popcount.  The search runs on an explicit stack, one
 frame per colored vertex, so its depth is not limited by Python's recursion
-limit.  Every yes answer is re-checked through the public verifier before
-it is returned.
+limit.
 
-``_plan`` sets up the order, the twin classes, the triples and the three
-tables once; ``_search`` decides one k on them from no colored vertex.
-``decide_k`` is one plan and one search, and ``chromatic_strong_odd`` one
-plan searched at k, k + 1, ... within one node budget and one deadline.
+``_plan`` sets up the twin classes, the triples and the three tables once
+for a vertex order; ``_search`` decides one k on them from no colored
+vertex.  ``decide_k`` is one plan and one search, and
+``chromatic_strong_odd`` one plan searched at k, k + 1, ... within one node
+budget and one deadline.  Every witness leaves the solver through one
+check, ``_check``: the public verifier, and a color count within the
+bounds its answer has proven.
 
 Dense graphs defeat this search: their value is near n, and every k below
 it takes a long refutation.  They have few independent sets, though, so
@@ -331,14 +333,24 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
     # the canonical cap never reaches a color above n, so a larger k would
     # only make the per-vertex counters longer
     k = min(k, g.n)
-    plan = _plan(g, order, k, deadline)
+    plan = _plan(g, _vertex_order(g, order), k, deadline)
     if plan is None:
         return DecideResult("timeout", None, 0, perf_counter() - t0, "max-seconds")
-    return _search(plan, k, budget.max_nodes if budget else None, deadline, t0)
+    r = _search(plan, k, budget.max_nodes if budget else None, deadline, t0)
+    if r.witness is not None:
+        _check(g, r.witness, 1, k)
+    return r
 
 
-def _plan(g: Graph, order, k: int, deadline: float | None) -> tuple | None:
-    """The search plan for g in the given order, fit for k and every larger
+def _check(g: Graph, witness: Coloring, lower: int, upper: int) -> None:
+    """Raise InternalError, a bug, unless witness is strong odd by the public
+    verifier with between lower and upper colors, its answer's bounds."""
+    if not is_strong_odd(g, witness) or not lower <= len(witness.palette) <= upper:
+        raise InternalError(f"internal error: a witness failed its check for {lower}..{upper} colors")
+
+
+def _plan(g: Graph, seq: list[int], k: int, deadline: float | None) -> tuple | None:
+    """The search plan for g in the order seq, fit for k and every larger
     k: the tuple (g, seq, cls, prev, after, third, ones, twos, many), or
     None when the ``perf_counter()`` deadline passes while the triples are
     listed.
@@ -354,7 +366,6 @@ def _plan(g: Graph, order, k: int, deadline: float | None) -> tuple | None:
     many leave out entries with t < k and are sorted by t, highest first,
     so a search at a larger k pops their tails.
     """
-    seq = _vertex_order(g, order)
     n = g.n
     adj = g.adj
     classes = _twin_classes(g)
@@ -593,17 +604,12 @@ def _search(plan: tuple, k: int, max_nodes: int | None, deadline: float | None, 
             return DecideResult("no", None, nodes, perf_counter() - t0)
     if reason is not None:
         return DecideResult("timeout", None, nodes, perf_counter() - t0, reason)
-    witness = Coloring(color)
-    if not is_strong_odd(g, witness) or len(witness.palette) > k:
-        raise InternalError("internal error: search produced an invalid witness")
-    return DecideResult("yes", witness, nodes, perf_counter() - t0)
+    return DecideResult("yes", Coloring(color), nodes, perf_counter() - t0)
 
 
 def _clique_lower_bound(g: Graph) -> int:
     """Size of a greedily grown clique; a valid lower bound since the
     chromatic number bounds the strong odd chromatic number from below."""
-    if g.n == 0:
-        return 0
     n = g.n
     adj = g.adj
     # the next member is the candidate of highest degree, then lowest index
@@ -636,13 +642,13 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     within one budget.  Where the listing of odd classes can complete
     (``_classes.listable``) and the caller's node budget, if any, is above
     _CLASSES_AFTER, the odd classes come in twice.  First, once the order
-    is validated and before anything else, ``_classes.has_odd_class``
+    is resolved and before anything else, ``_classes.has_odd_class``
     looks for an odd class of two or more vertices; when its walk completes
     without one, the value is n, with 0 nodes and the all-distinct coloring
     as the witness.  Second, when the searches reach _CLASSES_AFTER nodes,
     the look lists the classes (``_classes.odd_classes``) and, if the
     listing completes, raises the lower bound to the parity bound and
-    searches for a least partition (``_classes.decide_by_classes``).  A
+    searches for a least partition (``_classes.least_partition``).  A
     least partition is the value; a partition search that runs out raises
     the lower bound to its pair bound.  Either way, or where the listing
     gives up, the interrupted k, or the raised bound if that is higher, is
@@ -651,31 +657,28 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
     the searches at each k.  So an exact status rests on a refutation at
     value - 1, on a lower bound (the clique, parity or pair bound), on an
     exhausted partition, or on a completed walk with no odd class of two or
-    more vertices.  The trivial all-distinct coloring pins the initial
-    upper bound at |V|; on budget exhaustion the verified bounds found so
-    far are returned, never a guess.
+    more vertices.  Each exact answer's witness passes ``_check`` between
+    those bounds, in ``_exact``, before it is returned.  The trivial
+    all-distinct coloring pins the initial upper bound at |V|; on budget
+    exhaustion the verified bounds found so far are returned, never a guess.
     """
     if g.n == 0:
         raise InvalidParameterError("chromatic_strong_odd requires a nonempty graph")
     t0 = perf_counter()
     deadline = t0 + budget.max_seconds if budget and budget.max_seconds else None
     max_nodes = budget.max_nodes if budget else None
+    n = g.n
+    seq = _vertex_order(g, order)
     # the searches stop at _CLASSES_AFTER nodes for the classes' one look,
     # when their listing can complete and the caller's budget comes later,
     # and then at the caller's budget
     look = _classes.listable(g) and (max_nodes is None or max_nodes > _CLASSES_AFTER)
-    if look:
-        # a bad order is refused before the check can end the solve
-        _vertex_order(g, order)
-        if _classes.has_odd_class(g, deadline) is False:
-            # every color class is an odd class, so each one is a singleton
-            witness = Coloring(range(1, g.n + 1))
-            if not is_strong_odd(g, witness):
-                raise InternalError("internal error: the all-distinct coloring failed its check")
-            return SolveResult("exact", g.n, g.n, g.n, witness, 0, perf_counter() - t0)
+    if look and _classes.has_odd_class(g, deadline) is False:
+        # every color class is an odd class, so each one is a singleton
+        return _exact(g, Coloring(range(1, n + 1)), n, n, 0, t0)
     cut = _CLASSES_AFTER if look else max_nodes
-    lower = max(1, _clique_lower_bound(g))
-    plan = _plan(g, order, lower, deadline)
+    lower = _clique_lower_bound(g)
+    plan = _plan(g, seq, lower, deadline)
     nodes = 0
     reason = "max-seconds"  # kept when the deadline passes during the plan
     while plan is not None:
@@ -688,26 +691,34 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
             cut = max_nodes
             classes = _classes.odd_classes(g, deadline)
             if classes is not None:
-                lower, witness = _classes.decide_by_classes(g, classes, lower, deadline)
-                if witness is not None:
-                    return SolveResult("exact", lower, lower, lower, witness, nodes, perf_counter() - t0)
+                lower = max(lower, _classes.parity_bound(g, classes))
+                bound, parts = _classes.least_partition(n, classes, lower, deadline)
+                if parts is not None:
+                    return _exact(g, Coloring(_classes.part_colors(n, parts)), lower, n, nodes, t0)
+                lower = bound
             continue
         if deadline is not None and perf_counter() > deadline:
             break
         r = _search(plan, lower, None if cut is None else cut - nodes, deadline, t0)
         nodes += r.nodes
         if r.answer == "yes":
-            if len(r.witness.palette) != lower:
-                # cannot happen with a sound lower bound: a smaller witness
-                # would contradict the refutation of lower - 1
-                raise InternalError("internal error: exact witness palette differs from value")
-            return SolveResult("exact", lower, lower, lower, r.witness, nodes, perf_counter() - t0)
+            # nothing below lower colors g, so the witness has exactly lower
+            return _exact(g, r.witness, lower, lower, nodes, t0)
         if r.answer == "no":
             lower += 1
         elif r.reason == "max-seconds":
             break
     status = "timeout" if reason == "max-seconds" else "bounds"
-    return SolveResult(status, lower, g.n, None, Coloring(range(1, g.n + 1)), nodes, perf_counter() - t0)
+    return SolveResult(status, lower, n, None, Coloring(range(1, n + 1)), nodes, perf_counter() - t0)
+
+
+def _exact(g: Graph, witness: Coloring, lower: int, upper: int, nodes: int, t0: float) -> SolveResult:
+    """An exact answer of chromatic_strong_odd, its value the color count of
+    witness, checked between lower and upper: n..n with no odd class, the
+    raised lower bound..n for a least partition, and k..k for a yes at k."""
+    _check(g, witness, lower, upper)
+    value = len(witness.palette)
+    return SolveResult("exact", value, value, value, witness, nodes, perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

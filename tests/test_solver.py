@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import strongodd._classes
 import strongodd.solver
 from helpers import class_sizes_on, cycle_vertices, graphs, is_two_distance_on, random_graph, stacked_triangulation
-from strongodd._classes import decide_by_classes, has_odd_class, least_partition, listable, odd_classes, parity_bound
+from strongodd._classes import has_odd_class, least_partition, listable, odd_classes, parity_bound, part_colors
 from strongodd.solver import _clique_lower_bound, _dependent_triples, _plan, _twin_classes, _vertex_order
 from strongodd import (
     Bipyramid,
@@ -104,11 +104,6 @@ class TestDecideK:
         r = decide_k(g, 7, order=list(range(g.n)))
         assert r.answer == "yes"
 
-    def test_failed_witness_check_raises_internal_error(self, monkeypatch):
-        monkeypatch.setattr(strongodd.solver, "is_strong_odd", lambda g, c: False)
-        with pytest.raises(InternalError, match="invalid witness"):
-            decide_k(build(Cycle(3)), 3)
-
     def test_bad_order(self):
         with pytest.raises(InvalidParameterError):
             decide_k(build(Cycle(3)), 2, order=[0, 0, 1])
@@ -122,6 +117,66 @@ class TestDecideK:
             decide_k(build(Cycle(3)), 2, order="random")
         with pytest.raises(InvalidParameterError, match="unknown vertex order 'random'"):
             chromatic_strong_odd(build(Cycle(3)), order="random")
+
+
+def outcome(g):
+    r = chromatic_strong_odd(g)
+    return r.status, r.value, r.nodes
+
+
+def search_yes_with_a_color_per_vertex(monkeypatch):
+    # a strong odd witness, but with more colors than any k < n allows
+    monkeypatch.setattr(strongodd.solver, "_search",
+                        lambda plan, k, *budget: DecideResult("yes", Coloring(range(1, plan[0].n + 1)), 1, 0.0))
+
+
+def no_class_with_one_color(monkeypatch):
+    # the all-distinct coloring made one color, taken by the verifier
+    monkeypatch.setattr(strongodd.solver, "is_strong_odd", lambda g, c: True)
+    monkeypatch.setattr(strongodd.solver, "Coloring", lambda colors: Coloring([1] * len(colors)))
+
+
+def classes_with_one_part(monkeypatch):
+    # one part, below the parity bound 7, taken by the verifier
+    monkeypatch.setattr(strongodd.solver, "is_strong_odd", lambda g, c: True)
+    monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower, deadline: (1, [(1 << n) - 1]))
+
+
+class TestOneWitnessCheck:
+    """Every witness leaves the solver through one check: strong odd by the
+    verifier, with a color count within the bounds its answer has proven.
+    Each exit is run as it is, with the verifier rejecting every coloring,
+    and with a witness outside its bounds; the last two can only come from
+    a bug, so both raise InternalError.  The exits are decide_k's yes (1..k
+    colors) and chromatic_strong_odd's three exact answers: K5 has no odd
+    class (n..n), W14's classes decide it at the cut (the parity bound
+    7..n), and C6's search says yes at its clique bound (k..k)."""
+
+    EXITS = {
+        "decide_k_yes": (lambda: decide_k(build(Wheel(9)), 4).answer, "yes", search_yes_with_a_color_per_vertex),
+        "no_class": (lambda: outcome(build(Complete(5))), ("exact", 5, 0), no_class_with_one_color),
+        "classes": (lambda: outcome(build(Wheel(14))), ("exact", 7, 251), classes_with_one_part),
+        "search_yes": (lambda: outcome(build(Cycle(6))), ("exact", 3, 7), search_yes_with_a_color_per_vertex),
+    }
+
+    @pytest.mark.parametrize("name", EXITS)
+    def test_exit_passes_its_check(self, name):
+        call, want, _ = self.EXITS[name]
+        assert call() == want
+
+    @pytest.mark.parametrize("name", EXITS)
+    def test_rejected_witness_raises_internal_error(self, monkeypatch, name):
+        call, _, _ = self.EXITS[name]
+        monkeypatch.setattr(strongodd.solver, "is_strong_odd", lambda g, c: False)
+        with pytest.raises(InternalError):
+            call()
+
+    @pytest.mark.parametrize("name", EXITS)
+    def test_witness_outside_its_bounds_raises_internal_error(self, monkeypatch, name):
+        call, _, outside = self.EXITS[name]
+        outside(monkeypatch)
+        with pytest.raises(InternalError):
+            call()
 
 
 class TestNodeCounts:
@@ -434,17 +489,6 @@ class TestChromatic:
         with pytest.raises(InvalidParameterError):
             chromatic_strong_odd(Graph(0))
 
-    def test_witness_below_the_scanned_k_raises_internal_error(self, monkeypatch):
-        # a yes whose palette is smaller than k contradicts the refutation
-        # of k - 1, so it can only come from a bug
-        # C6 has an odd class, the pair of opposite vertices, so the search runs
-        def search_with_small_witness(plan, k, *budget):
-            return DecideResult("yes", Coloring([1] * 6), 1, 0.0)
-
-        monkeypatch.setattr(strongodd.solver, "_search", search_with_small_witness)
-        with pytest.raises(InternalError, match="palette differs"):
-            chromatic_strong_odd(build(Cycle(6)))
-
     def test_node_budget_returns_bounds(self):
         g = build(Wheel(12))
         r = chromatic_strong_odd(g, Budget(max_nodes=5))
@@ -717,12 +761,14 @@ class TestOddClasses:
             if g.n <= 9:
                 assert brute_force_so(g).value == value
             classes = odd_classes(g)  # every listing here completes
-            assert parity_bound(g, classes) <= value
-            found, witness = decide_by_classes(g, classes, 1)
-            if witness is None:
+            lower = parity_bound(g, classes)
+            assert lower <= value
+            found, parts = least_partition(g.n, classes, lower)
+            if parts is None:
                 assert found <= value
             else:
-                assert found == value == len(witness.palette) and is_strong_odd(g, witness)
+                witness = Coloring(part_colors(g.n, parts))
+                assert len(parts) == value == len(witness.palette) and is_strong_odd(g, witness)
                 decided += 1
         assert decided >= 295
 
@@ -737,8 +783,10 @@ class TestOddClasses:
         # the paper's one-point unions that need 15 to 17 colors, proved
         # sharing no pruning rule with the search
         g = build(BipyramidUnion(m, n))
-        found, witness = decide_by_classes(g, odd_classes(g), 1)
-        assert found == value == len(witness.palette) and is_strong_odd(g, witness)
+        classes = odd_classes(g)
+        _, parts = least_partition(g.n, classes, parity_bound(g, classes))
+        witness = Coloring(part_colors(g.n, parts))
+        assert len(parts) == value == len(witness.palette) and is_strong_odd(g, witness)
 
     def test_long_cycle_lists_no_set(self):
         # its 4,999 singletons and 12.5 M independent pairs are far past the
@@ -821,7 +869,8 @@ class TestOddClasses:
         # search does not finish; the search goes on from k = 12 and stops
         # one node past the budget, where the search alone gets to k = 8
         g = build(BipyramidUnion(8, 11))
-        assert decide_by_classes(g, odd_classes(g), 1) == (12, None)
+        classes = odd_classes(g)
+        assert least_partition(g.n, classes, parity_bound(g, classes)) == (12, None)
         r = chromatic_strong_odd(g, Budget(max_nodes=1_001))
         assert (r.status, r.lower, r.nodes) == ("bounds", 12, 1_002)
         monkeypatch.setattr(strongodd.solver, "_CLASSES_AFTER", 1 << 62)
@@ -891,16 +940,6 @@ class TestOddClasses:
         assert (r.status, r.lower, r.value, r.nodes) == ("timeout", 7, None, 251)
         assert len(looks) == len(listing) + 5
 
-    def test_classes_below_a_refutation_raise_internal_error(self, monkeypatch):
-        # a value below the k the search has reached contradicts its
-        # refutations, so it can only come from a bug; decide_by_classes
-        # rejects this one-part partition before building a witness.  W14
-        # has odd classes, and its search reaches the cut
-        g = build(Wheel(14))
-        monkeypatch.setattr(strongodd._classes, "least_partition", lambda n, classes, lower, deadline: (1, [(1 << n) - 1]))
-        with pytest.raises(InternalError, match="beat a refutation"):
-            chromatic_strong_odd(g)
-
 
 class TestClassesDigest:
     """One sha256 over what chromatic_strong_odd returns with the odd classes
@@ -946,7 +985,7 @@ class TestPlanDigest:
         for g in graphs:
             lower = _clique_lower_bound(g)
             for k in (lower, lower + 2):
-                _, _, _, _, _, _, ones, twos, many = _plan(g, "degree", k, None)
+                _, _, _, _, _, _, ones, twos, many = _plan(g, _vertex_order(g, "degree"), k, None)
                 h.update(repr([[list(row) for row in table] for table in (ones, twos, many)]).encode())
         assert h.hexdigest() == self.DIGEST
 
