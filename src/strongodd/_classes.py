@@ -12,13 +12,13 @@ INFORMS J. Computing 8, 1996), with "odd" in place of "independent".
 ones of at least two vertices (every singleton is one).  With none of
 them, every color class is a singleton and the value is n, so
 ``has_odd_class`` asks just that, first by looking for an independent pair
-with no common neighbor, itself an odd class, and then by the listing's own
-walk (``_walk``), stopped at the first class it meets; a walk that
-completes without one decides the value.  A completed listing bounds the
-value from below in two ways.  ``parity_bound`` reads a neighborhood N(x)
-of d vertices: each color on it meets it in an odd number of vertices, at
-most the largest share s(x) of N(x) that one class holds, so N(x) needs at
-least d / s(x) colors, their number has d's parity, and x needs one more.
+with no common neighbor, itself an odd class, and then by the listing
+itself, stopped at its first class; a listing that completes without one
+decides the value.  A completed listing bounds the value from below in
+two ways.  ``parity_bound`` reads a neighborhood N(x) of d vertices: each
+color on it meets it in an odd number of vertices, at most the largest
+share s(x) of N(x) that one class holds, so N(x) needs at least d / s(x)
+colors, their number has d's parity, and x needs one more.
 ``least_partition`` starts from the pair bound, a clique of vertices that
 pairwise share no class, and from the bound its caller gives it, and looks
 for a least partition by branch and bound; ``part_colors`` colors the
@@ -36,14 +36,12 @@ masks, cost the most in Python: a set's members and candidates are vertex
 masks walked with ``x & -x`` and ``bit_length``, and the partition search
 holds a set of classes as a mask over their indices, so taking a class,
 counting a vertex's classes and listing its branches are one mask operation
-each.  Both look at a caller's ``perf_counter()`` deadline, and so does the
-walk of ``has_odd_class``.
+each.  Both look at a caller's ``perf_counter()`` deadline.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterator
 
 from .graphs import Graph
 
@@ -87,28 +85,21 @@ def _odd_pair(g: Graph) -> bool:
 
 def has_odd_class(g: Graph, deadline: float | None = None) -> bool | None:
     """Whether g has an odd class of at least two vertices, or None when the
-    walk of odd_classes gives up first, past MAX_SETS sets or the
-    ``perf_counter()`` deadline.  An odd pair answers at once; otherwise the
-    walk runs to the first class it meets, so False is a completed listing
-    with no class in it."""
+    listing gives up first, past MAX_SETS sets or the ``perf_counter()``
+    deadline.  An odd pair answers at once; otherwise the listing stops at
+    the first class it meets, so False is a completed listing with no class
+    in it."""
     if _odd_pair(g):
         return True
-    first = next(_walk(g, deadline), 0)
-    return None if first is None else first != 0
+    first = odd_classes(g, deadline, 1)
+    return None if first is None else bool(first)
 
 
-def odd_classes(g: Graph, deadline: float | None = None) -> list[int] | None:
-    """The odd classes of g with at least two vertices, as bit masks, or None
-    when the listing would visit more than MAX_SETS independent sets or the
-    ``perf_counter()`` deadline passes first: the whole of ``_walk``."""
-    classes = list(_walk(g, deadline))
-    return None if classes and classes[-1] is None else classes
-
-
-def _walk(g: Graph, deadline: float | None) -> Iterator[int | None]:
-    """The listing of odd_classes: each odd class of at least two vertices,
-    as a bit mask, when it is visited, then None, last, if the listing gives
-    up.
+def odd_classes(g: Graph, deadline: float | None = None, most: int | None = None) -> list[int] | None:
+    """The odd classes of g with at least two vertices, as bit masks in the
+    order they are visited, only the first ``most`` of them when it is given,
+    or None when the listing would visit more than MAX_SETS independent sets
+    or the ``perf_counter()`` deadline passes first.
 
     Each visited set S keeps two masks over its members' neighborhoods: the
     vertices that see any member and those that see an odd number of them.
@@ -120,25 +111,26 @@ def _walk(g: Graph, deadline: float | None) -> Iterator[int | None]:
     lowest candidate first.  The deadline is looked at before the first set
     and every 256 sets."""
     if not listable(g) or deadline is not None and perf_counter() > deadline:
-        yield None
-        return
+        return None
     n = g.n
     nb = [sum(1 << w for w in a) for a in g.adj]
     full = (1 << n) - 1
     # (members, seen by any, seen by an odd number, candidates): the
     # candidates are the vertices above the last member beside none of them
     stack = [(1 << v, nb[v], nb[v], full & (-2 << v) & ~nb[v]) for v in range(n - 1, -1, -1)]
+    classes = []
     listed = 0
     while stack:
         s, seen, odd, cand = stack.pop()
         listed += 1
         if listed > MAX_SETS or not listed & 255 and deadline is not None and perf_counter() > deadline:
-            yield None
-            return
+            return None
         even = seen & ~odd
         if not even:
             if s & (s - 1):
-                yield s
+                classes.append(s)
+                if len(classes) == most:
+                    return classes
         else:
             # S ends at a vertex of even with no neighbor among the candidates
             while even:
@@ -157,22 +149,20 @@ def _walk(g: Graph, deadline: float | None) -> Iterator[int | None]:
             a = nb[v]
             stack.append((s | low, seen | a, odd ^ a, above & ~a))
             above |= low
+    return classes
 
 
-def _clique(share: list[int], left: int) -> int:
+def _clique(shares: list[tuple[int, int]], left: int) -> int:
     """The size of a greedy clique among the vertices of left, two of them
-    joined when no class within left holds both; share[v] is the union of
-    the classes within left that hold v.  The members need distinct parts.
-    From each seed in descending degree, the next member is the candidate
-    of highest degree, then lowest index."""
+    joined when no class within left holds both; shares pairs each vertex
+    of left, in ascending order, with the union of the classes within left
+    that hold it.  The members need distinct parts.  From each seed in
+    descending degree, the next member is the candidate of highest degree,
+    then lowest index."""
     apart, deg = {}, {}
-    rest = left
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        apart[v] = a = left & ~share[v]
+    for v, share in shares:
+        apart[v] = a = left & ~share
         deg[v] = a.bit_count()
-        rest ^= low
     best = 0
     for seed in sorted(deg, key=deg.__getitem__, reverse=True):
         if deg[seed] < best:  # no clique through it or a later seed beats best
@@ -242,7 +232,7 @@ def least_partition(
         nodes += 1
         if nodes > MAX_NODES or deadline is not None and perf_counter() > deadline:
             return bound, None
-        share = [0] * n
+        shares = []  # (v, the union of v's classes) for each v not forced
         forced = fewest = least = 0
         rest = left
         while rest:
@@ -260,11 +250,11 @@ def least_partition(
             for w, both in pairs[v]:
                 if mine & both:
                     union |= w
-            share[v] = union
+            shares.append((v, union))
         if forced:
             left &= ~forced
             taken = taken + [1 << v for v in _bits(forced)]
-        need = len(taken) + _clique(share, left)
+        need = len(taken) + _clique(shares, left)
         if nodes == 1:
             bound = max(bound, need)
         if not left:

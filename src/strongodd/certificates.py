@@ -23,8 +23,9 @@ rows once, for certify's log and for recheck's result.  On recheck
 "family" reads the named BipyramidUnion(m, n) spec once and passes only
 when ``graph_dimacs`` is byte for byte ``to_dimacs`` of its build, the
 text certify writes; a family of another kind, with sizes the spec
-refuses, or of another vertex count than the graph text's header fails
-before anything is built.  When "family" passes, the other rows judge
+refuses, of another vertex count than the graph text's header, or with
+a graph text shorter than any text of that family fails before anything
+is built.  When "family" passes, the other rows judge
 that build, and the graph text is not parsed; otherwise they judge the
 parsed graph text, and an unparsable graph raises the parser's error.  An
 unparsable coloring raises its parser's error, and a rotation that does
@@ -247,14 +248,18 @@ def _judge(g: Graph, col: Coloring, claimed: int, euler_ok: bool) -> list[tuple[
 def _bundled_family(fam: dict, graph_text: str) -> tuple[BipyramidUnion, Graph] | tuple[None, None]:
     """The BipyramidUnion that ``fam`` names and its build, when
     ``graph_text`` is byte for byte that build's ``to_dimacs`` text;
-    otherwise (None, None)."""
+    otherwise (None, None).  No build is made for a text shorter than
+    18 (m + n) bytes, the 3 (m + n) edge lines of at least 6 bytes each
+    that every such text holds."""
     try:
         spec = BipyramidUnion(fam.get("m"), fam.get("n"))
     except InvalidParameterError:  # the spec judges the sizes' types and least values
         return None, None
-    # the kind and the header's vertex count first, so a forged family never
-    # builds a graph larger than the text announces
-    if fam.get("kind") != "bipyramid-union" or not graph_text.startswith(f"p edge {spec.m + spec.n + 3} "):
+    # the kind, the length and the header's vertex count first, so a forged
+    # family never builds a graph larger than the text's length allows
+    size = spec.m + spec.n
+    if (fam.get("kind") != "bipyramid-union" or len(graph_text) < 18 * size
+            or not graph_text.startswith(f"p edge {size + 3} ")):
         return None, None
     g = build(spec)
     return (spec, g) if to_dimacs(g) == graph_text else (None, None)

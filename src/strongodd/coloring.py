@@ -206,6 +206,6 @@ def _walk(text: str, n: int) -> Coloring:
             raise ParseError(f"vertex {v} colored twice", lineno)
         colors[v - 1] = color
     if 0 in colors:
-        missing = [v + 1 for v, c in enumerate(colors) if not c]
-        raise ParseError(f"vertices {missing} have no color")
+        # named by the first and counted, since the list can be millions long
+        raise ParseError(f"vertex {colors.index(0) + 1} has no color ({colors.count(0)} of {n} uncolored)")
     return Coloring(colors)

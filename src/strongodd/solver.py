@@ -330,8 +330,8 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
         raise InvalidParameterError("decide_k requires a nonempty graph")
     t0 = perf_counter()
     deadline = t0 + budget.max_seconds if budget and budget.max_seconds else None
-    # the canonical cap never reaches a color above n, so a larger k would
-    # only make the per-vertex counters longer
+    # the canonical cap never reaches a color above n, so a larger k
+    # searches as k = n does, only on wider color masks
     k = min(k, g.n)
     plan = _plan(g, _vertex_order(g, order), k, deadline)
     if plan is None:
@@ -441,7 +441,9 @@ def _search(plan: tuple, k: int, max_nodes: int | None, deadline: float | None, 
         while row and row[-1][0] < k:
             row.pop()
     color = [0] * n
-    cnt = [[0] * n for _ in range(k + 1)]  # cnt[c][v]: v's neighbors colored c
+    # cnt[c][v]: v's neighbors colored c, with a row for each color up to
+    # one past the largest used, the most the canonical cap lets in
+    cnt = [[0] * n, [0] * n]
     odd = [0] * n  # colors on an odd number of colored neighbors
     present = [0] * n  # colors on at least one colored neighbor
     tc = [0] * n  # tc[cls[v]]: the colors on the colored members of v's class
@@ -584,6 +586,8 @@ def _search(plan: tuple, k: int, max_nodes: int | None, deadline: float | None, 
                 break
             if c > maxused:
                 maxused = c
+                if len(cnt) == c + 1:
+                    cnt.append([0] * n)
             u = seq[len(stack)]
             tried, viable = options(u, maxused)
         elif stack:

@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -369,6 +374,34 @@ class TestReverify:
         data["family"] = {"kind": "bipyramid-union", "m": 2, "n": 9}
         ok, results = reverify_certificate(json.dumps(data))
         assert not ok and [name for name, good in results if not good] == ["family"]
+
+    def test_forged_family_of_any_size_builds_nothing(self, tmp_path):
+        """``certify --recheck`` of a bundle whose family names three million
+        vertices and whose graph text is one 17-byte header: the text is
+        too short for that family, so nothing is built, and the recheck
+        ends in the coloring's parse error, not "out of memory".  Run under
+        a 400 MB address-space limit, in a child process."""
+        data = json.loads(counterexample(11).to_json())
+        data["family"] = {"kind": "bipyramid-union", "m": 3_000_000, "n": 3}
+        data["graph_dimacs"] = "p edge 3000006 0\n"
+        bundle = tmp_path / "forged.json"
+        bundle.write_text(json.dumps(data), encoding="utf-8")
+        limit = 400 * 2 ** 20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(strongodd.certificates.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        with subprocess.Popen(
+                [sys.executable, "-m", "strongodd", "certify", "--recheck", str(bundle)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, preexec_fn=limit_memory) as child:
+            out, err = child.stdout.read(), child.stderr.read()
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+        assert (child.returncode, out) == (1, b"")
+        assert err == b"error: vertex 23 has no color (2999984 of 3000006 uncolored)\n"
+        assert usage.ru_maxrss < 100 * 1024  # KB
 
     @pytest.mark.parametrize("tamper,parses", [
         (lambda rows: [], True),

@@ -64,9 +64,11 @@ COLORING_CASES = {
     "colored twice": ("1 1\n\n1 2\n", 1, "vertex 1 colored twice", 3),
     "colored twice before a missing vertex": ("2 1\n2 1\n", 3, "vertex 2 colored twice", 2),
     "malformed line after a missing vertex": ("1 1\n3 x\n", 3, "expected integers, got '3 x'", 2),
-    "missing vertex": ("1 1\n", 2, "vertices [2] have no color", None),
-    "missing vertices": ("# only\n\n2 5 # inline\n", 4, "vertices [1, 3, 4] have no color", None),
-    "empty file": ("", 2, "vertices [1, 2] have no color", None),
+    "missing vertex": ("1 1\n", 2, "vertex 2 has no color (1 of 2 uncolored)", None),
+    "missing vertices": ("# only\n\n2 5 # inline\n", 4, "vertex 1 has no color (3 of 4 uncolored)", None),
+    "empty file": ("", 2, "vertex 1 has no color (2 of 2 uncolored)", None),
+    # counted, not listed: one short message for three million vertices
+    "missing millions": ("1 1", 3_000_000, "vertex 2 has no color (2999999 of 3000000 uncolored)", None),
 }
 
 

@@ -843,10 +843,18 @@ class TestOddClasses:
     def test_one_listing_per_solve(self, monkeypatch, g, value):
         # J(14, 4)'s listing completes and its partition search runs out;
         # the stacked triangulation's listing gives up.  Either way the
-        # search goes on to the value without listing the classes again
+        # search goes on to the value without listing the classes again.
+        # Only full listings count, not has_odd_class's look for a first
+        # class, which passes most
         listings = []
         listing = strongodd._classes.odd_classes
-        monkeypatch.setattr(strongodd._classes, "odd_classes", lambda *a: listings.append(a) or listing(*a))
+
+        def counted(g, deadline=None, most=None):
+            if most is None:
+                listings.append(g)
+            return listing(g, deadline, most)
+
+        monkeypatch.setattr(strongodd._classes, "odd_classes", counted)
         r = chromatic_strong_odd(g)
         assert (r.status, r.value, len(listings)) == ("exact", value, 1)
 
@@ -1264,6 +1272,21 @@ class TestColorsAboveN:
             tracemalloc.stop()
         assert r.answer == "yes" and len(r.witness.palette) == 5
         assert peak < 1_000_000
+
+    def test_memory_does_not_grow_with_k_up_to_n(self):
+        # the search keeps counters for the colors in use and one more, not
+        # for all k: k + 1 rows of n counters would take 32 MB here
+        import tracemalloc
+
+        g = build(Cycle(2000))
+        tracemalloc.start()
+        try:
+            r = decide_k(g, g.n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.answer == "yes" and is_strong_odd(g, r.witness)
+        assert peak < 4_000_000
 
 
 class TestBruteForce:
