@@ -60,7 +60,7 @@ forged "refutation" entry backs no other value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import get_origin, get_type_hints
 
@@ -84,7 +84,7 @@ class Certificate:
     claim_kind: str  # "exact" | "upper-bound"
     rotation: list[list[int]]
     checks: list[dict]
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
     def to_json(self) -> str:
         # field names need no escaping; the C encoder writes each value on one line
@@ -170,7 +170,7 @@ def make_union_certificate(m: int, n: int, try_exact_budget: Budget | None = Non
         coloring=format_coloring(col),
         claimed_value=claimed,
         claim_kind=claim_kind,
-        rotation=[list(row) for row in rot],
+        rotation=rot,
         checks=checks,
         notes=notes,
     )

@@ -73,12 +73,9 @@ _FORMULAS = {"wheel": Wheel, "join": JoinCycleEmpty, "union": BipyramidUnion}
 
 
 def _parse_duration(text: str) -> float:
-    scale = 1.0
-    if text and text[-1] in "smh":
-        scale = {"s": 1.0, "m": 60.0, "h": 3600.0}[text[-1]]
-        text = text[:-1]
+    scale = {"s": 1.0, "m": 60.0, "h": 3600.0}.get(text[-1:])
     try:
-        return float(text) * scale
+        return float(text) if scale is None else float(text[:-1]) * scale
     except ValueError:
         raise InvalidParameterError(f"cannot parse duration {text!r}") from None
 

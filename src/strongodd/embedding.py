@@ -1,10 +1,9 @@
 """Rotation systems, face tracing, and planar embeddings for the built families.
 
-A rotation system is a sequence of rows, one per vertex: row v lists the
-neighbors of v in cyclic order.  Rows are plain lists or tuples of vertex ids
-(``embed_family`` returns, as a tuple of tuples, the rows that
-``graphs.build`` fills in rotation order; a certificate read back from JSON
-holds lists).  Face tracing follows the standard next-dart rule: after
+A rotation system is a list of rows, one per vertex: row v lists the
+neighbors of v in cyclic order.  ``embed_family`` returns the lists that
+``graphs.build`` fills in rotation order, and a certificate holds the same
+lists in its JSON.  Face tracing follows the standard next-dart rule: after
 traversing the dart (u, v), continue with (v, w) where w is the successor of
 u in the row of v.  ``verify_embedding`` builds that rule once as a map from
 each dart to the next and traces every face by popping darts from the map,
@@ -88,11 +87,11 @@ def _components(adj: tuple[tuple[int, ...], ...]) -> int:
     return count
 
 
-def embed_family(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
+def embed_family(spec: FamilySpec) -> list[list[int]]:
     """The genus-0 rotation system of a Cycle, Wheel, Bipyramid or
     BipyramidUnion spec: the neighbor rows ``build`` makes its graph from,
     before sorting (``graphs._layout``).  Other specs raise
     UnsupportedFamilyError."""
     if not isinstance(spec, _EMBEDDED):
         raise UnsupportedFamilyError(f"no embedding constructor for family {spec!r}")
-    return tuple(map(tuple, _layout(spec)[0]))
+    return _layout(spec)[0]

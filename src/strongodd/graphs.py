@@ -7,9 +7,10 @@ Each check runs once, where its data enters.  ``Graph(n, edges, labels)``
 checks every edge and label it is given; ``from_dimacs`` checks the text
 it reads, in bulk when the text is laid out exactly as ``to_dimacs``
 writes it and line by line otherwise; ``build`` takes its sizes from a
-spec that has checked them.  The first two collect their checked edges
-and fill per-vertex neighbor rows from them with ``_rows``, ``build``
-fills its rows directly, and all three end in the same construction tail,
+spec that has checked them; ``one_point_union`` takes the rows of graphs
+that have passed these checks.  The first two collect their checked edges
+and fill per-vertex neighbor rows from them with ``_rows``, the other two
+fill their rows directly, and all four end in the same construction tail,
 whose duplicate-edge check every graph passes.  The rows ``build`` fills for
 Cycle, Wheel, Bipyramid and BipyramidUnion come in the cyclic order of a
 planar embedding, the rotation system that ``embedding.embed_family``
@@ -34,8 +35,8 @@ class Graph:
 
     Adjacency is stored as a tuple of sorted neighbor tuples.  An optional
     label map attaches a role string to a vertex ("hub", "x", "cycle:3", ...);
-    labels are carried by the DIMACS ``l`` lines and the certificate
-    ``labels`` field, and take part in ``==``.
+    labels are carried by the DIMACS ``l`` lines, in a graph file and in a
+    certificate's ``graph_dimacs`` text alike, and take part in ``==``.
 
     Vertex ids, in edges and labels alike, are ints, and a role is one
     token without whitespace, so every graph that constructs reads back
@@ -43,8 +44,9 @@ class Graph:
     each edge (a pair of int endpoints in range, no self-loop) and each
     label (an int vertex in range, a one-token role), and fills its rows
     from the checked edges with ``_rows``, as ``from_dimacs`` does.
-    ``from_dimacs`` and ``build`` bound their edges and labels themselves
-    and hand per-vertex neighbor rows to ``_from_rows``.  All three end in
+    ``from_dimacs`` and ``build`` bound their edges and labels themselves,
+    ``one_point_union`` takes them from checked graphs, and each hands
+    per-vertex neighbor rows to ``_from_rows``.  All four end in
     ``_freeze``, which runs the one duplicate-edge check every graph passes.
     """
 
@@ -155,31 +157,29 @@ def one_point_union(parts: Sequence[tuple[Graph, int]]) -> Graph:
     index of the first part's designated vertex; later parts occupy the
     following contiguous index blocks.  The glued vertex is labeled "x".
     Each part is an induced subgraph of the result, and distinct parts meet
-    only at the glued vertex.
+    only at the glued vertex.  The parts' rows are glued as they are: each
+    later part's rows are renumbered and appended, and the glued vertex's
+    rows are joined in part order.
     """
     if not parts:
         raise InvalidParameterError("one_point_union needs at least one part")
     for g, v in parts:
-        if not (0 <= v < g.n):
-            raise InvalidParameterError(f"designated vertex {v} out of range for a {g.n}-vertex part")
+        if type(v) is not int or not 0 <= v < g.n:
+            raise InvalidParameterError(f"designated vertex {v!r} out of range for a {g.n}-vertex part")
     g0, v0 = parts[0]
-    total = g0.n
-    edges = g0.edges()
+    rows = list(map(list, g0.adj))
     labels = {v: r for v, r in g0.labels.items() if v != v0}
     for g, v in parts[1:]:
-        mapping = {}
-        nxt = total
-        for w in range(g.n):
-            if w == v:
-                mapping[w] = v0
-            else:
-                mapping[w] = nxt
-                nxt += 1
-        edges += [(mapping[a], mapping[b]) for a, b in g.edges()]
-        labels.update({mapping[w]: r for w, r in g.labels.items() if w != v})
-        total = nxt
+        # the part's vertex w becomes ids[w]: v the glued vertex, the others
+        # the next free indices in order
+        total = len(rows)
+        ids = [*range(total, total + v), v0, *range(total + v, total + g.n - 1)]
+        glued = [[ids[w] for w in row] for row in g.adj]
+        rows[v0] += glued.pop(v)
+        rows += glued
+        labels.update({ids[w]: r for w, r in g.labels.items() if w != v})
     labels[v0] = "x"
-    return Graph(total, edges, labels)
+    return Graph._from_rows(rows, labels)
 
 
 # ---------------------------------------------------------------------------

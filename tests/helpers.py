@@ -53,6 +53,31 @@ family_specs = st.one_of(
 )
 
 
+def edge_list_union(parts) -> Graph:
+    """``one_point_union`` built from edge lists: each later part's vertex w
+    maps to the first part's designated vertex when it is the part's own,
+    and to the next free index otherwise, and ``Graph`` checks every mapped
+    edge and label again.  A reference for the row gluing."""
+    g0, v0 = parts[0]
+    total = g0.n
+    edges = g0.edges()
+    labels = {v: r for v, r in g0.labels.items() if v != v0}
+    for g, v in parts[1:]:
+        mapping = {}
+        nxt = total
+        for w in range(g.n):
+            if w == v:
+                mapping[w] = v0
+            else:
+                mapping[w] = nxt
+                nxt += 1
+        edges += [(mapping[a], mapping[b]) for a, b in g.edges()]
+        labels.update({mapping[w]: r for w, r in g.labels.items() if w != v})
+        total = nxt
+    labels[v0] = "x"
+    return Graph(total, edges, labels)
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)

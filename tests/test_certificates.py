@@ -21,6 +21,7 @@ from strongodd import (
     ParseError,
     counterexample,
     counterexample_pair,
+    embed_family,
     formula,
     from_dimacs,
     make_union_certificate,
@@ -162,6 +163,13 @@ class TestSerialization:
         cert = counterexample(11)
         again = Certificate.from_json(cert.to_json())
         assert again == cert
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (8, 8), (8, 11), (13, 5)])
+    def test_rotation_is_the_family_layout(self, m, n):
+        cert = make_union_certificate(m, n)
+        assert cert.rotation == embed_family(BipyramidUnion(m, n))
+        assert {type(row) for row in cert.rotation} == {list}
+        assert Certificate.from_json(cert.to_json()).rotation == cert.rotation
 
     def test_missing_field(self):
         # only the side that is not empty is named

@@ -301,6 +301,14 @@ class TestSolve:
         assert run(capsys, "solve", str(g), "--exact", "--timeout", "", "--max-nodes", "5") == (
             1, "", "error: cannot parse duration ''\n")
 
+    @pytest.mark.parametrize("timeout", ["5ms", "s", "1.5x"])
+    def test_timeout_error_names_what_was_typed(self, tmp_path, capsys, timeout):
+        # the unit used to be stripped from the text the error names
+        g = tmp_path / "w9.col"
+        run(capsys, "gen", "--family", "wheel", "--n", "9", "-o", str(g))
+        assert run(capsys, "solve", str(g), "--exact", f"--timeout={timeout}") == (
+            1, "", f"error: cannot parse duration {timeout!r}\n")
+
     @pytest.mark.parametrize("timeout", ["nan", "inf", "1e400", "-inf", "0", "-2m"])
     def test_timeout_must_be_finite_and_positive(self, tmp_path, capsys, timeout):
         # a nan or infinite limit used to be accepted and never tripped

@@ -113,7 +113,13 @@ class TestEmbedFamily:
     def test_glued_apex_rotation_shape(self):
         rot = embed_family(BipyramidUnion(4, 5))
         y = 5
-        assert rot[y] == (3, 2, 1, 0, 6, 7, 8, 9, 10)
+        assert rot[y] == [3, 2, 1, 0, 6, 7, 8, 9, 10]
+
+    def test_rows_are_lists(self):
+        # the layout's own rows, the form a certificate and gen --embed hold
+        for spec in (Cycle(5), Wheel(6), Bipyramid(7), BipyramidUnion(8, 11)):
+            rot = embed_family(spec)
+            assert type(rot) is list and {type(row) for row in rot} == {list}, spec
 
     def test_unsupported_family(self):
         # the wheel and bipyramid joins are planar too, but get no rotation

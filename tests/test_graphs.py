@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import strongodd.graphs
-from helpers import cycle_vertices, family_specs, graphs, labeled_graphs
+from helpers import cycle_vertices, edge_list_union, family_specs, graphs, labeled_graphs, random_graph
 from strongodd import (
     Bipyramid,
     BipyramidUnion,
@@ -200,6 +201,30 @@ class TestOnePointUnion:
     def test_empty_parts(self):
         with pytest.raises(InvalidParameterError):
             one_point_union([])
+
+    @pytest.mark.parametrize("v", [True, 1.0, "1", -1])
+    def test_designated_vertex_is_an_int_in_range(self, v):
+        k2 = build(Complete(2))
+        for parts in ([(k2, v)], [(k2, 0), (k2, v)]):
+            with pytest.raises(InvalidParameterError):
+                one_point_union(parts)
+
+    def test_matches_the_edge_list_union(self):
+        # 3,000 seeded unions of 1-4 labelled parts, a part sometimes repeated
+        rng = random.Random(20261022)
+        for _ in range(3000):
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                if parts and rng.random() < 0.2:
+                    g = rng.choice(parts)[0]
+                else:
+                    n = rng.randint(1, 8)
+                    g = random_graph(n, rng.random(), rng)
+                    picked = rng.sample(range(n), rng.randint(0, n))
+                    g = Graph(n, g.edges(), {v: rng.choice(["x", "y", "hub", f"r{v}"]) for v in picked})
+                parts.append((g, rng.randrange(g.n)))
+            u, want = one_point_union(parts), edge_list_union(parts)
+            assert (u.n, u.adj, dict(u.labels)) == (want.n, want.adj, dict(want.labels)), parts
 
     @given(graphs(min_n=2, max_n=6), graphs(min_n=2, max_n=6), st.data())
     def test_parts_are_induced_subgraphs(self, g1, g2, data):
