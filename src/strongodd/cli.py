@@ -113,6 +113,9 @@ def _write_witness(path: str | None, witness) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.embed and not args.output:
+        # the rotation and the euler line would land in the graph text
+        raise InvalidParameterError("gen --embed needs -o FILE to write the rotation beside the graph")
     spec = _family_spec(args)
     g = build(spec)
     # a family with no embedding fails before anything is written
@@ -125,10 +128,9 @@ def _cmd_gen(args) -> int:
         sys.stdout.write(text)
     if rot is not None:
         faces, ok = verify_embedding(g, rot)
-        if args.output:
-            rot_path = args.output + ".rot.json"
-            Path(rot_path).write_text(json.dumps(rot) + "\n", encoding="utf-8")
-            print(f"wrote {rot_path}")
+        rot_path = args.output + ".rot.json"
+        Path(rot_path).write_text(json.dumps(rot) + "\n", encoding="utf-8")
+        print(f"wrote {rot_path}")
         print(f"euler: {'ok' if ok else 'FAILED'} (V={g.n} E={g.edge_count} F={faces})")
         if not ok:
             return EXIT_VIOLATION
@@ -284,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _SIZE_OPTIONS:
         p.add_argument(f"--{name}", type=int)
     p.add_argument("-o", "--output")
-    p.add_argument("--embed", action="store_true", help="also emit a rotation system and check Euler's formula")
+    p.add_argument("--embed", action="store_true",
+                   help="also write a rotation system to OUTPUT.rot.json (needs -o) and check Euler's formula")
     p.add_argument("--no-labels", action="store_true")
     p.set_defaults(func=_cmd_gen)
 

@@ -48,7 +48,11 @@ def verify_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> EmbeddingCh
         raise InvalidRotationError(f"rotation covers {len(rotation)} vertices, graph has {n}")
     nxt: dict[int, int] = {}
     for v, row in enumerate(rotation):
-        if tuple(sorted(row)) != g.adj[v]:
+        try:
+            row_ok = tuple(sorted(row)) == g.adj[v]
+        except TypeError:  # a row that is not a list of comparable entries
+            row_ok = False
+        if not row_ok:
             raise InvalidRotationError(f"rotation at vertex {v} is not a permutation of its neighbors")
         # the row holds neighbors of v only, so every dart (u, v) has its own
         # key; the dart into v from the row's last neighbor goes on to the

@@ -131,7 +131,8 @@ frame per colored vertex, so its depth is not limited by Python's recursion
 limit.
 
 ``_plan`` sets up the twin classes, the triples and the three tables once
-for a vertex order; ``_search`` decides one k on them from no colored
+for a vertex order, and for ``chromatic_strong_odd`` the greedy clique
+bound k starts from; ``_search`` decides one k on them from no colored
 vertex.  ``decide_k`` is one plan and one search, and
 ``chromatic_strong_odd`` one plan searched at k, k + 1, ... within one node
 budget and one deadline.  Every witness leaves the solver through one
@@ -333,7 +334,7 @@ def decide_k(g: Graph, k: int, budget: Budget | None = None, order="degree") -> 
     # the canonical cap never reaches a color above n, so a larger k
     # searches as k = n does, only on wider color masks
     k = min(k, g.n)
-    plan = _plan(g, _vertex_order(g, order), k, deadline)
+    _, plan = _plan(g, _vertex_order(g, order), k, deadline)
     if plan is None:
         return DecideResult("timeout", None, 0, perf_counter() - t0, "max-seconds")
     r = _search(plan, k, budget.max_nodes if budget else None, deadline, t0)
@@ -349,11 +350,12 @@ def _check(g: Graph, witness: Coloring, lower: int, upper: int) -> None:
         raise InternalError(f"internal error: a witness failed its check for {lower}..{upper} colors")
 
 
-def _plan(g: Graph, seq: list[int], k: int, deadline: float | None) -> tuple | None:
-    """The search plan for g in the order seq, fit for k and every larger
-    k: the tuple (g, seq, cls, prev, after, third, ones, twos, many), or
-    None when the ``perf_counter()`` deadline passes while the triples are
-    listed.
+def _plan(g: Graph, seq: list[int], k: int | None, deadline: float | None) -> tuple[int, tuple | None]:
+    """The pair (k, plan), plan being the search plan for g in the order
+    seq, fit for k and every larger k: the tuple (g, seq, cls, prev, after,
+    third, ones, twos, many), or None when the ``perf_counter()`` deadline
+    passes while the triples are listed.  A k of None asks for the greedy
+    clique bound, grown on the twin classes' neighborhoods.
 
     seq is the vertex order and third the triples per vertex.  With twins,
     prev[v] is v's twin just before it in seq, or -1, and after[v] counts
@@ -369,11 +371,13 @@ def _plan(g: Graph, seq: list[int], k: int, deadline: float | None) -> tuple | N
     n = g.n
     adj = g.adj
     classes = _twin_classes(g)
+    nbs, rep = classes
+    if k is None:
+        k = _clique_lower_bound(nbs)
     third = _dependent_triples(g, classes, deadline)
     if third is None:
-        return None
+        return k, None
     pos = sorted(range(n), key=seq.__getitem__)  # pos[v]: v's index in seq
-    nbs, rep = classes
     cls = prev = after = None
     if len(rep) < n - nbs.count(frozenset()):
         cls = [rep.get(s, v) for v, s in enumerate(nbs)]
@@ -425,7 +429,7 @@ def _plan(g: Graph, seq: list[int], k: int, deadline: float | None) -> tuple | N
             many[a[d]].append((t, v, r))
     for row in many:
         row.sort(reverse=True)
-    return g, seq, cls, prev, after, third, ones, twos, many
+    return k, (g, seq, cls, prev, after, third, ones, twos, many)
 
 
 def _search(plan: tuple, k: int, max_nodes: int | None, deadline: float | None, t0: float) -> DecideResult:
@@ -611,29 +615,23 @@ def _search(plan: tuple, k: int, max_nodes: int | None, deadline: float | None, 
     return DecideResult("yes", Coloring(color), nodes, perf_counter() - t0)
 
 
-def _clique_lower_bound(g: Graph) -> int:
-    """Size of a greedily grown clique; a valid lower bound since the
-    chromatic number bounds the strong odd chromatic number from below."""
-    n = g.n
-    adj = g.adj
+def _clique_lower_bound(nbs: list[frozenset[int]]) -> int:
+    """Size of a clique grown greedily on the neighborhoods nbs; a valid
+    lower bound since the chromatic number bounds the strong odd chromatic
+    number from below.  A set intersection walks the smaller set, so a
+    hub's long row costs no more than the candidates beside it."""
+    n = len(nbs)
     # the next member is the candidate of highest degree, then lowest index
-    rank = [len(a) * n + n - 1 - v for v, a in enumerate(adj)]
+    rank = [len(s) * n + n - 1 - v for v, s in enumerate(nbs)]
     best = 1
-    for seed in range(n):
-        if len(adj[seed]) < best:
-            # a clique through seed has at most deg + 1 <= best vertices
+    for cand in nbs:
+        if len(cand) < best:
+            # a clique through the seed has at most deg + 1 <= best vertices
             continue
         size = 1
-        cand = set(adj[seed])
         while cand:
             size += 1
-            row = adj[max(cand, key=rank.__getitem__)]  # sorted by vertex
-            if len(row) > 16 * len(cand):
-                # beside a hub: look the few candidates up in its long row
-                # rather than walk it
-                cand = {v for v in cand if (i := bisect_left(row, v)) < len(row) and row[i] == v}
-            else:
-                cand.intersection_update(row)
+            cand &= nbs[max(cand, key=rank.__getitem__)]
         if size > best:
             best = size
     return best
@@ -681,16 +679,13 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
         # every color class is an odd class, so each one is a singleton
         return _exact(g, Coloring(range(1, n + 1)), n, n, 0, t0)
     cut = _CLASSES_AFTER if look else max_nodes
-    lower = _clique_lower_bound(g)
-    plan = _plan(g, seq, lower, deadline)
+    lower, plan = _plan(g, seq, None, deadline)
     nodes = 0
-    reason = "max-seconds"  # kept when the deadline passes during the plan
     while plan is not None:
         # the budget is looked at before each k's first node: nodes is the
         # cut after a refutation, and one past it after a search it stopped
         if cut is not None and nodes >= cut:
             if cut == max_nodes:
-                reason = "max-nodes"
                 break
             cut = max_nodes
             classes = _classes.odd_classes(g, deadline)
@@ -712,7 +707,9 @@ def chromatic_strong_odd(g: Graph, budget: Budget | None = None, order="degree")
             lower += 1
         elif r.reason == "max-seconds":
             break
-    status = "timeout" if reason == "max-seconds" else "bounds"
+    # a stop on the node budget leaves nodes at or past max_nodes, one on
+    # the deadline below it
+    status = "bounds" if max_nodes is not None and nodes >= max_nodes else "timeout"
     return SolveResult(status, lower, n, None, Coloring(range(1, n + 1)), nodes, perf_counter() - t0)
 
 

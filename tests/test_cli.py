@@ -59,9 +59,11 @@ class TestGen:
         assert len(rot) == 19
 
     def test_embed_to_stdout_without_output(self, capsys):
-        code, stdout, _ = run(capsys, "gen", "--family", "union-g", "--m", "8", "--n", "8", "--embed")
-        assert code == 0
-        assert "euler: ok" in stdout
+        # the euler line would follow the graph text on stdout, so the
+        # request is refused before anything is built or written
+        code, stdout, err = run(capsys, "gen", "--family", "union-g", "--m", "8", "--n", "8", "--embed")
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_family_aliases(self, tmp_path, capsys):
         a = tmp_path / "a.col"

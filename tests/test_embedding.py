@@ -75,6 +75,13 @@ class TestVerifyEmbedding:
         with pytest.raises(InvalidRotationError):
             verify_embedding(build(Cycle(3)), [[1, 2], [0, 2], [0, 0]])
 
+    @pytest.mark.parametrize("row", [[1, "a"], None], ids=repr)
+    def test_rotation_row_of_the_wrong_type_rejected(self, row):
+        # a row sorted() cannot order or iterate is no permutation of the
+        # neighbors either
+        with pytest.raises(InvalidRotationError):
+            verify_embedding(build(Cycle(3)), [[1, 2], [0, 2], row])
+
     def test_rotation_wrong_length(self):
         with pytest.raises(InvalidRotationError):
             verify_embedding(build(Cycle(3)), [[1, 2], [0, 2]])

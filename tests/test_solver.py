@@ -561,21 +561,22 @@ class TestCliqueBound:
         graphs += [stacked_triangulation(rng.randint(3, 40), rng) for _ in range(50)]
         graphs += [build(s) for s in SMALL_FAMILY_MEMBERS + [Wheel(30), BipyramidUnion(8, 11), Complete(20)]]
         for g in graphs:
-            assert _clique_lower_bound(g) == greedy_clique_from_every_seed(g)
+            assert _clique_lower_bound(_twin_classes(g)[0]) == greedy_clique_from_every_seed(g)
 
-    def test_looking_candidates_up_in_a_hub_row_keeps_the_bound(self):
-        # beside a hub the few candidates are looked up in its long row:
-        # all of them lie in it on wheels, not the other hubs on joins, and
-        # a random share on sparse graphs with hubs planted beside 90 % of
+    def test_narrowing_beside_a_hub_keeps_the_bound(self):
+        # beside a hub the few candidates meet its long neighborhood: all of
+        # them lie in it on wheels, not the other hubs on joins, and a
+        # random share on sparse graphs with hubs planted beside 90 % of
         # the vertices.  First a hub h over a triangle-free Moebius ladder
         # on 0..59 and a triangle 60, 61, 62: from h the greedy clique takes
         # a ladder vertex and stops at 3, so only seeds in the triangle,
-        # which look their partners up in h's row, find the clique of 4
+        # whose candidates narrow through h's neighborhood, find the clique
+        # of 4
         h = 63
         edges = [(i, (i + 1) % 60) for i in range(60)] + [(i, i + 30) for i in range(30)]
         edges += [(60, 61), (60, 62), (61, 62)] + [(v, h) for v in range(h)]
         ladder = Graph(64, edges)
-        assert _clique_lower_bound(ladder) == greedy_clique_from_every_seed(ladder) == 4
+        assert _clique_lower_bound(_twin_classes(ladder)[0]) == greedy_clique_from_every_seed(ladder) == 4
         specs = [Wheel(n) for n in (50, 101, 300)]
         specs += [JoinCycleEmpty(n, m) for n, m in ((60, 3), (201, 5), (300, 2))]
         specs += [BipyramidUnion(m, n) for m, n in ((3, 200), (6, 295), (8, 100))]
@@ -587,7 +588,14 @@ class TestCliqueBound:
             extra = [(min(h, v), max(h, v)) for h in hubs for v in range(g.n) if v != h and rng.random() < 0.9]
             graphs.append(Graph(g.n, sorted(set(g.edges() + extra))))
         for g in graphs:
-            assert _clique_lower_bound(g) == greedy_clique_from_every_seed(g)
+            assert _clique_lower_bound(_twin_classes(g)[0]) == greedy_clique_from_every_seed(g)
+
+    @pytest.mark.parametrize("spec, nodes", [(Wheel(4001), 16_001), (JoinCycleEmpty(4001, 3), 16_025)], ids=repr)
+    def test_long_hub_families_solve(self, spec, nodes):
+        # every cycle vertex sits beside the hubs, whose long neighborhoods
+        # the clique narrows through from every seed
+        r = chromatic_strong_odd(build(spec))
+        assert (r.status, r.value, r.nodes) == ("exact", 6, nodes)
 
 
 @pytest.mark.usefixtures("search_alone")
@@ -601,7 +609,7 @@ class TestOneScan:
         if order == "index":  # the identity permutation
             order = list(range(g.n))
         r = chromatic_strong_odd(g, order=order)
-        start = max(1, _clique_lower_bound(g))
+        start = max(1, _clique_lower_bound(_twin_classes(g)[0]))
         return r, [decide_k(g, k, order=order) for k in range(start, r.value + 1)]
 
     @pytest.mark.parametrize("order", ["degree", "index"])
@@ -991,9 +999,10 @@ class TestPlanDigest:
         graphs += [build(s) for s in (Wheel(14), JoinCycleEmpty(14, 4), BipyramidUnion(6, 8), Cycle(1258))]
         h = hashlib.sha256()
         for g in graphs:
-            lower = _clique_lower_bound(g)
-            for k in (lower, lower + 2):
-                _, _, _, _, _, _, ones, twos, many = _plan(g, _vertex_order(g, "degree"), k, None)
+            seq = _vertex_order(g, "degree")
+            lower, at_lower = _plan(g, seq, None, None)
+            for plan in (at_lower, _plan(g, seq, lower + 2, None)[1]):
+                _, _, _, _, _, _, ones, twos, many = plan
                 h.update(repr([[list(row) for row in table] for table in (ones, twos, many)]).encode())
         assert h.hexdigest() == self.DIGEST
 
